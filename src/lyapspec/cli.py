@@ -1,8 +1,8 @@
 """Command-line interface, the .cocycle file format, and reproducible
 run manifests.
 
-Exit codes: 0 success, 1 domination fail, 2 parse error, 3 validation
-failure, 4 budget exceeded, 5 missing typicality precondition,
+Exit codes: 0 success, 1 domination fail, 2 parse or usage error,
+3 validation failure, 4 budget exceeded, 5 missing typicality precondition,
 6 domination inconclusive, 7 subsystem search exhaustion.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 
@@ -19,8 +18,6 @@ import numpy as np
 from . import __version__, domination, pressure, sft, spectrum, typicality
 from .cocycle import BudgetError, OneStepCocycle, fiber_bunched
 from .sft import NotPrimitiveError, TransitionMatrix
-
-THREADS_ENV = "LYAPSPEC_THREADS"
 
 EXIT_OK = 0
 EXIT_DOM_FAIL = 1
@@ -36,6 +33,10 @@ class ParseError(ValueError):
     def __init__(self, msg: str, line: int):
         super().__init__(f"line {line}: {msg}")
         self.line = line
+
+
+class UsageError(ValueError):
+    """A command-line value the command cannot use; exit 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,6 @@ def manifest_lines(args: argparse.Namespace, started: float) -> list[str]:
         lines.append(f"# flag {key}={val}")
     if getattr(args, "file", None):
         lines.append(f"# input_sha256 {file_digest(args.file)}")
-    lines.append(f"# threads {args.threads}")
     lines.append(f"# seed {getattr(args, 'seed', 0)}")
     lines.append(f"# wall_time_s {time.time() - started:.3f}")
     return lines
@@ -224,19 +224,24 @@ def parse_grid(spec: str, d: int) -> np.ndarray:
     if len(parts) == 1 and d > 1:
         parts = parts * d
     if len(parts) != d:
-        raise ValueError(f"grid spec has {len(parts)} axes, expected {d}")
+        raise UsageError(f"grid spec has {len(parts)} axes, expected {d}")
     axes = []
     for part in parts:
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"bad axis spec {part!r}, expected lo:hi:step")
-        lo, hi, step = (float(p) for p in pieces)
+        try:
+            lo, hi, step = (float(p) for p in part.split(":"))
+        except ValueError:
+            raise UsageError(f"bad axis spec {part!r}, expected lo:hi:step") from None
         if step <= 0:
-            raise ValueError("grid step must be positive")
+            raise UsageError("grid step must be positive")
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1
         axes.append(lo + step * np.arange(count))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, d)
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +283,18 @@ def cmd_pressure(args) -> int:
     c = _load(args)
     if isinstance(c, int):
         return c
-    try:
-        grid = parse_grid(args.q, c.d)
-        qm = typicality.qm_search(c, args.qm_depth, args.qm_connect)
-        rows = []
-        for q in grid:
-            est = pressure.pressure_estimate(
-                c, q, args.n, qm_C=qm.C, qm_k=qm.k, budget=args.budget)
-            rows.append(
-                [*q, args.n, est.value,
-                 est.lower if est.lower is not None else "",
-                 est.upper if est.upper is not None else "",
-                 est.cauchy if est.cauchy is not None else ""])
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    _at_least("--n", args.n, 1)
+    grid = parse_grid(args.q, c.d)
+    qm = typicality.qm_search(c, args.qm_depth, args.qm_connect)
+    rows = []
+    for q in grid:
+        est = pressure.pressure_estimate(
+            c, q, args.n, qm_C=qm.C, qm_k=qm.k, budget=args.budget)
+        rows.append(
+            [*q, args.n, est.value,
+             est.lower if est.lower is not None else "",
+             est.upper if est.upper is not None else "",
+             est.cauchy if est.cauchy is not None else ""])
     header = [f"q_{i + 1}" for i in range(c.d)] + ["n", "P_n", "lower", "upper", "cauchy_diag"]
     write_csv(args.out, header, rows, manifest_lines(args, started))
     return EXIT_OK
@@ -303,57 +305,65 @@ def cmd_spectrum(args) -> int:
     c = _load(args)
     if isinstance(c, int):
         return c
-    try:
-        qm = typicality.qm_search(c, args.qm_depth, args.qm_connect)
-        est = spectrum.domain_estimate(c, args.n, budget=args.budget)
-        if args.alpha:
-            grid = parse_grid(args.alpha, c.d)
-        else:
-            grid = spectrum.interior_alpha_grid(est, args.auto_grid)
-        points = spectrum.spectrum_curve(c, grid, args.n, qm=qm,
-                                         budget=args.budget, domain=est)
-        header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
-                  + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])
-        rows = []
-        for pt in points:
-            band = 0.0 if pt.status == "interior-converged" else np.nan
-            h = "" if pt.status == "boundary-suspect" and not np.isfinite(pt.h) else pt.h
-            rows.append([*pt.alpha, h, *pt.q_star, pt.status, band])
-        if args.oracle:
-            header += ["epsilon", "count", "h_count", "gap"]
-            for row, pt in zip(rows, points):
-                count, h_count = spectrum.oracle_count(
-                    c, pt.alpha, args.eps, args.n, budget=args.budget)
-                gap = abs(h_count - pt.h) if count else np.inf
-                row.extend([args.eps, count, h_count, gap])
-    except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    _at_least("--n", args.n, 1)
+    _at_least("--auto-grid", args.auto_grid, 1)
+    if args.oracle and not args.eps > 0:
+        raise UsageError(f"--eps must be positive, got {args.eps}")
+    est = spectrum.domain_estimate(c, args.n, budget=args.budget)
+    if args.alpha:
+        grid = parse_grid(args.alpha, c.d)
+    else:
+        grid = spectrum.interior_alpha_grid(est, args.auto_grid)
+    points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget, domain=est)
+    header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
+              + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])
+    rows = []
+    for pt in points:
+        band = 0.0 if pt.status == "interior-converged" else np.nan
+        h = "" if pt.status == "boundary-suspect" and not np.isfinite(pt.h) else pt.h
+        rows.append([*pt.alpha, h, *pt.q_star, pt.status, band])
+    if args.oracle:
+        header += ["epsilon", "count", "h_count", "gap"]
+        for row, pt in zip(rows, points):
+            count, h_count = spectrum.oracle_count(
+                c, pt.alpha, args.eps, args.n, budget=args.budget)
+            gap = abs(h_count - pt.h) if count else np.inf
+            row.extend([args.eps, count, h_count, gap])
     write_csv(args.out, header, rows, manifest_lines(args, started))
     return EXIT_OK
+
+
+def _typicality(c: OneStepCocycle, args):
+    """The check of the pair --fixed-symbol/--homoclinic when both are
+    given, else the first passing pair of the search (None when it is
+    exhausted); an int is an exit code."""
+    if not any(c.Q.allows(a, a) for a in range(1, c.k + 1)):
+        print("error: no symbol a with Q[a,a] = 1 (no fixed point available)",
+              file=sys.stderr)
+        return EXIT_NO_FIXED
+    if args.fixed_symbol is None or args.homoclinic is None:
+        return typicality.search_typical_pair(c, args.search_depth)
+    try:
+        w = tuple(int(s) for s in args.homoclinic.split(","))
+    except ValueError:
+        raise UsageError(f"bad word {args.homoclinic!r}, expected symbols 1,2,...") from None
+    try:
+        return typicality.check_typical(c, args.fixed_symbol, w)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATE
 
 
 def cmd_typical(args) -> int:
     c = _load(args)
     if isinstance(c, int):
         return c
-    if not any(c.Q.allows(a, a) for a in range(1, c.k + 1)):
-        print("error: no symbol a with Q[a,a] = 1 (no fixed point available)",
-              file=sys.stderr)
-        return EXIT_NO_FIXED
-    if args.fixed_symbol is not None and args.homoclinic is not None:
-        w = tuple(int(s) for s in args.homoclinic.split(","))
-        try:
-            report = typicality.check_typical(c, args.fixed_symbol, w)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATE
-    else:
-        found = typicality.search_typical_pair(c, args.search_depth)
-        if found is None:
-            print(f"search exhausted at depth {args.search_depth}: no typical pair found")
-            return EXIT_DOM_FAIL
-        report = found
+    report = _typicality(c, args)
+    if isinstance(report, int):
+        return report
+    if report is None:
+        print(f"search exhausted at depth {args.search_depth}: no typical pair found")
+        return EXIT_DOM_FAIL
     print(f"pair: a = {report.a}, w = {','.join(map(str, report.w))}")
     for level in report.levels:
         print(f"  t = {level.t}: eigenvalue-gap margin {level.gap_margin:.6g} "
@@ -368,6 +378,11 @@ def cmd_dominate(args) -> int:
     c = _load(args)
     if isinstance(c, int):
         return c
+    _at_least("--n-min", args.n_min, 1)
+    _at_least("--n-max", args.n_max, args.n_min)
+    if args.index is not None and not 1 <= args.index <= c.d - 1:
+        print(f"error: --index {args.index} outside 1..{c.d - 1}", file=sys.stderr)
+        return EXIT_VALIDATE
     n_range = range(args.n_min, args.n_max + 1)
     indices = range(1, c.d) if args.index is None else [args.index]
     report = domination.DominationReport(
@@ -395,12 +410,12 @@ def cmd_subsystem(args) -> int:
     c = _load(args)
     if isinstance(c, int):
         return c
-    if args.fixed_symbol is not None and args.homoclinic is not None:
-        a = args.fixed_symbol
-        w = tuple(int(s) for s in args.homoclinic.split(","))
-        typ = typicality.check_typical(c, a, w)
-    else:
-        typ = typicality.search_typical_pair(c, args.search_depth)
+    for flag in ("base_n", "block_depth", "n"):
+        _at_least("--" + flag.replace("_", "-"), getattr(args, flag), 1)
+    grid = parse_grid(args.q, c.d)
+    typ = _typicality(c, args)
+    if isinstance(typ, int):
+        return typ
     if typ is None or not typ.passed:
         print("error: typicality precondition not met", file=sys.stderr)
         return EXIT_NO_FIXED
@@ -416,14 +431,12 @@ def cmd_subsystem(args) -> int:
     print(f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "
           f"of length {sub.ell}, kappa = {sub.kappa}")
 
-    qm = typicality.qm_search(c, args.qm_depth, args.qm_connect)
-    grid = parse_grid(args.q, c.d)
     rows = []
     for q in grid:
         est_sub = domination.subsystem_pressure(sub, q, args.block_depth)
-        est_base = pressure.pressure_estimate(c, q, args.n, qm_C=qm.C, qm_k=qm.k)
-        gap = abs(est_sub.value / sub.ell - est_base.value)
-        rows.append([*q, sub.ell, est_sub.value / sub.ell, est_base.value, gap])
+        base = pressure.log_sn(c, q, args.n) / args.n
+        gap = abs(est_sub.value / sub.ell - base)
+        rows.append([*q, sub.ell, est_sub.value / sub.ell, base, gap])
     header = [f"q_{i + 1}" for i in range(c.d)] + ["ell", "P_ell_D_per_symbol", "P_n", "gap"]
     write_csv(args.out, header, rows, manifest_lines(args, started))
     return EXIT_OK
@@ -436,12 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lyapspec",
         description="Pressure and Lyapunov entropy spectra of one-step matrix "
                     "cocycles over mixing subshifts of finite type.",
-        epilog=f"Default thread count comes from ${THREADS_ENV} when set.",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get(THREADS_ENV, "1")),
-                        help="worker count recorded in manifests (results are "
-                             "thread-count independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and validate a .cocycle file")
@@ -468,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--oracle", action="store_true",
                    help="add cylinder-count oracle columns")
-    p.add_argument("--qm-depth", type=int, default=4, dest="qm_depth")
-    p.add_argument("--qm-connect", type=int, default=4, dest="qm_connect")
+    p.add_argument("--qm-depth", type=int, default=4, dest="qm_depth", help="ignored")
+    p.add_argument("--qm-connect", type=int, default=4, dest="qm_connect", help="ignored")
     p.add_argument("--budget", type=int, default=20_000_000)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
@@ -503,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-depth", type=int, default=3, dest="search_depth")
     p.add_argument("--q", default="-1:1:1")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--qm-depth", type=int, default=4, dest="qm_depth")
-    p.add_argument("--qm-connect", type=int, default=4, dest="qm_connect")
+    p.add_argument("--qm-depth", type=int, default=4, dest="qm_depth", help="ignored")
+    p.add_argument("--qm-connect", type=int, default=4, dest="qm_connect", help="ignored")
     p.add_argument("--subsystem-out", default="subsystem.cocycle",
                    dest="subsystem_out")
     p.add_argument("--out", default=None)
@@ -514,7 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except BudgetError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -22,6 +22,10 @@ MAX_PRODUCT_LENGTH = 30
 #: default enumeration budget (number of words per sweep)
 DEFAULT_WORD_BUDGET = 20_000_000
 
+#: frontier rows per step of a profile sweep; bounds its working set
+#: (a row holds sum_t C(d,t)^2 floats)
+BLOCK_ROWS = 1 << 10
+
 
 class BudgetError(ValueError):
     """An enumeration would exceed the word budget."""
@@ -32,12 +36,13 @@ class OneStepCocycle:
     """Invertible generator tuple A_1..A_k over a validated mixing SFT.
 
     Wedge representatives of every generator are cached for t = 1..d
-    at construction; per-length profile sweeps are cached on demand.
+    at construction (``wedges[t][s - 1]``, stacked per t); per-length
+    profile sweeps are cached on demand.
     """
 
     Q: TransitionMatrix
     generators: list[np.ndarray]
-    wedges: dict[int, list[np.ndarray]] = field(init=False, repr=False)
+    wedges: dict[int, np.ndarray] = field(init=False, repr=False)
     _profile_cache: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -53,7 +58,8 @@ class OneStepCocycle:
             if not matalg.is_invertible(A):
                 raise ValueError(f"generator {s} is not invertible")
         self.wedges = {
-            t: [matalg.wedge(A, t) for A in self.generators] for t in range(1, d + 1)
+            t: np.stack([matalg.wedge(A, t) for A in self.generators])
+            for t in range(1, d + 1)
         }
 
     @property
@@ -81,90 +87,80 @@ def product(c: OneStepCocycle, word: Word) -> np.ndarray:
     return M
 
 
-def _accumulate_word(c: OneStepCocycle, word: Word) -> np.ndarray:
-    """log ||wedge(A_I, t)|| for t = 1..d via renormalized accumulation."""
-    d = c.d
-    accs = np.empty(d)
-    for t in range(1, d + 1):
-        reps = c.wedges[t]
-        V = np.eye(reps[0].shape[0])
-        lacc = 0.0
-        for s in word:
-            V = reps[s - 1] @ V
-            nrm = np.abs(V).max()
-            V /= nrm
-            lacc += np.log(nrm)
-        # exact correction from the entrywise norm to the spectral norm
-        accs[t - 1] = lacc + matalg.log_spectral_norm(V)
-    return accs
+def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray):
+    """Extend frontier row par[j] by symbol sym[j].  A frontier holds one
+    stack of wedge products per degree t and log accumulators of shape
+    (rows, d); products are rescaled to max-entry 1, scale accumulated."""
+    mats, laccs = front
+    new_mats, new_laccs = [], np.empty((len(par), c.d))
+    for ti, V in enumerate(mats):
+        W = c.wedges[ti + 1][sym - 1] @ V[par]
+        nrm = np.abs(W).max(axis=(1, 2))
+        W /= nrm[:, None, None]
+        new_laccs[:, ti] = laccs[par, ti] + np.log(nrm)
+        new_mats.append(W)
+    return new_mats, new_laccs
+
+
+def _root(c: OneStepCocycle):
+    """The frontier of the empty word."""
+    return [np.eye(W.shape[1])[None] for W in c.wedges.values()], np.zeros((1, c.d))
+
+
+def _finish(front, n: int) -> np.ndarray:
+    """Profiles of the frontier rows: accumulator plus log spectral norm
+    is log ||A_I^{wedge t}||; its differences over t are n log sigma_t."""
+    mats, laccs = front
+    top = np.column_stack([np.linalg.svd(V, compute_uv=False)[:, 0] for V in mats])
+    return np.diff(laccs + np.log(top), axis=1, prepend=0.0) / n
 
 
 def profile(c: OneStepCocycle, word: Word) -> np.ndarray:
-    """The singular profile (1/n)(log sigma_1, ..., log sigma_d) of A_I.
-
-    Computed from wedge-norm accumulators with per-symbol
-    renormalization, so any word length is safe.
-    """
+    """The singular profile (1/n)(log sigma_1, ..., log sigma_d) of A_I:
+    the sweep kernel of :func:`profile_matrix` on a one-row frontier."""
     n = len(word)
     if n < 1:
         raise ValueError("profile needs a nonempty word")
     if not sft.is_admissible(c.Q, word):
         raise ValueError(f"word {word} is not admissible")
-    accs = _accumulate_word(c, word)
-    logs = np.diff(accs, prepend=0.0)
-    return logs / n
+    front = _root(c)
+    for s in word:
+        front = _advance(c, front, np.zeros(1, dtype=np.intp), np.array([s]))
+    return _finish(front, n)[0]
 
 
 def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Profiles of all admissible words of length n, in lexicographic
-    word order, as a (#L_n, d) array.  Cached per length.
+    word order, as a (#L_n, d) array.  Cached per length; a hit returns
+    the cached array itself.
 
-    One shared depth-first sweep with renormalized wedge accumulators;
-    prefixes are computed once.
+    Level-synchronous sweep: each step extends up to BLOCK_ROWS
+    consecutive frontier rows by one symbol, in lexicographic (parent,
+    symbol) order; a longer frontier runs block by block, first to last.
     """
-    total = sft.count_words(c.Q, n)
+    out = c._profile_cache.get(n)
+    total = sft.count_words(c.Q, n) if out is None else len(out)
     if total > budget:
         raise BudgetError(
             f"#L_{n} = {total} words exceeds the budget of {budget}; reduce n"
         )
-    if n in c._profile_cache:
-        return c._profile_cache[n]
-    d = c.d
-    out = np.empty((total, d))
+    if out is not None:
+        return out
+    out = np.empty((total, c.d))
     row = 0
-    # per-depth stacks of (V_t, log-accumulator) for each wedge degree
-    mats = [[np.eye(c.wedges[t][0].shape[0])] for t in range(1, d + 1)]
-    laccs = [[0.0] for _ in range(d)]
-    word: list[int] = []
-
-    def descend():
-        nonlocal row
-        if len(word) == n:
-            accs = np.empty(d)
-            for ti in range(d):
-                accs[ti] = laccs[ti][-1] + matalg.log_spectral_norm(mats[ti][-1])
-            out[row] = np.diff(accs, prepend=0.0) / n
-            row += 1
-            return
-        if word:
-            allowed = np.flatnonzero(c.Q.entries[word[-1] - 1]) + 1
-        else:
-            allowed = range(1, c.k + 1)
-        for s in allowed:
-            s = int(s)
-            for ti in range(d):
-                V = c.wedges[ti + 1][s - 1] @ mats[ti][-1]
-                nrm = np.abs(V).max()
-                mats[ti].append(V / nrm)
-                laccs[ti].append(laccs[ti][-1] + np.log(nrm))
-            word.append(s)
-            descend()
-            word.pop()
-            for ti in range(d):
-                mats[ti].pop()
-                laccs[ti].pop()
-
-    descend()
+    # LIFO work list of (depth, parent frontier, parent rows, symbols)
+    todo = [(0, _root(c), np.zeros(c.k, dtype=np.intp), np.arange(1, c.k + 1))]
+    while todo:
+        depth, parent, par, sym = todo.pop()
+        front = _advance(c, parent, par, sym)
+        if depth + 1 == n:
+            out[row:row + len(sym)] = _finish(front, n)
+            row += len(sym)
+            continue
+        par, col = np.nonzero(c.Q.entries[sym - 1])
+        for start in reversed(range(0, len(par), BLOCK_ROWS)):
+            block = slice(start, start + BLOCK_ROWS)
+            todo.append((depth + 1, front, par[block], col[block] + 1))
     c._profile_cache[n] = out
     return out
 

@@ -39,24 +39,14 @@ class PressureEstimate:
     qm_k: int | None = None
 
 
-def _logsumexp_chunks(values: np.ndarray, chunk: int = 65536) -> float:
-    """Two-pass, chunked log-sum-exp; associative merge keeps parallel
-    and serial reductions identical to within accumulation order noise.
-    """
-    m = float(values.max())
-    total = 0.0
-    for start in range(0, values.size, chunk):
-        total += float(np.exp(values[start:start + chunk] - m).sum())
-    return m + float(np.log(total))
-
-
 def log_sn(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> float:
     """log s_n(q) = log sum over words I of length n of psi^q(A_I)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     q = np.asarray(q, dtype=float)
-    profs = profile_matrix(c, n, budget=budget)
-    return _logsumexp_chunks(profs @ (n * q))
+    v = profile_matrix(c, n, budget=budget) @ (n * q)
+    m = float(v.max())
+    return m + float(np.log(np.exp(v - m).sum()))
 
 
 def log_generator_wedge_norm_max(c: OneStepCocycle, i: int) -> float:

@@ -13,7 +13,6 @@ from scipy.optimize import linprog
 from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
 from .pressure import gibbs_gradient, log_sn
 from .sft import shift_entropy
-from .typicality import QMReport
 
 Q_MAX = 40.0
 GRAD_TOL = 1e-6
@@ -111,7 +110,6 @@ def legendre_entropy(
     c: OneStepCocycle,
     alpha,
     n: int,
-    qm: QMReport | None = None,
     q0=None,
     q_max: float = Q_MAX,
     grad_tol: float = GRAD_TOL,
@@ -181,7 +179,6 @@ def spectrum_curve(
     c: OneStepCocycle,
     alpha_grid: np.ndarray,
     n: int,
-    qm: QMReport | None = None,
     budget: int = DEFAULT_WORD_BUDGET,
     domain: DomainEstimate | None = None,
 ) -> list[SpectrumPoint]:
@@ -190,7 +187,7 @@ def spectrum_curve(
     points = []
     q0 = None
     for alpha in np.atleast_2d(alpha_grid):
-        pt = legendre_entropy(c, alpha, n, qm=qm, q0=q0, budget=budget, domain=domain)
+        pt = legendre_entropy(c, alpha, n, q0=q0, budget=budget, domain=domain)
         points.append(pt)
         q0 = pt.q_star if pt.status == "interior-converged" else None
     return points
@@ -242,7 +239,6 @@ def compare(
     alpha_grid: np.ndarray,
     n_list: list[int],
     epsilon_list: list[float],
-    qm: QMReport | None = None,
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> list[CompareRow]:
     """Cylinder-count entropy vs Legendre entropy over a grid.
@@ -254,7 +250,7 @@ def compare(
     rows = []
     for alpha in np.atleast_2d(alpha_grid):
         for n in n_list:
-            pt = legendre_entropy(c, alpha, n, qm=qm, budget=budget)
+            pt = legendre_entropy(c, alpha, n, budget=budget)
             for eps in epsilon_list:
                 count, h_count = oracle_count(c, alpha, eps, n, budget=budget)
                 slack = float(np.abs(pt.q_star).sum()) * eps + 1.0 / n
@@ -269,5 +265,6 @@ def compare(
 
 
 def entropy_ceiling(c: OneStepCocycle) -> float:
-    """Upper bound for any spectrum value: the shift entropy."""
+    """The shift entropy: a bound on the limit spectrum only.  At finite
+    n the ceiling is P_n(0) = (1/n) log #L_n, larger on non-full shifts."""
     return shift_entropy(c.Q)

@@ -89,6 +89,8 @@ def holonomy_loop(c: OneStepCocycle, a: int, w: Word) -> HolonomyLoop:
     w = tuple(w)
     if not w:
         raise ValueError("core word w must be nonempty")
+    if not 1 <= a <= c.k:
+        raise ValueError(f"symbol {a} outside alphabet 1..{c.k}")
     if not c.Q.allows(a, a):
         raise ValueError(f"symbol {a} is not a fixed point (Q[{a},{a}] = 0)")
     loop_word = (a,) + w + (a,)
@@ -201,16 +203,6 @@ def search_typical_pair(
     return None
 
 
-def _word_wedge_norms(c: OneStepCocycle, words: list[Word]) -> dict[Word, np.ndarray]:
-    """log ||A_I^{wedge i}|| for i = 1..d-1, memoized per word."""
-    out = {}
-    for I in words:
-        out[I] = np.array([
-            matalg.log_spectral_norm(_wedge_product(c, I, i)) for i in range(1, c.d)
-        ])
-    return out
-
-
 def _wedge_product(c: OneStepCocycle, word: Word, i: int) -> np.ndarray:
     M = np.eye(c.wedges[i][0].shape[0])
     for s in word:
@@ -230,15 +222,16 @@ def qm_search(
     C(k) = min over pairs I, J of words of length <= n_max of
            max over connecting K of length k with IKJ admissible of
            min over i of ||A_IKJ^{wedge i}|| / (||A_I^{wedge i}|| ||A_J^{wedge i}||).
-    Returns the smallest k with C(k) > tol; failure is a report state.
+    Returns the smallest k with C(k) > tol; failure, including an empty
+    search, is a report state.
     """
     words: list[Word] = []
     for n in range(1, n_max + 1):
         words.extend(sft.enumerate_words(c.Q, n))
-    norms = _word_wedge_norms(c, words)
     wedge_prods = {
         (I, i): _wedge_product(c, I, i) for I in words for i in range(1, c.d)
     }
+    norms = {key: matalg.log_spectral_norm(M) for key, M in wedge_prods.items()}
 
     constants: dict[int, float | None] = {}
     chosen_k = None
@@ -251,7 +244,8 @@ def qm_search(
         }
         log_c = np.inf
         k_worst = None
-        feasible = True
+        # no words, no pairs: an empty search bounds nothing
+        feasible = bool(words)
         for I in words:
             for J in words:
                 best = -np.inf
@@ -264,7 +258,7 @@ def qm_search(
                     for i in range(1, c.d):
                         M = wedge_prods[(J, i)] @ conn_prods[(K, i)] @ wedge_prods[(I, i)]
                         num = matalg.log_spectral_norm(M)
-                        ratio = min(ratio, num - norms[I][i - 1] - norms[J][i - 1])
+                        ratio = min(ratio, num - norms[(I, i)] - norms[(J, i)])
                     best = max(best, ratio)
                 if best == -np.inf:
                     feasible = False

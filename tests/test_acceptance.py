@@ -177,7 +177,6 @@ def test_08_convexity_concavity(diag_cocycle, pos_cocycle):
 def test_09_oracle_vs_legendre(pos_cocycle):
     """Cylinder-count entropy vs Legendre entropy: upper bound with
     slack, small gaps, and gaps non-increasing in n."""
-    qm = typicality.qm_search(pos_cocycle, 4, 3)
     est = spectrum.domain_estimate(pos_cocycle, 10)
     grid = spectrum.interior_alpha_grid(est, 5)
     ok = True
@@ -185,7 +184,7 @@ def test_09_oracle_vs_legendre(pos_cocycle):
     for alpha in grid:
         gaps = []
         for n in (10, 13, 16):
-            pt = spectrum.legendre_entropy(pos_cocycle, alpha, n, qm=qm)
+            pt = spectrum.legendre_entropy(pos_cocycle, alpha, n)
             count, h_count = spectrum.oracle_count(pos_cocycle, alpha, 0.08, n)
             slack = float(np.abs(pt.q_star).sum()) * 0.08 + 1.0 / n
             ok &= count > 0 and h_count <= pt.h + slack

@@ -145,7 +145,6 @@ class TestCommands:
         lines = out.read_text().splitlines()
         manifest = [line for line in lines if line.startswith("#")]
         assert any("input_sha256" in line for line in manifest)
-        assert any("threads" in line for line in manifest)
         header = next(line for line in lines if not line.startswith("#"))
         assert header.split(",") == ["q_1", "q_2", "n", "P_n", "lower",
                                      "upper", "cauchy_diag"]
@@ -230,3 +229,38 @@ class TestCommands:
                          "--fixed-symbol", "1", "--homoclinic", "2",
                          "--subsystem-out", str(tmp_path / "x.cocycle")])
         assert code in (cli.EXIT_NO_FIXED, cli.EXIT_SEARCH_EXHAUSTED)
+
+    def test_pressure_empty_qm_search_leaves_lower_blank(self, diag_file, tmp_path):
+        out = tmp_path / "p.csv"
+        code = cli.main(["pressure", diag_file, "--q=1:1:1", "--n", "4",
+                         "--qm-depth", "0", "--out", str(out)])
+        assert code == 0
+        lines = [line for line in out.read_text().splitlines()
+                 if not line.startswith("#")]
+        lower = lines[0].split(",").index("lower")
+        assert lines[1].split(",")[lower] == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pressure", "{diag}", "--n", "0"], cli.EXIT_PARSE),
+    (["pressure", "{diag}", "--q=0:1"], cli.EXIT_PARSE),
+    (["spectrum", "{diag}", "--n", "0"], cli.EXIT_PARSE),
+    (["dominate", "{diag}", "--n-min", "5", "--n-max", "3"], cli.EXIT_PARSE),
+    (["dominate", "{diag}", "--index", "5"], cli.EXIT_VALIDATE),
+    (["typical", "{pos}", "--fixed-symbol", "1", "--homoclinic", "1,x"], cli.EXIT_PARSE),
+    (["typical", "{pos}", "--fixed-symbol", "7", "--homoclinic", "1"], cli.EXIT_VALIDATE),
+    (["subsystem", "{pos}", "--fixed-symbol", "1", "--homoclinic", "9"], cli.EXIT_VALIDATE),
+    (["subsystem", "{pos}", "--block-depth", "0"], cli.EXIT_PARSE),
+    (["subsystem", "{pos}", "--base-n", "2", "--n", "30"], cli.EXIT_BUDGET),
+], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range", "dominate-index",
+        "typical-word", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
+        "subsystem-budget"])
+def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, tmp_path, capsys):
+    """Bad values end in a documented exit code and a one-line
+    message, never a traceback (exit 1 means a negative verdict)."""
+    argv = [a.format(diag=diag_file, pos=pos_file) for a in argv]
+    argv += ["--subsystem-out", str(tmp_path / "x.cocycle")] if argv[0] == "subsystem" else []
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET else "error: ")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapspec import matalg, sft
+from lyapspec import cocycle, matalg, sft
 from lyapspec.cocycle import (
     BudgetError, OneStepCocycle, eigen_exponents, fiber_bunched, product,
     profile, profile_matrix,
@@ -89,6 +89,39 @@ class TestProfile:
                              profile_matrix(pos_cocycle, n)):
             expected = sum(dets[s - 1] for s in word) / n
             assert row.sum() == pytest.approx(expected, abs=1e-10)
+
+
+class TestSweepEngine:
+    def test_blocked_sweep_is_bit_identical(self, monkeypatch):
+        """Cutting the frontier into small blocks changes neither the
+        values nor the row order, and profile() runs the same kernel."""
+        rng = np.random.default_rng(3)
+        Q = sft.validate([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        gens = [rng.standard_normal((3, 3)) for _ in range(3)]
+        whole = profile_matrix(OneStepCocycle(Q=Q, generators=gens), 7)
+        monkeypatch.setattr(cocycle, "BLOCK_ROWS", 5)
+        blocked = profile_matrix(OneStepCocycle(Q=Q, generators=gens), 7)
+        assert np.array_equal(blocked, whole)
+        c = OneStepCocycle(Q=Q, generators=gens)
+        singles = np.array([profile(c, w) for w in sft.enumerate_words(Q, 7)])
+        assert np.array_equal(singles, whole)
+
+    def test_deep_sweep_on_one_symbol(self):
+        """#L_n = 1 at every n on the one-symbol shift, so the sweep
+        depth is only bounded by the word budget."""
+        c = OneStepCocycle(Q=sft.full_shift(1),
+                           generators=[np.array([[2.0, 1.0], [0.0, 0.5]])])
+        profs = profile_matrix(c, 5000)
+        assert profs.shape == (1, 2)
+        assert np.allclose(profs[0], [np.log(2.0), np.log(0.5)], atol=1e-3)
+
+    def test_cache_hit_keeps_budget(self, pos_cocycle):
+        """A hit returns the cached array itself, and the budget still
+        applies to it."""
+        first = profile_matrix(pos_cocycle, 6)
+        assert profile_matrix(pos_cocycle, 6) is first
+        with pytest.raises(BudgetError):
+            profile_matrix(pos_cocycle, 6, budget=63)
 
 
 class TestEigenExponents:

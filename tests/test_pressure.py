@@ -120,16 +120,16 @@ class TestConvexity:
 
 
 class TestLogSumExp:
-    def test_chunked_matches_direct(self):
-        vals = rng.normal(size=300_000) * 50
-        direct = np.log(np.exp(vals - vals.max()).sum()) + vals.max()
-        assert pressure._logsumexp_chunks(vals) == pytest.approx(direct, abs=1e-10)
+    def test_matches_closed_form_past_overflow(self, diag_cocycle):
+        """The max-shifted sum agrees with the closed form where the
+        unshifted exponentials overflow (3^(1000 n) > 1e308)."""
+        n = 6
+        q = np.array([600.0, -400.0])
+        expected = n * (1000 * np.log(3.0) + np.log1p((2.0 / 3.0) ** 1000))
+        assert pressure.log_sn(diag_cocycle, q, n) == pytest.approx(expected, rel=1e-14)
 
-    def test_deterministic(self):
-        """Repeated evaluation is bit-identical, and regrouping the
-        chunked merge only moves the result at accumulation-noise level."""
-        vals = rng.normal(size=100_001) * 30
-        a = pressure._logsumexp_chunks(vals, chunk=1024)
-        assert a == pressure._logsumexp_chunks(vals, chunk=1024)
-        b = pressure._logsumexp_chunks(vals, chunk=65536)
-        assert a == pytest.approx(b, abs=1e-12)
+    def test_deterministic(self, pos_cocycle):
+        """Repeated evaluation is bit-identical."""
+        q = rng.normal(size=2) * 30
+        a = pressure.log_sn(pos_cocycle, q, 10)
+        assert a == pressure.log_sn(pos_cocycle, q, 10)

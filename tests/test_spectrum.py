@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapspec import spectrum, typicality
+from lyapspec import spectrum
 
 
 def binary_entropy(t):
@@ -122,9 +122,8 @@ class TestOracle:
         assert count == 0 and h_count == -np.inf
 
     def test_compare_upper_bound(self, pos_cocycle):
-        qm = typicality.qm_search(pos_cocycle, 4, 3)
         est = spectrum.domain_estimate(pos_cocycle, 10)
         grid = spectrum.interior_alpha_grid(est, 3)
-        rows = spectrum.compare(pos_cocycle, grid, [10, 12], [0.08], qm=qm)
+        rows = spectrum.compare(pos_cocycle, grid, [10, 12], [0.08])
         for row in rows:
             assert row.upper_bound_ok

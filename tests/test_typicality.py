@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapspec import sft, typicality
+from lyapspec import pressure, sft, typicality
 from lyapspec.cocycle import OneStepCocycle, product
 
 
@@ -131,3 +131,13 @@ class TestQmSearch:
         qm = typicality.qm_search(c, 3, 3)
         assert qm.found
         assert qm.k >= 1
+
+    def test_empty_search_not_found(self, pos_cocycle):
+        """With no words there is no pair to bound: not found, and the
+        pressure lower bracket stays absent instead of nan."""
+        qm = typicality.qm_search(pos_cocycle, 0, 4)
+        assert not qm.found
+        assert qm.k is None and qm.C is None
+        est = pressure.pressure_estimate(pos_cocycle, np.array([1.0, 0.0]), 6,
+                                         qm_C=qm.C, qm_k=qm.k)
+        assert est.lower is None
