@@ -310,11 +310,12 @@ def cmd_spectrum(args) -> int:
     if args.oracle and not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")
     est = spectrum.domain_estimate(c, args.n, budget=args.budget)
+    # auto-grid points lie in the gradient hull by construction
     if args.alpha:
-        grid = parse_grid(args.alpha, c.d)
+        grid, domain = parse_grid(args.alpha, c.d), est
     else:
-        grid = spectrum.interior_alpha_grid(est, args.auto_grid)
-    points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget, domain=est)
+        grid, domain = spectrum.interior_alpha_grid(est, args.auto_grid), None
+    points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget, domain=domain)
     header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
               + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])
     rows = []
@@ -379,7 +380,7 @@ def cmd_dominate(args) -> int:
     if isinstance(c, int):
         return c
     _at_least("--n-min", args.n_min, 1)
-    _at_least("--n-max", args.n_max, args.n_min)
+    _at_least("--n-max", args.n_max, args.n_min + 1)
     if args.index is not None and not 1 <= args.index <= c.d - 1:
         print(f"error: --index {args.index} outside 1..{c.d - 1}", file=sys.stderr)
         return EXIT_VALIDATE
@@ -444,8 +445,15 @@ def cmd_subsystem(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Parse errors (subparsers' too) become UsageErrors: exit 2, one line."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lyapspec",
         description="Pressure and Lyapunov entropy spectra of one-step matrix "
                     "cocycles over mixing subshifts of finite type.",
@@ -521,8 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -73,6 +73,8 @@ def domination_test(
     if not 1 <= i <= c.d - 1:
         raise ValueError(f"index {i} outside 1..{c.d - 1}")
     lengths = sorted(n_range)
+    if len(lengths) < 2:
+        raise ValueError(f"need at least 2 word lengths, got {len(lengths)}")
     log_ratios = np.empty(len(lengths))
     for j, n in enumerate(lengths):
         profs = profile_matrix(c, n, budget=budget)

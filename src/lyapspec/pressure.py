@@ -1,6 +1,6 @@
 """Word-sum pressure of the generalized singular value potential:
-point estimates, rigorous brackets from quasi-multiplicativity,
-Gibbs weights, and the exact pressure gradient.
+point estimates, empirical-constant brackets from quasi-multiplicativity,
+Gibbs weights, and the exact pressure gradient and Hessian.
 """
 
 from __future__ import annotations
@@ -39,14 +39,21 @@ class PressureEstimate:
     qm_k: int | None = None
 
 
+def _exp_potential(c: OneStepCocycle, q, n: int, budget: int):
+    """Profiles of the length-n words, m = max_I n<q, profile(I)>, and
+    the unnormalised Gibbs weights exp(n<q, profile(I)> - m)."""
+    profs = profile_matrix(c, n, budget=budget)
+    v = profs @ (n * np.asarray(q, dtype=float))
+    m = float(v.max())
+    return profs, m, np.exp(v - m)
+
+
 def log_sn(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> float:
     """log s_n(q) = log sum over words I of length n of psi^q(A_I)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = np.asarray(q, dtype=float)
-    v = profile_matrix(c, n, budget=budget) @ (n * q)
-    m = float(v.max())
-    return m + float(np.log(np.exp(v - m).sum()))
+    _, m, u = _exp_potential(c, q, n, budget)
+    return m + float(np.log(u.sum()))
 
 
 def log_generator_wedge_norm_max(c: OneStepCocycle, i: int) -> float:
@@ -116,13 +123,16 @@ def gibbs_gradient(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDG
     Weights are w_I proportional to exp(n <q, profile(I)>); the result
     equals the exact derivative of (1/n) log s_n.
     """
-    q = np.asarray(q, dtype=float)
-    profs = profile_matrix(c, n, budget=budget)
-    e = profs @ (n * q)
-    e -= e.max()
-    w = np.exp(e)
-    w /= w.sum()
-    return w @ profs
+    profs, _, u = _exp_potential(c, q, n, budget)
+    return (u / u.sum()) @ profs
+
+
+def gibbs_hessian(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+    """Hessian of P_n at q: n times the Gibbs covariance of the profiles."""
+    profs, _, u = _exp_potential(c, q, n, budget)
+    w = u / u.sum()
+    centred = profs - w @ profs
+    return n * (centred.T * w) @ centred
 
 
 def convexity_probe(c: OneStepCocycle, q_a, q_b, n: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
-from .pressure import gibbs_gradient, log_sn
+from .pressure import gibbs_gradient, gibbs_hessian, log_sn
 from .sft import shift_entropy
 
 Q_MAX = 40.0
@@ -35,12 +35,6 @@ class DomainEstimate:
     @property
     def centroid(self) -> np.ndarray:
         return self.gradient_points.mean(axis=0)
-
-    def coordinate_ranges(self) -> np.ndarray:
-        """Per-coordinate (min, max) of the profile hull, shape (d, 2)."""
-        return np.column_stack(
-            [self.profile_points.min(axis=0), self.profile_points.max(axis=0)]
-        )
 
 
 @dataclass
@@ -117,12 +111,20 @@ def legendre_entropy(
     budget: int = DEFAULT_WORD_BUDGET,
     domain: DomainEstimate | None = None,
 ) -> SpectrumPoint:
-    """h(alpha) = inf_q {P_n(q) - <q, alpha>} by gradient descent with
-    backtracking line search on the convex finite-n objective.
+    """h(alpha) = inf_q {P_n(q) - <q, alpha>} by damped Newton on the
+    convex finite-n objective.
 
-    Status is boundary-suspect when alpha sits outside the gradient
-    hull or the minimizer escapes past q_max; negative finite-n values
-    are clamped to zero with a flag.
+    Gradient g = E_w[profile] - alpha and Hessian H = n Cov_w(profiles)
+    come from the Gibbs weights at q.  The step solves (H + |g|^2 I)
+    p = -g: Newton near the minimizer, at most 1/|g| along flat or null
+    directions of H, where a plain Newton step can jump far out.  An
+    Armijo backtrack keeps descent, with -g as fallback.
+
+    Status is boundary-suspect when the minimizer escapes past q_max
+    (or past q_max/2 at convergence), or when ``domain`` is given and
+    alpha sits outside its gradient hull (one LP per point; grids from
+    ``interior_alpha_grid`` lie inside by construction and need no
+    test).  Negative finite-n values are clamped to zero with a flag.
     """
     alpha = np.asarray(alpha, dtype=float)
     q = np.zeros(c.d) if q0 is None else np.asarray(q0, dtype=float).copy()
@@ -135,7 +137,6 @@ def legendre_entropy(
     f = objective(q)
     status = "diverged"
     grad_res = np.inf
-    step = 1.0
     for _ in range(max_iter):
         g = gibbs_gradient(c, q, n, budget=budget) - alpha
         grad_res = float(np.abs(g).max())
@@ -145,14 +146,16 @@ def legendre_entropy(
         if np.linalg.norm(q) > q_max:
             status = "boundary-suspect"
             break
-        # step doubles on acceptance so boundary minimizers escape in
-        # O(log q_max) iterations; backtracking restores descent
-        step *= 2
-        gnorm2 = float(g @ g)
+        H = gibbs_hessian(c, q, n, budget=budget)
+        p = np.linalg.solve(H + float(g @ g) * np.eye(c.d), -g)
+        slope = float(g @ p)
+        if not slope < 0:
+            p, slope = -g, -float(g @ g)
+        step = 1.0
         while step > 1e-14:
-            q_new = q - step * g
+            q_new = q + step * p
             f_new = objective(q_new)
-            if f_new <= f - 0.5 * step * gnorm2:
+            if f_new <= f + 1e-4 * step * slope:
                 break
             step /= 2
         else:

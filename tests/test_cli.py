@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapspec import cli, sft
+from lyapspec import cli, sft, spectrum
 from lyapspec.cocycle import OneStepCocycle
 
 DIAG = """\
@@ -246,13 +246,15 @@ class TestCommands:
     (["pressure", "{diag}", "--q=0:1"], cli.EXIT_PARSE),
     (["spectrum", "{diag}", "--n", "0"], cli.EXIT_PARSE),
     (["dominate", "{diag}", "--n-min", "5", "--n-max", "3"], cli.EXIT_PARSE),
+    (["dominate", "{diag}", "--n-min", "3", "--n-max", "3"], cli.EXIT_PARSE),
     (["dominate", "{diag}", "--index", "5"], cli.EXIT_VALIDATE),
     (["typical", "{pos}", "--fixed-symbol", "1", "--homoclinic", "1,x"], cli.EXIT_PARSE),
     (["typical", "{pos}", "--fixed-symbol", "7", "--homoclinic", "1"], cli.EXIT_VALIDATE),
     (["subsystem", "{pos}", "--fixed-symbol", "1", "--homoclinic", "9"], cli.EXIT_VALIDATE),
     (["subsystem", "{pos}", "--block-depth", "0"], cli.EXIT_PARSE),
     (["subsystem", "{pos}", "--base-n", "2", "--n", "30"], cli.EXIT_BUDGET),
-], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range", "dominate-index",
+], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
+        "dominate-single-length", "dominate-index",
         "typical-word", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
         "subsystem-budget"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, tmp_path, capsys):
@@ -264,3 +266,63 @@ def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, tmp_path,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET else "error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "{diag}", "--n", "abc"],
+    ["spectrum", "{diag}", "--auto-grid", "1.5"],
+    ["frobnicate", "{diag}"],
+    ["pressure"],
+    [],
+    ["dominate", "{diag}", "--no-such-flag"],
+], ids=["bad-int", "bad-int-spectrum", "unknown-command", "missing-file",
+        "missing-command", "unknown-flag"])
+def test_parser_error_returns_2(argv, diag_file, capsys):
+    """argparse's own errors come back from main as exit 2 with one
+    line, like every other usage error, instead of a SystemExit."""
+    assert cli.main([a.format(diag=diag_file) for a in argv]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def _spectrum_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_spectrum_auto_grid_statuses_match_hull_tested_curve(pos_file, tmp_path):
+    """The auto grid skips the per-point hull test; its statuses are
+    those of the same grid solved with the domain estimate."""
+    out = tmp_path / "s.csv"
+    assert cli.main(["spectrum", pos_file, "--auto-grid", "7", "--n", "8",
+                     "--out", str(out)]) == 0
+    c = cli.load_cocycle(pos_file)
+    est = spectrum.domain_estimate(c, 8)
+    grid = spectrum.interior_alpha_grid(est, 7)
+    points = spectrum.spectrum_curve(c, grid, 8, domain=est)
+    assert [row["status"] for row in _spectrum_rows(out)] == [p.status for p in points]
+
+
+@pytest.mark.parametrize("a", [np.log(5), np.log(2) + 5e-5], ids=["beyond-log3", "near-log2"])
+def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, diag_file, tmp_path):
+    """A user grid is still hull-tested.  log 5 lies beyond the largest
+    exponent log 3 of the diagonal cocycle; log 2 + 5e-5 lies inside the
+    profile hull but outside the gradient hull (q radius 10 reaches
+    log 2 + 1.2e-4), where the solver alone converges at |q| < q_max/2."""
+    out = tmp_path / "s.csv"
+    a = float(a)
+    assert cli.main(["spectrum", diag_file, f"--alpha={a}:{a}:1;{-a}:{-a}:1",
+                     "--n", "8", "--out", str(out)]) == 0
+    rows = _spectrum_rows(out)
+    assert len(rows) == 1
+    assert rows[0]["status"] == "boundary-suspect"

@@ -35,6 +35,11 @@ class TestDominationTest:
         report = domination.domination_test(c, 1, n_range=range(2, 9))
         assert report.verdict == "inconclusive"
 
+    def test_single_length_rejected(self, diag_cocycle):
+        """One length gives no slope to fit."""
+        with pytest.raises(ValueError, match="at least 2 word lengths"):
+            domination.domination_test(diag_cocycle, 1, n_range=range(3, 4))
+
 
 class TestWedgeReduction:
     def test_index_reduction(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lyapspec import spectrum
+from lyapspec import pressure, sft, spectrum
+from lyapspec.cocycle import OneStepCocycle
 
 
 def binary_entropy(t):
@@ -71,6 +72,49 @@ class TestLegendreClosedForm:
         pt = spectrum.legendre_entropy(diag_cocycle, 1.02 * diag_alpha(0.0), 10)
         assert pt.h >= 0.0
         assert pt.clamped or pt.h > 0.0
+
+
+class TestNewtonSolver:
+    def test_nearly_flat_direction_stays_interior(self):
+        """|det| of the two generators agree to 0.3%, so P_2 is nearly
+        flat along (1, 1).  A plain Newton step from q = 0 jumps past
+        q_max along that direction; the regularized step converges."""
+        c = OneStepCocycle(
+            Q=sft.validate([[0, 1], [1, 1]]),
+            generators=[np.array([[0.63247623, -0.81007471], [0.98682057, -0.13036787]]),
+                        np.array([[0.10425712, 0.88724071], [-0.79903758, 0.10040631]])])
+        alpha = pressure.gibbs_gradient(c, np.array([0.0, 1.0]), 2)
+        pt = spectrum.legendre_entropy(c, alpha, 2)
+        assert pt.status == "interior-converged"
+        assert pt.grad_residual <= spectrum.GRAD_TOL
+        assert np.linalg.norm(pt.q_star) < spectrum.Q_MAX / 2
+
+    def test_overshoot_backtracks(self):
+        """Profiles -1 and +1 (n = 1): P(q) = log(2 cosh q).  From a warm
+        start at q = 8 the Hessian is ~5e-7, and the first full step
+        lands at q = -91.5; the backtrack keeps the iterate inside."""
+        c = OneStepCocycle(Q=sft.full_shift(2),
+                           generators=[np.array([[np.exp(-1.0)]]), np.array([[np.exp(1.0)]])])
+        a = 0.99
+        pt = spectrum.legendre_entropy(c, np.array([a]), 1, q0=np.array([8.0]))
+        assert pt.status == "interior-converged"
+        assert pt.q_star[0] == pytest.approx(np.arctanh(a), abs=1e-5)
+        h = np.log(2) - ((1 + a) / 2 * np.log(1 + a) + (1 - a) / 2 * np.log(1 - a))
+        assert pt.h == pytest.approx(h, abs=1e-9)
+
+    @pytest.mark.parametrize("name, alpha", [
+        ("golden_identity", [0.1, 0.1]),
+        ("diag_cocycle", [np.log(2.5), 0.0]),
+    ])
+    def test_unbounded_infimum_escapes(self, name, alpha, request):
+        """alpha off the affine hull of the profiles (identity generators
+        have only the profile 0; diagonal ones have alpha_1 = -alpha_2):
+        the objective is linear along a null direction of the Hessian,
+        and the minimizer escapes past q_max."""
+        c = request.getfixturevalue(name)
+        pt = spectrum.legendre_entropy(c, np.array(alpha), 10)
+        assert pt.status == "boundary-suspect"
+        assert np.linalg.norm(pt.q_star) > spectrum.Q_MAX
 
 
 class TestEntropyAtZeroGradient:
