@@ -231,8 +231,8 @@ def parse_grid(spec: str, d: int) -> np.ndarray:
             lo, hi, step = (float(p) for p in part.split(":"))
         except ValueError:
             raise UsageError(f"bad axis spec {part!r}, expected lo:hi:step") from None
-        if step <= 0:
-            raise UsageError("grid step must be positive")
+        if not (np.isfinite([lo, hi]).all() and 0 < step < np.inf):
+            raise UsageError(f"bad axis spec {part!r}, need finite lo, hi and step > 0")
         count = int(np.floor((hi - lo) / step + 1e-9)) + 1
         axes.append(lo + step * np.arange(count))
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -265,6 +265,8 @@ def cmd_validate(args) -> int:
     c = _load(args)
     if isinstance(c, int):
         return c
+    if not args.alpha > 0:
+        raise UsageError(f"--alpha must be positive, got {args.alpha}")
     print(f"alphabet k = {c.k}")
     print(f"dimension d = {c.d}")
     print(f"mixing rate = {c.Q.mixing_rate}")
@@ -343,6 +345,7 @@ def _typicality(c: OneStepCocycle, args):
               file=sys.stderr)
         return EXIT_NO_FIXED
     if args.fixed_symbol is None or args.homoclinic is None:
+        _at_least("--search-depth", args.search_depth, 1)
         return typicality.search_typical_pair(c, args.search_depth)
     try:
         w = tuple(int(s) for s in args.homoclinic.split(","))
@@ -381,8 +384,10 @@ def cmd_dominate(args) -> int:
         return c
     _at_least("--n-min", args.n_min, 1)
     _at_least("--n-max", args.n_max, args.n_min + 1)
-    if args.index is not None and not 1 <= args.index <= c.d - 1:
-        print(f"error: --index {args.index} outside 1..{c.d - 1}", file=sys.stderr)
+    _at_least("--seed", args.seed, 0)
+    if c.d == 1 or args.index is not None and not 1 <= args.index <= c.d - 1:
+        print(f"error: --index {args.index} outside 1..{c.d - 1}" if c.d > 1
+              else "error: dim 1 has no index to test", file=sys.stderr)
         return EXIT_VALIDATE
     n_range = range(args.n_min, args.n_max + 1)
     indices = range(1, c.d) if args.index is None else [args.index]

@@ -40,6 +40,13 @@ def diag_file(tmp_path):
 
 
 @pytest.fixture
+def scalar_file(tmp_path):
+    path = tmp_path / "scalar.cocycle"
+    path.write_text("dim 1\nalphabet 2\ntransition full\nmatrix 1\n2\nmatrix 2\n3\n")
+    return str(path)
+
+
+@pytest.fixture
 def pos_file(tmp_path):
     path = tmp_path / "pos.cocycle"
     path.write_text(DIAG.replace("3 0\n0 0.33333333333333331",
@@ -248,19 +255,29 @@ class TestCommands:
     (["dominate", "{diag}", "--n-min", "5", "--n-max", "3"], cli.EXIT_PARSE),
     (["dominate", "{diag}", "--n-min", "3", "--n-max", "3"], cli.EXIT_PARSE),
     (["dominate", "{diag}", "--index", "5"], cli.EXIT_VALIDATE),
+    (["dominate", "{scalar}"], cli.EXIT_VALIDATE),
+    (["dominate", "{scalar}", "--cone"], cli.EXIT_VALIDATE),
+    (["dominate", "{diag}", "--cone", "--seed", "-1"], cli.EXIT_PARSE),
+    (["pressure", "{diag}", "--q=nan:1:1"], cli.EXIT_PARSE),
+    (["spectrum", "{diag}", "--alpha=0:inf:1"], cli.EXIT_PARSE),
+    (["validate", "{diag}", "--alpha", "0"], cli.EXIT_PARSE),
     (["typical", "{pos}", "--fixed-symbol", "1", "--homoclinic", "1,x"], cli.EXIT_PARSE),
+    (["typical", "{pos}", "--search-depth", "0"], cli.EXIT_PARSE),
     (["typical", "{pos}", "--fixed-symbol", "7", "--homoclinic", "1"], cli.EXIT_VALIDATE),
     (["subsystem", "{pos}", "--fixed-symbol", "1", "--homoclinic", "9"], cli.EXIT_VALIDATE),
     (["subsystem", "{pos}", "--block-depth", "0"], cli.EXIT_PARSE),
     (["subsystem", "{pos}", "--base-n", "2", "--n", "30"], cli.EXIT_BUDGET),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
-        "dominate-single-length", "dominate-index",
-        "typical-word", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
+        "dominate-single-length", "dominate-index", "dominate-dim-1",
+        "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
+        "spectrum-grid-inf", "validate-alpha",
+        "typical-word", "typical-depth", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
         "subsystem-budget"])
-def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, tmp_path, capsys):
+def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
+                                      tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
     message, never a traceback (exit 1 means a negative verdict)."""
-    argv = [a.format(diag=diag_file, pos=pos_file) for a in argv]
+    argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file) for a in argv]
     argv += ["--subsystem-out", str(tmp_path / "x.cocycle")] if argv[0] == "subsystem" else []
     assert cli.main(argv) == code
     err = capsys.readouterr().err

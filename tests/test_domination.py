@@ -84,6 +84,26 @@ class TestMulticone:
         assert np.array_equal(a.centers, b.centers)
         assert a.margin == b.margin
 
+    @pytest.mark.parametrize("lam", [1.5, 2.0, 4.0])
+    def test_verify_diagonal_closed_form(self, lam):
+        """diag(lam, 1/lam) maps the boundary angle r of the ball around
+        e1 to atan(tan r / lam^2), the farthest image from e1."""
+        r = 0.2
+        margin = domination._verify_cone([np.diag([lam, 1 / lam])], np.array([[1.0, 0.0]]),
+                                         r, 64, np.random.default_rng(0))
+        assert margin == pytest.approx(r - np.arctan(np.tan(r) / lam**2), abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 1.2])
+    def test_verify_rotation_closed_form(self, theta):
+        """A rotation by theta moves the boundary point at angle r to
+        r + theta < pi/2 from e1, so the margin is -theta."""
+        r = 0.2
+        ct, st = np.cos(theta), np.sin(theta)
+        margin = domination._verify_cone([np.array([[ct, -st], [st, ct]])],
+                                         np.array([[1.0, 0.0]]), r, 64,
+                                         np.random.default_rng(0))
+        assert margin == pytest.approx(-theta, abs=1e-12)
+
 
 class TestDominatedSubsystem:
     def test_builds_on_worked_example(self, pos_cocycle):
