@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 
@@ -27,6 +28,10 @@ EXIT_BUDGET = 4
 EXIT_NO_FIXED = 5
 EXIT_INCONCLUSIVE = 6
 EXIT_SEARCH_EXHAUSTED = 7
+
+
+#: refuse grid specs with more points than this
+MAX_GRID_POINTS = 10**6
 
 
 class ParseError(ValueError):
@@ -218,7 +223,8 @@ def parse_grid(spec: str, d: int) -> np.ndarray:
     """Grid spec ``lo:hi:step`` per coordinate, joined by ``;``.
 
     A single-coordinate spec is broadcast to all d axes; the result is
-    the cartesian product, one point per row.
+    the cartesian product, one point per row.  The point count is
+    checked against MAX_GRID_POINTS before any axis is built.
     """
     parts = spec.split(";")
     if len(parts) == 1 and d > 1:
@@ -233,8 +239,13 @@ def parse_grid(spec: str, d: int) -> np.ndarray:
             raise UsageError(f"bad axis spec {part!r}, expected lo:hi:step") from None
         if not (np.isfinite([lo, hi]).all() and 0 < step < np.inf):
             raise UsageError(f"bad axis spec {part!r}, need finite lo, hi and step > 0")
-        count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-        axes.append(lo + step * np.arange(count))
+        # a float count, so that a tiny step gives inf, not an overflow
+        axes.append((lo, step, max(float(np.floor((hi - lo) / step + 1e-9)) + 1, 0.0)))
+    size = math.prod(count for _, _, count in axes)
+    if size > MAX_GRID_POINTS:
+        raise UsageError(f"grid spec {spec!r} has {size:.4g} points, "
+                         f"more than {MAX_GRID_POINTS}")
+    axes = [lo + step * np.arange(int(count)) for lo, step, count in axes]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, d)
 
@@ -286,8 +297,10 @@ def cmd_pressure(args) -> int:
     if isinstance(c, int):
         return c
     _at_least("--n", args.n, 1)
+    _at_least("--qm-depth", args.qm_depth, 0)
+    _at_least("--qm-connect", args.qm_connect, 0)
     grid = parse_grid(args.q, c.d)
-    qm = typicality.qm_search(c, args.qm_depth, args.qm_connect)
+    qm = typicality.qm_search(c, args.qm_depth, args.qm_connect, budget=args.budget)
     rows = []
     for q in grid:
         est = pressure.pressure_estimate(
@@ -418,6 +431,7 @@ def cmd_subsystem(args) -> int:
         return c
     for flag in ("base_n", "block_depth", "n"):
         _at_least("--" + flag.replace("_", "-"), getattr(args, flag), 1)
+    _at_least("--pad-bound", args.pad_bound, 0)
     grid = parse_grid(args.q, c.d)
     typ = _typicality(c, args)
     if isinstance(typ, int):

@@ -165,6 +165,13 @@ def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET)
     return out
 
 
+def log_wedge_norms(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+    """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of length
+    n in sweep order, as a (#L_n, d) array: the cumulative sum of
+    n * profile over the degrees."""
+    return np.cumsum(n * profile_matrix(c, n, budget=budget), axis=1)
+
+
 def fiber_bunched(c: OneStepCocycle, alpha: float) -> tuple[bool, float]:
     """Fiber-bunching margin: max over generators of
     ||A|| ||A^-1|| (1/2)^alpha, and whether it is < 1.

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import OneStepCocycle, product, profile_matrix
+from .cocycle import OneStepCocycle, log_wedge_norms, product, profile_matrix
 from .pressure import PressureEstimate, log_sn, weight_differences
 from .sft import Word, full_shift
 
@@ -104,7 +104,7 @@ def domination_report(c: OneStepCocycle, n_range=range(2, 15), **kw) -> Dominati
 
 def wedge_cocycle(c: OneStepCocycle, t: int) -> OneStepCocycle:
     """The one-step cocycle generated by the degree-t wedge reps."""
-    return OneStepCocycle(Q=c.Q, generators=[matalg.wedge(A, t) for A in c.generators])
+    return OneStepCocycle(Q=c.Q, generators=list(c.wedges[t]))
 
 
 def wedge_reduction_test(c: OneStepCocycle, i: int, n_range=range(2, 11)) -> bool:
@@ -323,24 +323,6 @@ def _block_depths(n_symbols: int, max_depth: int = 6, budget: int = BLOCK_BUDGET
     return depths if len(depths) >= 3 else list(range(1, 4))
 
 
-def _tuple_kappa(c_ext: OneStepCocycle) -> np.ndarray:
-    """Observed 2-block almost-additivity constants: per degree t,
-    min over pairs of log||B_IJ^t|| - log||B_I^t|| - log||B_J^t||."""
-    d = c_ext.d
-    logs = np.full(d, np.inf)
-    norms = {
-        (s, t): matalg.log_spectral_norm(c_ext.wedges[t][s])
-        for s in range(c_ext.k) for t in range(1, d + 1)
-    }
-    for t in range(1, d + 1):
-        for sa in range(c_ext.k):
-            for sb in range(c_ext.k):
-                M = c_ext.wedges[t][sb] @ c_ext.wedges[t][sa]
-                val = matalg.log_spectral_norm(M) - norms[(sa, t)] - norms[(sb, t)]
-                logs[t - 1] = min(logs[t - 1], val)
-    return logs
-
-
 def build_dominated_subsystem(
     c: OneStepCocycle,
     n: int,
@@ -387,11 +369,15 @@ def build_dominated_subsystem(
             worst_idx = _worst_word_index(c_ext)
             worst = ext_words[worst_idx]
             if report.passed:
+                # observed 2-block almost-additivity constants: per degree t,
+                # min over pairs of log||B_IJ^t|| - log||B_I^t|| - log||B_J^t||
+                one = log_wedge_norms(c_ext, 1)
+                two = log_wedge_norms(c_ext, 2).reshape(c_ext.k, c_ext.k, c_ext.d)
                 return DominatedSubsystem(
                     base_n=n, pad_left=pad_left, pad_right=pad_right,
                     ell=len(ext_words[0]), words=ext_words,
                     tuple_cocycle=c_ext, report=report,
-                    log_kappa=_tuple_kappa(c_ext),
+                    log_kappa=(two - one[:, None] - one[None]).min(axis=(0, 1)),
                 )
     raise SubsystemSearchError(
         f"padding search exhausted (bound {pad_bound}); worst extended word: {worst}"

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matalg
-from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
+from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, log_wedge_norms, profile_matrix
 
 
 def weight_differences(q: np.ndarray) -> np.ndarray:
@@ -56,11 +55,6 @@ def log_sn(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> f
     return m + float(np.log(u.sum()))
 
 
-def log_generator_wedge_norm_max(c: OneStepCocycle, i: int) -> float:
-    """max over generators of log ||A_s^{wedge i}||."""
-    return max(matalg.log_spectral_norm(W) for W in c.wedges[i])
-
-
 def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int) -> float:
     """log C_1 for the supermultiplicative bracket.
 
@@ -76,7 +70,7 @@ def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int) -> float:
         if ti >= 0:
             log_c1 += ti * np.log(qm_C)
         else:
-            log_c0 = qm_k * log_generator_wedge_norm_max(c, i)
+            log_c0 = qm_k * log_wedge_norms(c, 1)[:, i - 1].max()
             log_c1 += ti * log_c0
     return log_c1
 

@@ -109,37 +109,25 @@ def count_words(Q: TransitionMatrix, n: int) -> int:
     return sum(vec)
 
 
-def enumerate_words(Q: TransitionMatrix, n: int, prefix: Word = ()) -> Iterator[Word]:
-    """Yield admissible words of length n in lexicographic order.
+def word_array(Q: TransitionMatrix, n: int) -> np.ndarray:
+    """Admissible words of length n, one per row, in lexicographic order.
 
-    With a nonempty ``prefix`` only the admissible extensions of that
-    prefix are produced, so a set of disjoint prefixes partitions the
-    full enumeration across workers.
+    Level-synchronous, in the order of a profile sweep: each level
+    extends every row by the symbols that ``np.nonzero`` finds in the
+    transition row of its last symbol.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    _check_symbols(Q, prefix)
-    if len(prefix) > n:
-        return
-    if prefix and not is_admissible(Q, prefix):
-        return
+    words = np.arange(1, Q.k + 1)[:, None]
+    for _ in range(n - 1):
+        par, sym = np.nonzero(Q.entries[words[:, -1] - 1])
+        words = np.column_stack([words[par], sym + 1])
+    return words
 
-    word = list(prefix)
 
-    def extend() -> Iterator[Word]:
-        if len(word) == n:
-            yield tuple(word)
-            return
-        if word:
-            allowed = np.flatnonzero(Q.entries[word[-1] - 1]) + 1
-        else:
-            allowed = range(1, Q.k + 1)
-        for s in allowed:
-            word.append(int(s))
-            yield from extend()
-            word.pop()
-
-    yield from extend()
+def enumerate_words(Q: TransitionMatrix, n: int) -> Iterator[Word]:
+    """Yield the admissible words of length n in lexicographic order."""
+    yield from map(tuple, word_array(Q, n).tolist())
 
 
 def shift_entropy(Q: TransitionMatrix) -> float:

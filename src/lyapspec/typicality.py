@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import OneStepCocycle, product
+from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, log_wedge_norms, product
 from .sft import Word
 
 TOL_GAP = 1e-6
@@ -126,7 +126,7 @@ def check_1typical(
     """
     if not 1 <= t <= c.d - 1:
         raise ValueError(f"wedge degree {t} outside 1..{c.d - 1}")
-    Aat = matalg.wedge(c.generators[loop.a - 1], t)
+    Aat = c.wedges[t][loop.a - 1]
     D = Aat.shape[0]
     if D > MAX_WEDGE_DIM:
         raise ValueError(
@@ -203,11 +203,9 @@ def search_typical_pair(
     return None
 
 
-def _wedge_product(c: OneStepCocycle, word: Word, i: int) -> np.ndarray:
-    M = np.eye(c.wedges[i][0].shape[0])
-    for s in word:
-        M = c.wedges[i][s - 1] @ M
-    return M
+def _ranks(rows: np.ndarray) -> np.ndarray:
+    """Rank of each row among the distinct rows, in lexicographic order."""
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def qm_search(
@@ -215,6 +213,7 @@ def qm_search(
     n_max: int,
     k_max: int,
     tol: float = 1e-12,
+    budget: int = DEFAULT_WORD_BUDGET,
 ) -> QMReport:
     """Exhaustive search for simultaneous quasi-multiplicativity constants.
 
@@ -224,52 +223,45 @@ def qm_search(
            min over i of ||A_IKJ^{wedge i}|| / (||A_I^{wedge i}|| ||A_J^{wedge i}||).
     Returns the smallest k with C(k) > tol; failure, including an empty
     search, is a report state.
+
+    Every norm is read from a profile sweep (:func:`log_wedge_norms`):
+    the rows of the sweep at length |I| + k + |J| are exactly the
+    admissible words IKJ, and each maps to its (I, J) by the ranks of
+    its prefix and suffix.  A sweep of more than ``budget`` words
+    raises BudgetError.
     """
-    words: list[Word] = []
-    for n in range(1, n_max + 1):
-        words.extend(sft.enumerate_words(c.Q, n))
-    wedge_prods = {
-        (I, i): _wedge_product(c, I, i) for I in words for i in range(1, c.d)
-    }
-    norms = {key: matalg.log_spectral_norm(M) for key, M in wedge_prods.items()}
+    lengths = range(1, n_max + 1)
+    words = [w for n in lengths for w in sft.enumerate_words(c.Q, n)]
+    # row of the first length-n word in the pair table
+    offset = {n: sum(sft.count_words(c.Q, m) for m in range(1, n)) for n in lengths}
+    norms = {n: log_wedge_norms(c, n, budget)[:, :-1] for n in lengths}
 
     constants: dict[int, float | None] = {}
     chosen_k = None
     chosen_C = None
     worst_pair = None
     for k in range(0, k_max + 1):
-        connectors: list[Word] = [()] if k == 0 else list(sft.enumerate_words(c.Q, k))
-        conn_prods = {
-            (K, i): _wedge_product(c, K, i) for K in connectors for i in range(1, c.d)
-        }
-        log_c = np.inf
-        k_worst = None
-        # no words, no pairs: an empty search bounds nothing
-        feasible = bool(words)
-        for I in words:
-            for J in words:
-                best = -np.inf
-                for K in connectors:
-                    full = I + K + J
-                    if not sft.is_admissible(c.Q, full):
-                        continue
-                    # d = 1: no exterior degrees to check, norms multiply exactly
-                    ratio = 0.0 if c.d == 1 else np.inf
-                    for i in range(1, c.d):
-                        M = wedge_prods[(J, i)] @ conn_prods[(K, i)] @ wedge_prods[(I, i)]
-                        num = matalg.log_spectral_norm(M)
-                        ratio = min(ratio, num - norms[(I, i)] - norms[(J, i)])
-                    best = max(best, ratio)
-                if best == -np.inf:
-                    feasible = False
-                    k_worst = (I, J)
-                    break
-                if best < log_c:
-                    log_c = best
-                    k_worst = (I, J)
-            if not feasible:
-                break
-        if not feasible:
+        # best[I, J] = max over K of the ratio; -inf: no K makes IKJ admissible
+        best = np.full((len(words), len(words)), -np.inf)
+        for a in lengths:
+            for b in lengths:
+                logs = log_wedge_norms(c, a + k + b, budget)[:, :-1]
+                W = sft.word_array(c.Q, a + k + b)
+                # every a-word is a prefix and every b-word a suffix of
+                # some row, so the ranks index the length-a and -b words
+                I, J = _ranks(W[:, :a]), _ranks(W[:, -b:])
+                # d = 1: no exterior degrees to check, norms multiply exactly
+                ratio = (logs - norms[a][I] - norms[b][J]).min(
+                    axis=1, initial=np.inf if c.d > 1 else 0.0)
+                np.maximum.at(best, (offset[a] + I, offset[b] + J), ratio)
+        if not words:
+            # no words, no pairs: an empty search bounds nothing
+            constants[k] = None
+            continue
+        # the first minimal pair in (I, J) order
+        i, j = np.unravel_index(np.argmin(best), best.shape)
+        log_c, k_worst = best[i, j], (words[i], words[j])
+        if log_c == -np.inf:
             constants[k] = None
             worst_pair = k_worst
             continue

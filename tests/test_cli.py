@@ -267,12 +267,21 @@ class TestCommands:
     (["subsystem", "{pos}", "--fixed-symbol", "1", "--homoclinic", "9"], cli.EXIT_VALIDATE),
     (["subsystem", "{pos}", "--block-depth", "0"], cli.EXIT_PARSE),
     (["subsystem", "{pos}", "--base-n", "2", "--n", "30"], cli.EXIT_BUDGET),
+    (["pressure", "{diag}", "--qm-depth", "-1", "--q=0:0:1"], cli.EXIT_PARSE),
+    (["pressure", "{diag}", "--qm-connect", "-1", "--q=0:0:1"], cli.EXIT_PARSE),
+    (["subsystem", "{pos}", "--pad-bound", "-1"], cli.EXIT_PARSE),
+    (["pressure", "{diag}", "--q=0:1:1e-300"], cli.EXIT_PARSE),
+    (["pressure", "{diag}", "--q=0:1:1e-3;0:1:1e-3"], cli.EXIT_PARSE),
+    (["pressure", "{diag}", "--n", "3", "--qm-depth", "6", "--qm-connect", "6",
+      "--budget", "1000"], cli.EXIT_BUDGET),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
         "spectrum-grid-inf", "validate-alpha",
         "typical-word", "typical-depth", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
-        "subsystem-budget"])
+        "subsystem-budget", "pressure-qm-depth", "pressure-qm-connect",
+        "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",
+        "pressure-qm-budget"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
                                       tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line

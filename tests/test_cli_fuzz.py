@@ -25,7 +25,7 @@ POS = DIAG.replace("3 0\n0 0.33333333333333331", "1 1\n1 2").replace("0.5", "1")
 INTS = ["-1", "0", "1", "2", "3"]
 FLOATS = ["-1", "0", "0.05", "1", "nan", "inf", "1e-300"]
 GRIDS = ["0:0:1", "0:1:1", "-1:1:2", "1:1:1;0:1:1", "0:1", "1:0:1", "0:1:0",
-         "0:1:-1", "nan:1:1", "0:inf:1", "x:1:1", "0:1:1;0:1:1;0:1:1", ""]
+         "0:1:-1", "nan:1:1", "0:inf:1", "x:1:1", "0:1:1;0:1:1;0:1:1", "0:1:1e-300", ""]
 WORDS = ["1", "2", "1,2", "2,1,2", "0", "3", "-1", "", "1,,2", "x"]
 JUNK = ["", "x", "-", "--", "-1", "nan", ":", ";", ",", "--nope", "1e999",
         "99999999999999999999"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapspec import pressure, sft, typicality
+from lyapspec import matalg, pressure, sft, typicality
 from lyapspec.cocycle import OneStepCocycle
 
 rng = np.random.default_rng(11)
@@ -79,6 +79,18 @@ class TestBrackets:
             assert est.lower <= est.value <= est.upper
             widths.append(est.upper - est.lower)
         assert widths[0] > widths[1] > widths[2]
+
+    def test_constants_for_negative_weight_differences(self):
+        """t_i < 0 contributes t_i k max_s log||A_s^{wedge i}||, t_i >= 0
+        contributes t_i log C; the norms are taken generator by generator."""
+        gens = list(np.random.default_rng(5).standard_normal((3, 3, 3)))
+        c = OneStepCocycle(Q=sft.full_shift(3), generators=gens)
+        top = [max(matalg.log_spectral_norm(matalg.wedge(A, i)) for A in gens)
+               for i in (1, 2)]
+        # q = (0, 1, 3): t = (-1, -2, 3)
+        want = -1 * 2 * top[0] - 2 * 2 * top[1] + 3 * np.log(0.25)
+        got = pressure.bracket_constants(c, np.array([0.0, 1.0, 3.0]), 0.25, 2)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_upper_is_monotone_in_n(self, pos_cocycle):
         """Fekete: with sorted weights, P_n decreases along doubling."""

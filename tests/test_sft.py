@@ -82,19 +82,6 @@ class TestWords:
         assert list(sft.enumerate_words(golden_mean_Q, 2)) == [
             (1, 1), (1, 2), (2, 1)]
 
-    def test_prefix_partition(self, golden_mean_Q):
-        """Words of length n split exactly by their length-2 prefix."""
-        n = 6
-        everything = list(sft.enumerate_words(golden_mean_Q, n))
-        pieces = []
-        for p in sft.enumerate_words(golden_mean_Q, 2):
-            pieces.extend(sft.enumerate_words(golden_mean_Q, n, prefix=p))
-        assert sorted(pieces) == everything
-        assert len(pieces) == len(set(pieces))
-
-    def test_inadmissible_prefix_empty(self, golden_mean_Q):
-        assert list(sft.enumerate_words(golden_mean_Q, 4, prefix=(2, 2))) == []
-
     def test_admissibility(self, golden_mean_Q):
         assert sft.is_admissible(golden_mean_Q, (1, 2, 1, 1, 2))
         assert not sft.is_admissible(golden_mean_Q, (1, 2, 2))
