@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, domination, pressure, sft, spectrum, typicality
 from .cocycle import BudgetError, OneStepCocycle, fiber_bunched
-from .sft import NotPrimitiveError, TransitionMatrix
+from .sft import NotPrimitiveError
 
 EXIT_OK = 0
 EXIT_DOM_FAIL = 1
@@ -324,12 +324,12 @@ def cmd_spectrum(args) -> int:
     _at_least("--auto-grid", args.auto_grid, 1)
     if args.oracle and not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")
-    est = spectrum.domain_estimate(c, args.n, budget=args.budget)
+    grads = spectrum.domain_estimate(c, args.n, budget=args.budget)
     # auto-grid points lie in the gradient hull by construction
     if args.alpha:
-        grid, domain = parse_grid(args.alpha, c.d), est
+        grid, domain = parse_grid(args.alpha, c.d), grads
     else:
-        grid, domain = spectrum.interior_alpha_grid(est, args.auto_grid), None
+        grid, domain = spectrum.interior_alpha_grid(grads, args.auto_grid), None
     points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget, domain=domain)
     header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
               + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])

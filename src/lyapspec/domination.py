@@ -10,14 +10,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import OneStepCocycle, log_wedge_norms, product, profile_matrix
+from .cocycle import BudgetError, OneStepCocycle, log_wedge_norms, product, profile_matrix
 from .pressure import PressureEstimate, log_sn, weight_differences
 from .sft import Word, full_shift
 
 SLOPE_TOL = 1e-3
 CONE_MARGIN = 1e-3
 
-#: cap on #blocks enumerated when testing an extended tuple
+#: cap on #base words, and on #blocks enumerated when testing an
+#: extended tuple
 BLOCK_BUDGET = 300_000
 
 
@@ -318,8 +319,8 @@ def _padding_candidates(a: int, w: Word, bound: int) -> list[Word]:
     return sorted(out, key=lambda word: (len(word), word))
 
 
-def _block_depths(n_symbols: int, max_depth: int = 6, budget: int = BLOCK_BUDGET) -> list[int]:
-    depths = [m for m in range(1, max_depth + 1) if n_symbols**m <= budget]
+def _block_depths(n_symbols: int) -> list[int]:
+    depths = [m for m in range(1, 7) if n_symbols**m <= BLOCK_BUDGET]
     return depths if len(depths) >= 3 else list(range(1, 4))
 
 
@@ -329,8 +330,6 @@ def build_dominated_subsystem(
     a: int,
     w: Word,
     pad_bound: int = 8,
-    max_block_depth: int = 6,
-    block_budget: int = BLOCK_BUDGET,
 ) -> DominatedSubsystem:
     """Search paddings built from the typicality witness (a, w) so that
     the extended tuple {A_{J1 I J2} : I of length n} is dominated.
@@ -338,11 +337,17 @@ def build_dominated_subsystem(
     Candidates are tried in increasing padding length, the empty pair
     first, so an already-dominated tuple gets empty paddings.  Every
     accepted family has one common (J1, J2), hence automatically a
-    uniform total length.
+    uniform total length.  More than BLOCK_BUDGET base words raise
+    BudgetError before any is enumerated.
     """
+    n_words = sft.count_words(c.Q, n)
+    if n_words > BLOCK_BUDGET:
+        raise BudgetError(
+            f"{n_words} base words of length {n} exceed the budget of {BLOCK_BUDGET}"
+        )
     base_words = list(sft.enumerate_words(c.Q, n))
     candidates = _padding_candidates(a, tuple(w), pad_bound)
-    depths = _block_depths(len(base_words), max_block_depth, block_budget)
+    depths = _block_depths(len(base_words))
 
     worst: Word | None = None
     for pad_left in candidates:
@@ -363,8 +368,7 @@ def build_dominated_subsystem(
             mats = [product(c, word) for word in ext_words]
             c_ext = OneStepCocycle(Q=full_shift(len(mats)), generators=mats)
             report = domination_report(
-                c_ext, n_range=depths, monotone_from=depths[0],
-                budget=block_budget,
+                c_ext, n_range=depths, monotone_from=depths[0], budget=BLOCK_BUDGET,
             )
             worst_idx = _worst_word_index(c_ext)
             worst = ext_words[worst_idx]
@@ -390,22 +394,22 @@ def _worst_word_index(c_ext: OneStepCocycle) -> int:
     return int(gaps.max(axis=1).argmax())
 
 
-def subsystem_pressure(
-    sub: DominatedSubsystem, q, block_depth: int, budget: int = BLOCK_BUDGET * 30,
-) -> PressureEstimate:
+def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> PressureEstimate:
     """Block pressure of the dominated subsystem at weight q:
     (1/m) log sum over m-blocks of exp<q, Psi(B-block)>.
 
     Lower bracket from the observed 2-block almost-additivity constants
     (supermultiplicativity with kappa), upper bracket by Fekete when
     all t_i >= 0.  Divide the value by the subsystem word length to
-    compare with the base pressure.
+    compare with the base pressure.  More than 30 * BLOCK_BUDGET blocks
+    raise BudgetError.
     """
     if block_depth < 1:
         raise ValueError("block_depth must be >= 1")
+    budget = BLOCK_BUDGET * 30
     n_blocks = sub.tuple_cocycle.k ** block_depth
     if n_blocks > budget:
-        raise ValueError(
+        raise BudgetError(
             f"{n_blocks} blocks exceed the budget of {budget}; lower block_depth"
         )
     q = np.asarray(q, dtype=float)

@@ -1,5 +1,5 @@
-"""Dense linear-algebra kernels: singular values, exterior powers, and
-the two singular-value functions.
+"""Dense linear-algebra kernels: invertibility, singular values and
+exterior powers.
 
 All magnitudes travel as natural logarithms; linear-scale matrices only
 exist at the d x d (or D x D wedge) kernel level.
@@ -8,7 +8,7 @@ exist at the d x d (or D x D wedge) kernel level.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb, floor
+from math import comb
 
 import numpy as np
 
@@ -63,51 +63,3 @@ def wedge(M: np.ndarray, t: int) -> np.ndarray:
         for b, cols in enumerate(subsets):
             W[a, b] = np.linalg.det(sub[:, cols])
     return W
-
-
-def psi_q_log(log_sv: np.ndarray, q: np.ndarray) -> float:
-    """log of the generalized singular value function: <q, log sigma>."""
-    log_sv = np.asarray(log_sv, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if log_sv.shape != q.shape:
-        raise ValueError(f"length mismatch: {log_sv.shape} vs {q.shape}")
-    return float(q @ log_sv)
-
-
-def phi_s_log(log_sv: np.ndarray, s: float) -> float:
-    """log of Falconer's singular value function at exponent s >= 0.
-
-    For m <= s < m+1 this is sum of the top m log singular values plus
-    (s - m) times the next one; for s >= d it is (s/d) log|det|.
-    """
-    log_sv = np.asarray(log_sv, dtype=float)
-    d = log_sv.shape[0]
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s >= d:
-        return float(s / d * log_sv.sum())
-    m = floor(s)
-    return float(log_sv[:m].sum() + (s - m) * log_sv[m])
-
-
-def phi_weights(d: int, s: float) -> np.ndarray:
-    """The weight vector (1,...,1, s-m, 0,...,0) with m = floor(s);
-    above the dimension the potential is (s/d) log|det|, i.e. uniform
-    weights s/d."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if s >= d:
-        return np.full(d, s / d)
-    q = np.zeros(d)
-    m = floor(s)
-    q[:m] = 1.0
-    if m < d:
-        q[m] = s - m
-    return q
-
-
-def equivalence_check(log_sv: np.ndarray, s: float, tol: float = 1e-12) -> bool:
-    """phi^s agrees with psi^q for the matching weight vector."""
-    log_sv = np.asarray(log_sv, dtype=float)
-    q = phi_weights(log_sv.shape[0], s)
-    return abs(phi_s_log(log_sv, s) - psi_q_log(log_sv, q)) <= tol

@@ -34,8 +34,6 @@ class PressureEstimate:
     lower: float | None
     upper: float | None
     cauchy: float | None
-    qm_C: float | None = None
-    qm_k: int | None = None
 
 
 def _exp_potential(c: OneStepCocycle, q, n: int, budget: int):
@@ -105,10 +103,8 @@ def pressure_estimate(
     if n > 2:
         cauchy = abs(value - log_sn(c, q, n - 2, budget=budget) / (n - 2))
 
-    return PressureEstimate(
-        q=q, n=n, value=value, lower=lower, upper=upper, cauchy=cauchy,
-        qm_C=qm_C, qm_k=qm_k,
-    )
+    return PressureEstimate(q=q, n=n, value=value, lower=lower, upper=upper,
+                            cauchy=cauchy)
 
 
 def gibbs_gradient(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:

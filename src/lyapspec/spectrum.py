@@ -8,33 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
 from .pressure import gibbs_gradient, gibbs_hessian, log_sn
-from .sft import shift_entropy
 
 Q_MAX = 40.0
 GRAD_TOL = 1e-6
-
-
-@dataclass
-class DomainEstimate:
-    """Achievable exponent vectors at length n.
-
-    ``profile_points`` are the singular profiles of all length-n words;
-    ``gradient_points`` are pressure gradients over a q-grid of the
-    given radius.  The gradient hull sits inside the profile hull.
-    """
-
-    n: int
-    q_radius: float
-    profile_points: np.ndarray
-    gradient_points: np.ndarray
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.gradient_points.mean(axis=0)
 
 
 @dataclass
@@ -53,6 +32,10 @@ def in_hull(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
     Linear-programming membership test; robust for degenerate hulls
     (segments, single points).
     """
+    # scipy.optimize costs more to import than most commands take to
+    # run, and only a user alpha grid reaches this LP
+    from scipy.optimize import linprog
+
     points = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
     m = points.shape[0]
@@ -64,39 +47,29 @@ def in_hull(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
     return float(np.abs(points.T @ res.x - x).max()) <= max(tol, 1e-7)
 
 
-def domain_estimate(
-    c: OneStepCocycle,
-    n: int,
-    q_radius: float = 10.0,
-    grid_per_axis: int = 5,
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> DomainEstimate:
-    """Estimate the Lyapunov-spectrum domain at length n.
-
-    Profile hull from all length-n words; gradient hull from pressure
-    gradients over a symmetric q-grid of the given radius.
+def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+    """Achievable exponent vectors at length n: the (5^d, d) pressure
+    gradients over the q-grid {-10, -5, 0, 5, 10}^d.  Their hull sits
+    inside the hull of the singular profiles of the length-n words.
     """
-    profs = profile_matrix(c, n, budget=budget)
-    axes = [np.linspace(-q_radius, q_radius, grid_per_axis)] * c.d
+    axes = [np.linspace(-10.0, 10.0, 5)] * c.d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, c.d)
-    grads = np.array([gibbs_gradient(c, q, n, budget=budget) for q in mesh])
-    return DomainEstimate(n=n, q_radius=q_radius, profile_points=profs,
-                          gradient_points=grads)
+    return np.array([gibbs_gradient(c, q, n, budget=budget) for q in mesh])
 
 
-def interior_alpha_grid(est: DomainEstimate, m: int, shrink: float = 0.9) -> np.ndarray:
-    """m evenly spaced exponent vectors inside the gradient hull.
+def interior_alpha_grid(grads: np.ndarray, m: int) -> np.ndarray:
+    """m evenly spaced exponent vectors inside the hull of the
+    gradients from :func:`domain_estimate`.
 
     The grid runs along the segment between the extreme gradients in
-    the top exponent, shrunk toward the hull centroid; even spacing on
-    a segment keeps midpoint concavity checks meaningful.
+    the top exponent, shrunk by 0.9 toward the gradient centroid; even
+    spacing on a segment keeps midpoint concavity checks meaningful.
     """
-    pts = est.gradient_points
-    lo = pts[np.argmin(pts[:, 0])]
-    hi = pts[np.argmax(pts[:, 0])]
-    centroid = est.centroid
-    lo = centroid + shrink * (lo - centroid)
-    hi = centroid + shrink * (hi - centroid)
+    lo = grads[np.argmin(grads[:, 0])]
+    hi = grads[np.argmax(grads[:, 0])]
+    centroid = grads.mean(axis=0)
+    lo = centroid + 0.9 * (lo - centroid)
+    hi = centroid + 0.9 * (hi - centroid)
     return lo + np.linspace(0.0, 1.0, m)[:, None] * (hi - lo)
 
 
@@ -105,11 +78,8 @@ def legendre_entropy(
     alpha,
     n: int,
     q0=None,
-    q_max: float = Q_MAX,
-    grad_tol: float = GRAD_TOL,
-    max_iter: int = 2000,
     budget: int = DEFAULT_WORD_BUDGET,
-    domain: DomainEstimate | None = None,
+    domain: np.ndarray | None = None,
 ) -> SpectrumPoint:
     """h(alpha) = inf_q {P_n(q) - <q, alpha>} by damped Newton on the
     convex finite-n objective.
@@ -120,16 +90,17 @@ def legendre_entropy(
     directions of H, where a plain Newton step can jump far out.  An
     Armijo backtrack keeps descent, with -g as fallback.
 
-    Status is boundary-suspect when the minimizer escapes past q_max
-    (or past q_max/2 at convergence), or when ``domain`` is given and
-    alpha sits outside its gradient hull (one LP per point; grids from
+    Status is boundary-suspect when the minimizer escapes past Q_MAX
+    (or past Q_MAX/2 at convergence), or when ``domain``, the gradients
+    from :func:`domain_estimate`, is given and alpha sits outside their
+    hull (one LP per point; grids from
     ``interior_alpha_grid`` lie inside by construction and need no
     test).  Negative finite-n values are clamped to zero with a flag.
     """
     alpha = np.asarray(alpha, dtype=float)
     q = np.zeros(c.d) if q0 is None else np.asarray(q0, dtype=float).copy()
 
-    outside = domain is not None and not in_hull(domain.gradient_points, alpha, tol=1e-6)
+    outside = domain is not None and not in_hull(domain, alpha, tol=1e-6)
 
     def objective(qv):
         return log_sn(c, qv, n, budget=budget) / n - float(qv @ alpha)
@@ -137,13 +108,13 @@ def legendre_entropy(
     f = objective(q)
     status = "diverged"
     grad_res = np.inf
-    for _ in range(max_iter):
+    for _ in range(2000):
         g = gibbs_gradient(c, q, n, budget=budget) - alpha
         grad_res = float(np.abs(g).max())
-        if grad_res <= grad_tol:
+        if grad_res <= GRAD_TOL:
             status = "interior-converged"
             break
-        if np.linalg.norm(q) > q_max:
+        if np.linalg.norm(q) > Q_MAX:
             status = "boundary-suspect"
             break
         H = gibbs_hessian(c, q, n, budget=budget)
@@ -166,7 +137,7 @@ def legendre_entropy(
 
     # a minimizer escaping far out signals the spectrum boundary even
     # when the finite-n gradient still closes
-    if status == "interior-converged" and np.linalg.norm(q) > q_max / 2:
+    if status == "interior-converged" and np.linalg.norm(q) > Q_MAX / 2:
         status = "boundary-suspect"
     if outside and status != "boundary-suspect":
         status = "boundary-suspect"
@@ -183,7 +154,7 @@ def spectrum_curve(
     alpha_grid: np.ndarray,
     n: int,
     budget: int = DEFAULT_WORD_BUDGET,
-    domain: DomainEstimate | None = None,
+    domain: np.ndarray | None = None,
 ) -> list[SpectrumPoint]:
     """Legendre entropy along a grid, warm-starting q from the previous
     grid point."""
@@ -222,52 +193,3 @@ def oracle_count(
     hits = int((np.abs(profs - alpha) <= epsilon).all(axis=1).sum())
     h_count = np.log(hits) / n if hits else -np.inf
     return hits, h_count
-
-
-@dataclass
-class CompareRow:
-    alpha: np.ndarray
-    n: int
-    epsilon: float
-    count: int
-    h_count: float
-    h_legendre: float
-    gap: float
-    slack: float
-    upper_bound_ok: bool
-
-
-def compare(
-    c: OneStepCocycle,
-    alpha_grid: np.ndarray,
-    n_list: list[int],
-    epsilon_list: list[float],
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> list[CompareRow]:
-    """Cylinder-count entropy vs Legendre entropy over a grid.
-
-    slack(n, eps) bounds the finite-size mismatch: the potential varies
-    by at most ||q*||_1 * eps over the epsilon box, plus 1/n for the
-    counting normalization.
-    """
-    rows = []
-    for alpha in np.atleast_2d(alpha_grid):
-        for n in n_list:
-            pt = legendre_entropy(c, alpha, n, budget=budget)
-            for eps in epsilon_list:
-                count, h_count = oracle_count(c, alpha, eps, n, budget=budget)
-                slack = float(np.abs(pt.q_star).sum()) * eps + 1.0 / n
-                gap = abs(h_count - pt.h) if count else np.inf
-                ok = h_count <= pt.h + slack
-                rows.append(CompareRow(
-                    alpha=np.asarray(alpha, dtype=float), n=n, epsilon=eps,
-                    count=count, h_count=h_count, h_legendre=pt.h,
-                    gap=gap, slack=slack, upper_bound_ok=ok,
-                ))
-    return rows
-
-
-def entropy_ceiling(c: OneStepCocycle) -> float:
-    """The shift entropy: a bound on the limit spectrum only.  At finite
-    n the ceiling is P_n(0) = (1/n) log #L_n, larger on non-full shifts."""
-    return shift_entropy(c.Q)

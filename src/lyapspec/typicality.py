@@ -108,13 +108,7 @@ def _sorted_eigensystem(M: np.ndarray):
     return lam[order], vec[:, order]
 
 
-def check_1typical(
-    c: OneStepCocycle,
-    t: int,
-    loop: HolonomyLoop,
-    tol_gap: float = TOL_GAP,
-    tol_indep: float = TOL_INDEP,
-) -> LevelReport:
+def check_1typical(c: OneStepCocycle, t: int, loop: HolonomyLoop) -> LevelReport:
     """1-typicality of the degree-t wedge cocycle at the given loop.
 
     Condition (i): the eigenvalues of A_a^{wedge t} are simple with
@@ -122,7 +116,10 @@ def check_1typical(
     Condition (ii): for all index sets I, J of {1..D} with
     |I| + |J| <= D, the columns {W^{wedge t} v_i : i in I} union
     {v_j : j in J} stay uniformly independent (margin = min smallest
-    singular value after column normalization).
+    singular value after column normalization).  Removing a column
+    never lowers the smallest singular value, so the minimum is taken
+    over the C(2D, D) D-column subsets of [W^{wedge t} V | V] alone,
+    in one stacked SVD.
     """
     if not 1 <= t <= c.d - 1:
         raise ValueError(f"wedge degree {t} outside 1..{c.d - 1}")
@@ -135,7 +132,7 @@ def check_1typical(
     lam, vecs = _sorted_eigensystem(Aat)
     gaps = np.diff(np.log(np.abs(lam))[::-1])
     gap_margin = float(gaps.min()) if gaps.size else np.inf
-    eig_ok = gap_margin > tol_gap
+    eig_ok = gap_margin > TOL_GAP
     if not eig_ok:
         return LevelReport(t=t, gap_margin=gap_margin, indep_margin=0.0,
                            eig_ok=False, indep_ok=False)
@@ -147,43 +144,23 @@ def check_1typical(
     WV = Wt @ V
     WV /= np.linalg.norm(WV, axis=0)
 
-    indep_margin = np.inf
-    idx = range(D)
-    for ni in range(0, D + 1):
-        for I in combinations(idx, ni):
-            for nj in range(0, D + 1 - ni):
-                if ni + nj == 0:
-                    continue
-                for J in combinations(idx, nj):
-                    cols = np.column_stack(
-                        [WV[:, i] for i in I] + [V[:, j] for j in J]
-                    )
-                    smin = np.linalg.svd(cols, compute_uv=False)[-1]
-                    indep_margin = min(indep_margin, float(smin))
-    indep_ok = indep_margin > tol_indep
+    # subsets in lexicographic order keep the I columns before the J ones
+    subsets = np.array(list(combinations(range(2 * D), D)))
+    stacked = np.hstack([WV, V])[:, subsets].swapaxes(0, 1)
+    indep_margin = float(np.linalg.svd(stacked, compute_uv=False)[:, -1].min())
+    indep_ok = indep_margin > TOL_INDEP
     return LevelReport(t=t, gap_margin=gap_margin, indep_margin=indep_margin,
                        eig_ok=eig_ok, indep_ok=indep_ok)
 
 
-def check_typical(
-    c: OneStepCocycle,
-    a: int,
-    w: Word,
-    tol_gap: float = TOL_GAP,
-    tol_indep: float = TOL_INDEP,
-) -> TypicalityReport:
+def check_typical(c: OneStepCocycle, a: int, w: Word) -> TypicalityReport:
     """Aggregate the 1-typicality checks over t = 1..d-1 for one pair (a, w)."""
     loop = holonomy_loop(c, a, w)
-    levels = [
-        check_1typical(c, t, loop, tol_gap=tol_gap, tol_indep=tol_indep)
-        for t in range(1, c.d)
-    ]
+    levels = [check_1typical(c, t, loop) for t in range(1, c.d)]
     return TypicalityReport(a=a, w=tuple(w), levels=levels)
 
 
-def search_typical_pair(
-    c: OneStepCocycle, depth: int, tol_gap: float = TOL_GAP, tol_indep: float = TOL_INDEP
-) -> TypicalityReport | None:
+def search_typical_pair(c: OneStepCocycle, depth: int) -> TypicalityReport | None:
     """Try every fixed symbol a and core word w up to the given length;
     return the first passing report, or None on exhaustion.
 
@@ -197,7 +174,7 @@ def search_typical_pair(
             for w in sft.enumerate_words(c.Q, n):
                 if not (c.Q.allows(a, w[0]) and c.Q.allows(w[-1], a)):
                     continue
-                report = check_typical(c, a, w, tol_gap=tol_gap, tol_indep=tol_indep)
+                report = check_typical(c, a, w)
                 if report.passed:
                     return report
     return None
@@ -212,7 +189,6 @@ def qm_search(
     c: OneStepCocycle,
     n_max: int,
     k_max: int,
-    tol: float = 1e-12,
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> QMReport:
     """Exhaustive search for simultaneous quasi-multiplicativity constants.
@@ -221,7 +197,7 @@ def qm_search(
     C(k) = min over pairs I, J of words of length <= n_max of
            max over connecting K of length k with IKJ admissible of
            min over i of ||A_IKJ^{wedge i}|| / (||A_I^{wedge i}|| ||A_J^{wedge i}||).
-    Returns the smallest k with C(k) > tol; failure, including an empty
+    Returns the smallest k with C(k) > 1e-12; failure, including an empty
     search, is a report state.
 
     Every norm is read from a profile sweep (:func:`log_wedge_norms`):
@@ -267,7 +243,7 @@ def qm_search(
             continue
         C_k = float(np.exp(log_c))
         constants[k] = C_k
-        if chosen_k is None and C_k > tol:
+        if chosen_k is None and C_k > 1e-12:
             chosen_k, chosen_C, worst_pair = k, C_k, k_worst
     return QMReport(
         n_max=n_max, k_max=k_max, k=chosen_k, C=chosen_C,

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -274,6 +278,8 @@ class TestCommands:
     (["pressure", "{diag}", "--q=0:1:1e-3;0:1:1e-3"], cli.EXIT_PARSE),
     (["pressure", "{diag}", "--n", "3", "--qm-depth", "6", "--qm-connect", "6",
       "--budget", "1000"], cli.EXIT_BUDGET),
+    (["subsystem", "{pos}", "--block-depth", "30"], cli.EXIT_BUDGET),
+    (["subsystem", "{pos}", "--base-n", "40"], cli.EXIT_BUDGET),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
@@ -281,7 +287,7 @@ class TestCommands:
         "typical-word", "typical-depth", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
         "subsystem-budget", "pressure-qm-depth", "pressure-qm-connect",
         "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",
-        "pressure-qm-budget"])
+        "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
                                       tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
@@ -352,3 +358,14 @@ def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, diag_file, tmp_
     rows = _spectrum_rows(out)
     assert len(rows) == 1
     assert rows[0]["status"] == "boundary-suspect"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Only the hull LP imports scipy.optimize; start-up does not pay
+    for it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, lyapspec.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -44,7 +44,7 @@ OPTIONS = {
                 "--search-depth": INTS},
     "dominate": {"--index": INTS, "--n-min": SMALL_N, "--n-max": SMALL_N,
                  "--cone": None, "--seed": INTS},
-    "subsystem": {"--base-n": INTS, "--pad-bound": INTS, "--block-depth": INTS,
+    "subsystem": {"--base-n": INTS, "--pad-bound": INTS, "--block-depth": INTS + ["30"],
                   "--fixed-symbol": INTS, "--homoclinic": WORDS,
                   "--search-depth": INTS, "--q": GRIDS, "--n": SMALL_N},
 }

@@ -87,32 +87,3 @@ class TestInvertibility:
     def test_check_finite(self):
         with pytest.raises(ValueError):
             matalg.check_finite(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-class TestPotentials:
-    def test_psi_q_diagonal(self):
-        log_sv = np.log(np.array([4.0, 2.0, 0.5]))
-        q = np.array([1.0, 2.0, -1.0])
-        expected = np.log(4.0 * 2.0**2 / 0.5)
-        assert matalg.psi_q_log(log_sv, q) == pytest.approx(expected, abs=1e-12)
-
-    def test_phi_weights(self):
-        assert np.allclose(matalg.phi_weights(3, 1.5), [1.0, 0.5, 0.0])
-        assert np.allclose(matalg.phi_weights(3, 2.0), [1.0, 1.0, 0.0])
-        # beyond the dimension: (s/d) log|det| spread across all axes
-        assert np.allclose(matalg.phi_weights(3, 4.5), [1.5, 1.5, 1.5])
-
-    def test_phi_equals_psi_at_equivalent_weights(self):
-        """phi^s agrees with psi^q for q = (1,..,1, s-m, 0,..,0)."""
-        log_sv = matalg.log_singular_values(random_invertible(4))
-        for s in (0.5, 1.0, 2.7, 3.9, 4.0):
-            q = matalg.phi_weights(4, s)
-            assert matalg.phi_s_log(log_sv, s) == pytest.approx(
-                matalg.psi_q_log(log_sv, q), abs=1e-12)
-            assert matalg.equivalence_check(log_sv, s)
-
-    def test_phi_above_dimension(self):
-        log_sv = matalg.log_singular_values(random_invertible(3))
-        s = 4.2
-        expected = (s / 3) * log_sv.sum()
-        assert matalg.phi_s_log(log_sv, s) == pytest.approx(expected, abs=1e-12)

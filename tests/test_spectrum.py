@@ -32,13 +32,14 @@ class TestInHull:
 
 class TestDomainEstimate:
     def test_centroid_in_hull(self, pos_cocycle):
-        est = spectrum.domain_estimate(pos_cocycle, 8)
-        assert spectrum.in_hull(est.gradient_points, est.centroid)
+        grads = spectrum.domain_estimate(pos_cocycle, 8)
+        assert grads.shape == (25, 2)
+        assert spectrum.in_hull(grads, grads.mean(axis=0))
 
     def test_interior_grid_inside(self, pos_cocycle):
-        est = spectrum.domain_estimate(pos_cocycle, 8)
-        for alpha in spectrum.interior_alpha_grid(est, 7):
-            assert spectrum.in_hull(est.gradient_points, alpha, tol=1e-6)
+        grads = spectrum.domain_estimate(pos_cocycle, 8)
+        for alpha in spectrum.interior_alpha_grid(grads, 7):
+            assert spectrum.in_hull(grads, alpha, tol=1e-6)
 
 
 class TestLegendreClosedForm:
@@ -137,7 +138,7 @@ class TestCurveProperties:
     def test_ceiling(self, pos_cocycle):
         est = spectrum.domain_estimate(pos_cocycle, 10)
         grid = spectrum.interior_alpha_grid(est, 5)
-        ceiling = spectrum.entropy_ceiling(pos_cocycle)
+        ceiling = sft.shift_entropy(pos_cocycle.Q)
         for pt in spectrum.spectrum_curve(pos_cocycle, grid, 10, domain=est):
             assert pt.h <= ceiling + 1e-9
 
@@ -164,10 +165,3 @@ class TestOracle:
         count, h_count = spectrum.oracle_count(
             diag_cocycle, np.array([10.0, 10.0]), 0.01, 8)
         assert count == 0 and h_count == -np.inf
-
-    def test_compare_upper_bound(self, pos_cocycle):
-        est = spectrum.domain_estimate(pos_cocycle, 10)
-        grid = spectrum.interior_alpha_grid(est, 3)
-        rows = spectrum.compare(pos_cocycle, grid, [10, 12], [0.08])
-        for row in rows:
-            assert row.upper_bound_ok
