@@ -445,18 +445,18 @@ def cmd_subsystem(args) -> int:
     except domination.SubsystemSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH_EXHAUSTED
-    comment = (f"dominated subsystem: base_n={sub.base_n} ell={sub.ell} "
-               f"pads={sub.pad_left}|{sub.pad_right}")
-    write_cocycle(args.subsystem_out, sub.tuple_cocycle, comment=comment)
-    print(f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "
-          f"of length {sub.ell}, kappa = {sub.kappa}")
-
+    # rows first: a budget error must leave no subsystem file behind
     rows = []
     for q in grid:
         est_sub = domination.subsystem_pressure(sub, q, args.block_depth)
         base = pressure.log_sn(c, q, args.n) / args.n
         gap = abs(est_sub.value / sub.ell - base)
         rows.append([*q, sub.ell, est_sub.value / sub.ell, base, gap])
+    comment = (f"dominated subsystem: base_n={sub.base_n} ell={sub.ell} "
+               f"pads={sub.pad_left}|{sub.pad_right}")
+    write_cocycle(args.subsystem_out, sub.tuple_cocycle, comment=comment)
+    print(f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "
+          f"of length {sub.ell}, kappa = {sub.kappa}")
     header = [f"q_{i + 1}" for i in range(c.d)] + ["ell", "P_ell_D_per_symbol", "P_n", "gap"]
     write_csv(args.out, header, rows, manifest_lines(args, started))
     return EXIT_OK

@@ -36,14 +36,17 @@ class OneStepCocycle:
     """Invertible generator tuple A_1..A_k over a validated mixing SFT.
 
     Wedge representatives of every generator are cached for t = 1..d
-    at construction (``wedges[t][s - 1]``, stacked per t); per-length
-    profile sweeps are cached on demand.
+    at construction (``wedges[t][s - 1]``, stacked per t), and so is
+    ``log_det[s - 1]`` = log|det A_s|, the log-norm of the top degree;
+    per-length sweeps (log wedge norms, profiles) are cached on demand.
     """
 
     Q: TransitionMatrix
     generators: list[np.ndarray]
     wedges: dict[int, np.ndarray] = field(init=False, repr=False)
+    log_det: np.ndarray = field(init=False, repr=False)
     _profile_cache: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+    _norm_cache: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.generators = [matalg.check_finite(A) for A in self.generators]
@@ -61,6 +64,7 @@ class OneStepCocycle:
             t: np.stack([matalg.wedge(A, t) for A in self.generators])
             for t in range(1, d + 1)
         }
+        self.log_det = np.log(np.abs(self.wedges[d][:, 0, 0]))
 
     @property
     def k(self) -> int:
@@ -89,8 +93,10 @@ def product(c: OneStepCocycle, word: Word) -> np.ndarray:
 
 def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray):
     """Extend frontier row par[j] by symbol sym[j].  A frontier holds one
-    stack of wedge products per degree t and log accumulators of shape
-    (rows, d); products are rescaled to max-entry 1, scale accumulated."""
+    stack of wedge products per degree t < d and log accumulators of
+    shape (rows, d); products are rescaled to max-entry 1, scale
+    accumulated.  Degree d is 1x1 and multiplicative: its accumulator
+    adds log|det A_s| and it keeps no stack."""
     mats, laccs = front
     new_mats, new_laccs = [], np.empty((len(par), c.d))
     for ti, V in enumerate(mats):
@@ -99,20 +105,41 @@ def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray):
         W /= nrm[:, None, None]
         new_laccs[:, ti] = laccs[par, ti] + np.log(nrm)
         new_mats.append(W)
+    new_laccs[:, -1] = laccs[par, -1] + c.log_det[sym - 1]
     return new_mats, new_laccs
 
 
 def _root(c: OneStepCocycle):
     """The frontier of the empty word."""
-    return [np.eye(W.shape[1])[None] for W in c.wedges.values()], np.zeros((1, c.d))
+    return [np.eye(c.wedges[t].shape[1])[None] for t in range(1, c.d)], np.zeros((1, c.d))
 
 
-def _finish(front, n: int) -> np.ndarray:
-    """Profiles of the frontier rows: accumulator plus log spectral norm
-    is log ||A_I^{wedge t}||; its differences over t are n log sigma_t."""
+def _spectral_norm(V: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (N, D, D) stack.
+    For D = 2 the closed form (|(p+s, q-r)| + |(p-s, q+r)|)/2, a sum of
+    nonnegative terms; otherwise the root of the top eigenvalue of the
+    Gram matrix V^T V (rows of max-entry 1 keep it from overflowing)."""
+    if V.shape[-1] == 2:
+        p, q, r, s = V[:, 0, 0], V[:, 0, 1], V[:, 1, 0], V[:, 1, 1]
+        return (np.hypot(p + s, q - r) + np.hypot(p - s, q + r)) / 2
+    return np.sqrt(np.linalg.eigvalsh(np.swapaxes(V, 1, 2) @ V)[:, -1])
+
+
+def _finish(front) -> np.ndarray:
+    """log ||A_I^{wedge t}||, t = 1..d, of the frontier rows: accumulator
+    plus log spectral norm (degree d has no stack, so its column is the
+    accumulator itself)."""
     mats, laccs = front
-    top = np.column_stack([np.linalg.svd(V, compute_uv=False)[:, 0] for V in mats])
-    return np.diff(laccs + np.log(top), axis=1, prepend=0.0) / n
+    logs = laccs.copy()
+    for ti, V in enumerate(mats):
+        logs[:, ti] += np.log(_spectral_norm(V))
+    return logs
+
+
+def _profiles(logs: np.ndarray, n: int) -> np.ndarray:
+    """Profiles from log wedge norms: their differences over t are
+    n log sigma_t."""
+    return np.diff(logs, axis=1, prepend=0.0) / n
 
 
 def profile(c: OneStepCocycle, word: Word) -> np.ndarray:
@@ -126,27 +153,18 @@ def profile(c: OneStepCocycle, word: Word) -> np.ndarray:
     front = _root(c)
     for s in word:
         front = _advance(c, front, np.zeros(1, dtype=np.intp), np.array([s]))
-    return _finish(front, n)[0]
+    return _profiles(_finish(front), n)[0]
 
 
-def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
-    """Profiles of all admissible words of length n, in lexicographic
-    word order, as a (#L_n, d) array.  Cached per length; a hit returns
-    the cached array itself.
+def _sweep(c: OneStepCocycle, n: int) -> np.ndarray:
+    """log ||A_I^{wedge t}|| of all admissible words of length n, in
+    lexicographic word order, as a (#L_n, d) array.
 
     Level-synchronous sweep: each step extends up to BLOCK_ROWS
     consecutive frontier rows by one symbol, in lexicographic (parent,
     symbol) order; a longer frontier runs block by block, first to last.
     """
-    out = c._profile_cache.get(n)
-    total = sft.count_words(c.Q, n) if out is None else len(out)
-    if total > budget:
-        raise BudgetError(
-            f"#L_{n} = {total} words exceeds the budget of {budget}; reduce n"
-        )
-    if out is not None:
-        return out
-    out = np.empty((total, c.d))
+    out = np.empty((sft.count_words(c.Q, n), c.d))
     row = 0
     # LIFO work list of (depth, parent frontier, parent rows, symbols)
     todo = [(0, _root(c), np.zeros(c.k, dtype=np.intp), np.arange(1, c.k + 1))]
@@ -154,22 +172,49 @@ def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET)
         depth, parent, par, sym = todo.pop()
         front = _advance(c, parent, par, sym)
         if depth + 1 == n:
-            out[row:row + len(sym)] = _finish(front, n)
+            out[row:row + len(sym)] = _finish(front)
             row += len(sym)
             continue
         par, col = np.nonzero(c.Q.entries[sym - 1])
         for start in reversed(range(0, len(par), BLOCK_ROWS)):
             block = slice(start, start + BLOCK_ROWS)
             todo.append((depth + 1, front, par[block], col[block] + 1))
-    c._profile_cache[n] = out
+    return out
+
+
+def _check_budget(c: OneStepCocycle, n: int, cached: np.ndarray | None, budget: int):
+    total = sft.count_words(c.Q, n) if cached is None else len(cached)
+    if total > budget:
+        raise BudgetError(
+            f"#L_{n} = {total} words exceeds the budget of {budget}; reduce n"
+        )
+
+
+def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+    """Profiles of all admissible words of length n, in lexicographic
+    word order, as a (#L_n, d) array.  Cached per length; a hit returns
+    the cached array itself.  A length that :func:`log_wedge_norms` has
+    swept is not swept again.
+    """
+    out = c._profile_cache.get(n)
+    _check_budget(c, n, out, budget)
+    if out is None:
+        logs = c._norm_cache.get(n)
+        out = _profiles(_sweep(c, n) if logs is None else logs, n)
+        c._profile_cache[n] = out
     return out
 
 
 def log_wedge_norms(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of length
-    n in sweep order, as a (#L_n, d) array: the cumulative sum of
-    n * profile over the degrees."""
-    return np.cumsum(n * profile_matrix(c, n, budget=budget), axis=1)
+    n in sweep order, as a (#L_n, d) array; column d is the word-ordered
+    sum of log|det A_s|.  Cached per length; a hit returns the cached
+    array itself."""
+    out = c._norm_cache.get(n)
+    _check_budget(c, n, out, budget)
+    if out is None:
+        out = c._norm_cache[n] = _sweep(c, n)
+    return out
 
 
 def fiber_bunched(c: OneStepCocycle, alpha: float) -> tuple[bool, float]:

@@ -247,10 +247,7 @@ def multicone_search(
         return None
 
     # sampling density from the projective Lipschitz constant
-    lip = max(
-        float(np.exp(matalg.log_singular_values(B)[0] - matalg.log_singular_values(B)[-1]))
-        for B in reps
-    )
+    lip = max(float(np.exp(ls[0] - ls[-1])) for ls in map(matalg.log_singular_values, reps))
     samples = max(32, int(np.ceil(8 * radius * lip / margin_tol)))
     samples = min(samples, 4096)
 

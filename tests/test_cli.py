@@ -291,13 +291,17 @@ class TestCommands:
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
                                       tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
-    message, never a traceback (exit 1 means a negative verdict)."""
+    message, never a traceback (exit 1 means a negative verdict), and
+    leave no output behind: no stdout line and no subsystem file."""
     argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file) for a in argv]
-    argv += ["--subsystem-out", str(tmp_path / "x.cocycle")] if argv[0] == "subsystem" else []
+    sub_out = tmp_path / "x.cocycle"
+    argv += ["--subsystem-out", str(sub_out)] if argv[0] == "subsystem" else []
     assert cli.main(argv) == code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
     assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET else "error: ")
+    assert out == ""
+    assert not sub_out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,8 +3,8 @@ import pytest
 
 from lyapspec import cocycle, matalg, sft
 from lyapspec.cocycle import (
-    BudgetError, OneStepCocycle, eigen_exponents, fiber_bunched, product,
-    profile, profile_matrix,
+    BudgetError, OneStepCocycle, eigen_exponents, fiber_bunched, log_wedge_norms,
+    product, profile, profile_matrix,
 )
 
 
@@ -122,6 +122,33 @@ class TestSweepEngine:
         assert profile_matrix(pos_cocycle, 6) is first
         with pytest.raises(BudgetError):
             profile_matrix(pos_cocycle, 6, budget=63)
+
+    def test_log_wedge_norms_cache(self, pos_cocycle):
+        """log_wedge_norms caches its own sweep, with the same hit and
+        budget rules, and profile_matrix reads a length it has swept
+        with the same bits as a sweep of its own."""
+        first = log_wedge_norms(pos_cocycle, 6)
+        assert log_wedge_norms(pos_cocycle, 6) is first
+        with pytest.raises(BudgetError):
+            log_wedge_norms(pos_cocycle, 6, budget=63)
+        fresh = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
+        assert np.array_equal(profile_matrix(pos_cocycle, 6), profile_matrix(fresh, 6))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_sweep_runs_no_svd(self, d, monkeypatch):
+        """The finish takes the top degree from log|det| and the others
+        from a closed form or the Gram matrix: no LAPACK SVD."""
+        rng = np.random.default_rng(d)
+        c = OneStepCocycle(Q=sft.full_shift(2),
+                           generators=[rng.standard_normal((d, d)) for _ in range(2)])
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called in the sweep")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert profile_matrix(c, 5).shape == (32, d)
+        assert log_wedge_norms(c, 4).shape == (16, d)
+        assert profile(c, (1, 2, 2)).shape == (d,)
 
 
 class TestEigenExponents:

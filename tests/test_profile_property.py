@@ -1,5 +1,9 @@
-"""Property tests: the batched profile sweep against plain products,
-and the invariants of the Gibbs Hessian and the Legendre solver."""
+"""Property tests: the batched profile sweep against plain products
+and against the SVD finish it replaced, the SVD-free spectral norm,
+the exact top wedge degree, and the invariants of the Gibbs Hessian
+and the Legendre solver."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from lyapspec import matalg, pressure, sft, spectrum  # noqa: E402
-from lyapspec.cocycle import OneStepCocycle, product, profile_matrix  # noqa: E402
+from lyapspec import cocycle, matalg, pressure, sft, spectrum  # noqa: E402
+from lyapspec.cocycle import (  # noqa: E402
+    OneStepCocycle, log_wedge_norms, product, profile_matrix,
+)
 
 
 def _primitive(k: int, bits: list[int]) -> sft.TransitionMatrix | None:
@@ -31,23 +37,78 @@ def _generators(seed: int, k: int, d: int) -> list[np.ndarray]:
 
 
 @st.composite
-def cocycles(draw):
+def cocycles(draw, d=None):
     k = draw(st.integers(1, 3))
     Q = _primitive(k, draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k)))
     hypothesis.assume(Q is not None)
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4)) if d is None else d
     return OneStepCocycle(Q=Q, generators=_generators(draw(st.integers(0, 2**32 - 1)), k, d))
 
 
+def _length(data, c) -> int:
+    """Word lengths up to 8, up to 6 at d = 4 (the 6 x 6 degree)."""
+    return data.draw(st.integers(1, 8 if c.d < 4 else 6))
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(c=cocycles(), n=st.integers(1, 8))
-def test_rows_match_word_products(c, n):
+@hypothesis.given(c=cocycles(), data=st.data())
+def test_rows_match_word_products(c, data):
+    n = _length(data, c)
     profs = profile_matrix(c, n)
     words = list(sft.enumerate_words(c.Q, n))
     assert profs.shape == (len(words), c.d)
     for row, w in zip(profs, words):
         expected = matalg.log_singular_values(product(c, w)) / n
         assert np.abs(row - expected).max() <= 1e-10
+
+
+def _svd_norm(V: np.ndarray) -> np.ndarray:
+    """The reference finish: LAPACK's largest singular value per matrix."""
+    return np.linalg.svd(V, compute_uv=False)[:, 0]
+
+
+@st.composite
+def stacks(draw):
+    """64 random D x D matrices, D in {2, 3, 4, 6}, with singular values
+    spread over [10^-e, 1] (condition number 10^e, e <= 12), rescaled to
+    max-entry 1 like the rows of a sweep frontier."""
+    D = draw(st.sampled_from([2, 3, 4, 6]))
+    e = draw(st.floats(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((64, D, D)))[0]
+    W = np.linalg.qr(rng.standard_normal((64, D, D)))[0]
+    s = 10.0 ** -rng.uniform(0, e, size=(64, D))
+    s[:, 0], s[:, -1] = 1.0, 10.0**-e
+    V = (U * s[:, None, :]) @ W
+    return V / np.abs(V).max(axis=(1, 2))[:, None, None]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(V=stacks())
+def test_spectral_norm_matches_svd(V):
+    assert np.abs(cocycle._spectral_norm(V) / _svd_norm(V) - 1).max() <= 1e-13
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(c=cocycles(), data=st.data())
+def test_sweep_matches_svd_finish(c, data):
+    """The whole sweep against the same sweep finished by SVD."""
+    n = _length(data, c)
+    with mock.patch.object(cocycle, "_spectral_norm", _svd_norm):
+        ref = cocycle._sweep(c, n)
+    assert np.abs(log_wedge_norms(c, n) - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(c=st.one_of(cocycles(d=1), cocycles(d=4)), n=st.integers(1, 6))
+def test_top_degree_is_summed_log_det(c, n):
+    """Column d of the sweep is log|det A_{i_0}| + ... + log|det A_{i_{n-1}}|,
+    added in word order: bit for bit, not within a tolerance."""
+    log_det = np.array([np.log(abs(np.linalg.det(A))) for A in c.generators])
+    expected = np.zeros(sft.count_words(c.Q, n))
+    for col in sft.word_array(c.Q, n).T:
+        expected = expected + log_det[col - 1]
+    assert np.array_equal(log_wedge_norms(c, n)[:, -1], expected)
 
 
 def _point(draw, d: int) -> np.ndarray:
