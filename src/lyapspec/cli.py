@@ -1,9 +1,12 @@
 """Command-line interface, the .cocycle file format, and reproducible
 run manifests.
 
-Exit codes: 0 success, 1 domination fail, 2 parse or usage error,
-3 validation failure, 4 budget exceeded, 5 missing typicality precondition,
-6 domination inconclusive, 7 subsystem search exhaustion.
+Exit codes: 0 success, 1 domination fail, 2 parse or usage error or an
+unreadable input or unwritable output path, 3 validation failure (also
+`typical`/`subsystem` on a wedge space of dimension > 6), 4 budget
+exceeded, 5 missing typicality precondition, 6 domination inconclusive,
+7 subsystem search exhaustion.  Commands raise CliError; `main` alone
+prints the one stderr line and returns the code.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import hashlib
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__, domination, pressure, sft, spectrum, typicality
-from .cocycle import BudgetError, OneStepCocycle, fiber_bunched
+from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, fiber_bunched
 from .sft import NotPrimitiveError
 
 EXIT_OK = 0
@@ -40,8 +44,19 @@ class ParseError(ValueError):
         self.line = line
 
 
-class UsageError(ValueError):
+class CliError(Exception):
+    """A failure that `main` reports as one stderr line and an exit code."""
+
+    def __init__(self, code: int, line: str):
+        super().__init__(line)
+        self.code = code
+
+
+class UsageError(CliError, ValueError):
     """A command-line value the command cannot use; exit 2."""
+
+    def __init__(self, msg: str):
+        super().__init__(EXIT_PARSE, f"error: {msg}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,21 +89,14 @@ def parse_cocycle_text(text: str) -> OneStepCocycle:
         pos += 1
         return tok
 
-    def take_int(what: str) -> int:
+    def take_number(what: str, convert=int):
         tok = take(what)
-        line = tokens[pos - 1][1]
         try:
-            return int(tok)
+            return convert(tok)
         except ValueError:
-            raise ParseError(f"expected integer {what}, got {tok!r}", line) from None
-
-    def take_float(what: str) -> float:
-        tok = take(what)
-        line = tokens[pos - 1][1]
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"expected number {what}, got {tok!r}", line) from None
+            kind = "integer" if convert is int else "number"
+            raise ParseError(f"expected {kind} {what}, got {tok!r}",
+                             tokens[pos - 1][1]) from None
 
     def expect(keyword: str):
         tok = take(keyword)
@@ -97,9 +105,9 @@ def parse_cocycle_text(text: str) -> OneStepCocycle:
             raise ParseError(f"expected {keyword!r}, got {tok!r}", line)
 
     expect("dim")
-    d = take_int("dimension")
+    d = take_number("dimension")
     expect("alphabet")
-    k = take_int("alphabet size")
+    k = take_number("alphabet size")
     if d < 1 or k < 1:
         raise ParseError("dim and alphabet must be >= 1", tokens[pos - 1][1])
 
@@ -111,7 +119,7 @@ def parse_cocycle_text(text: str) -> OneStepCocycle:
         Q_entries = np.empty((k, k), dtype=np.int64)
         for r in range(k):
             for cidx in range(k):
-                val = take_int(f"transition entry ({r + 1},{cidx + 1})")
+                val = take_number(f"transition entry ({r + 1},{cidx + 1})")
                 line = tokens[pos - 1][1]
                 if val not in (0, 1):
                     raise ParseError(f"transition entry must be 0 or 1, got {val}", line)
@@ -120,14 +128,14 @@ def parse_cocycle_text(text: str) -> OneStepCocycle:
     generators = []
     for s in range(1, k + 1):
         expect("matrix")
-        idx = take_int("matrix index")
+        idx = take_number("matrix index")
         line = tokens[pos - 1][1]
         if idx != s:
             raise ParseError(f"expected 'matrix {s}', got 'matrix {idx}'", line)
         A = np.empty((d, d))
         for r in range(d):
             for cidx in range(d):
-                A[r, cidx] = take_float(f"matrix {s} entry ({r + 1},{cidx + 1})")
+                A[r, cidx] = take_number(f"matrix {s} entry ({r + 1},{cidx + 1})", float)
         generators.append(A)
     if pos != len(tokens):
         raise ParseError(f"trailing input {tokens[pos][0]!r}", tokens[pos][1])
@@ -258,24 +266,17 @@ def _at_least(flag: str, value: int, low: int) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _load(args) -> OneStepCocycle | int:
+def _load(args) -> OneStepCocycle:
     try:
         return load_cocycle(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotPrimitiveError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATE
+        raise CliError(EXIT_PARSE, f"parse error: {exc}") from exc
+    except ValueError as exc:  # NotPrimitiveError included
+        raise CliError(EXIT_VALIDATE, f"validation error: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
     c = _load(args)
-    if isinstance(c, int):
-        return c
     if not args.alpha > 0:
         raise UsageError(f"--alpha must be positive, got {args.alpha}")
     print(f"alphabet k = {c.k}")
@@ -294,8 +295,6 @@ def cmd_validate(args) -> int:
 def cmd_pressure(args) -> int:
     started = time.time()
     c = _load(args)
-    if isinstance(c, int):
-        return c
     _at_least("--n", args.n, 1)
     _at_least("--qm-depth", args.qm_depth, 0)
     _at_least("--qm-connect", args.qm_connect, 0)
@@ -318,8 +317,6 @@ def cmd_pressure(args) -> int:
 def cmd_spectrum(args) -> int:
     started = time.time()
     c = _load(args)
-    if isinstance(c, int):
-        return c
     _at_least("--n", args.n, 1)
     _at_least("--auto-grid", args.auto_grid, 1)
     if args.oracle and not args.eps > 0:
@@ -349,35 +346,32 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _typicality(c: OneStepCocycle, args):
+def _typicality(c: OneStepCocycle, args) -> typicality.TypicalityReport | None:
     """The check of the pair --fixed-symbol/--homoclinic when both are
     given, else the first passing pair of the search (None when it is
-    exhausted); an int is an exit code."""
+    exhausted)."""
     if not any(c.Q.allows(a, a) for a in range(1, c.k + 1)):
-        print("error: no symbol a with Q[a,a] = 1 (no fixed point available)",
-              file=sys.stderr)
-        return EXIT_NO_FIXED
+        raise CliError(EXIT_NO_FIXED,
+                       "error: no symbol a with Q[a,a] = 1 (no fixed point available)")
+    # usage errors are ValueErrors too, so they are raised before the try
     if args.fixed_symbol is None or args.homoclinic is None:
         _at_least("--search-depth", args.search_depth, 1)
-        return typicality.search_typical_pair(c, args.search_depth)
+        check = partial(typicality.search_typical_pair, c, args.search_depth)
+    else:
+        try:
+            w = tuple(int(s) for s in args.homoclinic.split(","))
+        except ValueError:
+            raise UsageError(f"bad word {args.homoclinic!r}, expected symbols 1,2,...") from None
+        check = partial(typicality.check_typical, c, args.fixed_symbol, w)
     try:
-        w = tuple(int(s) for s in args.homoclinic.split(","))
-    except ValueError:
-        raise UsageError(f"bad word {args.homoclinic!r}, expected symbols 1,2,...") from None
-    try:
-        return typicality.check_typical(c, args.fixed_symbol, w)
+        return check()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATE
+        raise CliError(EXIT_VALIDATE, f"error: {exc}") from exc
 
 
 def cmd_typical(args) -> int:
     c = _load(args)
-    if isinstance(c, int):
-        return c
     report = _typicality(c, args)
-    if isinstance(report, int):
-        return report
     if report is None:
         print(f"search exhausted at depth {args.search_depth}: no typical pair found")
         return EXIT_DOM_FAIL
@@ -393,15 +387,12 @@ def cmd_typical(args) -> int:
 
 def cmd_dominate(args) -> int:
     c = _load(args)
-    if isinstance(c, int):
-        return c
     _at_least("--n-min", args.n_min, 1)
     _at_least("--n-max", args.n_max, args.n_min + 1)
     _at_least("--seed", args.seed, 0)
     if c.d == 1 or args.index is not None and not 1 <= args.index <= c.d - 1:
-        print(f"error: --index {args.index} outside 1..{c.d - 1}" if c.d > 1
-              else "error: dim 1 has no index to test", file=sys.stderr)
-        return EXIT_VALIDATE
+        raise CliError(EXIT_VALIDATE, f"error: --index {args.index} outside 1..{c.d - 1}"
+                       if c.d > 1 else "error: dim 1 has no index to test")
     n_range = range(args.n_min, args.n_max + 1)
     indices = range(1, c.d) if args.index is None else [args.index]
     report = domination.DominationReport(
@@ -427,24 +418,18 @@ def cmd_dominate(args) -> int:
 def cmd_subsystem(args) -> int:
     started = time.time()
     c = _load(args)
-    if isinstance(c, int):
-        return c
     for flag in ("base_n", "block_depth", "n"):
         _at_least("--" + flag.replace("_", "-"), getattr(args, flag), 1)
     _at_least("--pad-bound", args.pad_bound, 0)
     grid = parse_grid(args.q, c.d)
     typ = _typicality(c, args)
-    if isinstance(typ, int):
-        return typ
     if typ is None or not typ.passed:
-        print("error: typicality precondition not met", file=sys.stderr)
-        return EXIT_NO_FIXED
+        raise CliError(EXIT_NO_FIXED, "error: typicality precondition not met")
     try:
         sub = domination.build_dominated_subsystem(
             c, args.base_n, typ.a, typ.w, pad_bound=args.pad_bound)
     except domination.SubsystemSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH_EXHAUSTED
+        raise CliError(EXIT_SEARCH_EXHAUSTED, f"error: {exc}") from exc
     # rows first: a budget error must leave no subsystem file behind
     rows = []
     for q in grid:
@@ -479,84 +464,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate a .cocycle file")
-    p.add_argument("file")
+    # options shared by several commands, each declared once
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    qm = argparse.ArgumentParser(add_help=False)
+    qm.add_argument("--qm-depth", type=int, default=4,
+                    help="longest word of the QM search (read by pressure only)")
+    qm.add_argument("--qm-connect", type=int, default=4,
+                    help="longest connector of the QM search (read by pressure only)")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--fixed-symbol", type=int, default=None)
+    pair.add_argument("--homoclinic", default=None, help="comma-separated core word w")
+    pair.add_argument("--search-depth", type=int, default=3)
+
+    def command(name, func, help, parents=()):
+        p = sub.add_parser(name, help=help, parents=list(parents))
+        p.add_argument("file")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("validate", cmd_validate, "parse and validate a .cocycle file")
     p.add_argument("--alpha", type=float, default=1.0,
                    help="Hoelder exponent for the fiber-bunching report")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("pressure", help="pressure table over a q grid")
-    p.add_argument("file")
+    p = command("pressure", cmd_pressure, "pressure table over a q grid", (qm, budget, out))
     p.add_argument("--q", default="-3:3:0.25", help="grid spec lo:hi:step[;...]")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--qm-depth", type=int, default=4, dest="qm_depth")
-    p.add_argument("--qm-connect", type=int, default=4, dest="qm_connect")
-    p.add_argument("--budget", type=int, default=20_000_000)
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("spectrum", help="Legendre entropy spectrum")
-    p.add_argument("file")
+    p = command("spectrum", cmd_spectrum, "Legendre entropy spectrum", (qm, budget, out))
     p.add_argument("--alpha", default=None, help="explicit alpha grid spec")
-    p.add_argument("--auto-grid", type=int, default=11, dest="auto_grid")
+    p.add_argument("--auto-grid", type=int, default=11)
     p.add_argument("--n", type=int, default=12)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--oracle", action="store_true",
                    help="add cylinder-count oracle columns")
-    p.add_argument("--qm-depth", type=int, default=4, dest="qm_depth", help="ignored")
-    p.add_argument("--qm-connect", type=int, default=4, dest="qm_connect", help="ignored")
-    p.add_argument("--budget", type=int, default=20_000_000)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("typical", help="typicality check")
-    p.add_argument("file")
-    p.add_argument("--fixed-symbol", type=int, default=None, dest="fixed_symbol")
-    p.add_argument("--homoclinic", default=None,
-                   help="comma-separated core word w")
-    p.add_argument("--search-depth", type=int, default=3, dest="search_depth")
-    p.set_defaults(func=cmd_typical)
+    command("typical", cmd_typical, "typicality check", (pair,))
 
-    p = sub.add_parser("dominate", help="domination test")
-    p.add_argument("file")
+    p = command("dominate", cmd_dominate, "domination test")
     p.add_argument("--index", type=int, default=None, help="single index i")
-    p.add_argument("--n-min", type=int, default=2, dest="n_min")
-    p.add_argument("--n-max", type=int, default=12, dest="n_max")
+    p.add_argument("--n-min", type=int, default=2)
+    p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--cone", action="store_true",
                    help="also search for multicone certificates")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_dominate)
 
-    p = sub.add_parser("subsystem", help="build a dominated subsystem and "
-                                         "compare its pressure to the base pressure")
-    p.add_argument("file")
-    p.add_argument("--base-n", type=int, default=3, dest="base_n")
-    p.add_argument("--pad-bound", type=int, default=8, dest="pad_bound")
-    p.add_argument("--block-depth", type=int, default=3, dest="block_depth")
-    p.add_argument("--fixed-symbol", type=int, default=None, dest="fixed_symbol")
-    p.add_argument("--homoclinic", default=None)
-    p.add_argument("--search-depth", type=int, default=3, dest="search_depth")
+    p = command("subsystem", cmd_subsystem, "build a dominated subsystem and compare "
+                "its pressure to the base pressure", (pair, qm, out))
+    p.add_argument("--base-n", type=int, default=3)
+    p.add_argument("--pad-bound", type=int, default=8)
+    p.add_argument("--block-depth", type=int, default=3)
     p.add_argument("--q", default="-1:1:1")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--qm-depth", type=int, default=4, dest="qm_depth", help="ignored")
-    p.add_argument("--qm-connect", type=int, default=4, dest="qm_connect", help="ignored")
-    p.add_argument("--subsystem-out", default="subsystem.cocycle",
-                   dest="subsystem_out")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_subsystem)
+    p.add_argument("--subsystem-out", default="subsystem.cocycle")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command.  The only place that reports an error: one
+    stderr line and the exit code."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except CliError as exc:
+        code, line = exc.code, str(exc)
     except BudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        code, line = EXIT_BUDGET, f"budget exceeded: {exc}"
+    except OSError as exc:
+        code, line = EXIT_PARSE, f"error: {exc}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -346,7 +346,7 @@ def build_dominated_subsystem(
     candidates = _padding_candidates(a, tuple(w), pad_bound)
     depths = _block_depths(len(base_words))
 
-    worst: Word | None = None
+    c_ext = None
     for pad_left in candidates:
         for pad_right in candidates:
             ok = True
@@ -367,8 +367,6 @@ def build_dominated_subsystem(
             report = domination_report(
                 c_ext, n_range=depths, monotone_from=depths[0], budget=BLOCK_BUDGET,
             )
-            worst_idx = _worst_word_index(c_ext)
-            worst = ext_words[worst_idx]
             if report.passed:
                 # observed 2-block almost-additivity constants: per degree t,
                 # min over pairs of log||B_IJ^t|| - log||B_I^t|| - log||B_J^t||
@@ -380,6 +378,8 @@ def build_dominated_subsystem(
                     tuple_cocycle=c_ext, report=report,
                     log_kappa=(two - one[:, None] - one[None]).min(axis=(0, 1)),
                 )
+    # the worst word of the last tuple tested, none if no candidate was admissible
+    worst = None if c_ext is None else ext_words[_worst_word_index(c_ext)]
     raise SubsystemSearchError(
         f"padding search exhausted (bound {pad_bound}); worst extended word: {worst}"
     )

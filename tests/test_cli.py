@@ -51,6 +51,17 @@ def scalar_file(tmp_path):
 
 
 @pytest.fixture
+def dim5_file(tmp_path):
+    """Its degree-2 wedge space has dimension 10, past the typicality
+    checker's limit of 6."""
+    path = tmp_path / "dim5.cocycle"
+    eye = "\n".join(" ".join("1" if i == j else "0" for j in range(5)) for i in range(5))
+    path.write_text(f"dim 5\nalphabet 2\ntransition full\nmatrix 1\n{eye}\n"
+                    f"matrix 2\n{eye.replace('1', '2')}\n")
+    return str(path)
+
+
+@pytest.fixture
 def pos_file(tmp_path):
     path = tmp_path / "pos.cocycle"
     path.write_text(DIAG.replace("3 0\n0 0.33333333333333331",
@@ -280,6 +291,8 @@ class TestCommands:
       "--budget", "1000"], cli.EXIT_BUDGET),
     (["subsystem", "{pos}", "--block-depth", "30"], cli.EXIT_BUDGET),
     (["subsystem", "{pos}", "--base-n", "40"], cli.EXIT_BUDGET),
+    (["typical", "{dim5}"], cli.EXIT_VALIDATE),
+    (["subsystem", "{dim5}"], cli.EXIT_VALIDATE),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
@@ -287,13 +300,15 @@ class TestCommands:
         "typical-word", "typical-depth", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
         "subsystem-budget", "pressure-qm-depth", "pressure-qm-connect",
         "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",
-        "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n"])
+        "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n",
+        "typical-search-dim-5", "subsystem-search-dim-5"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
-                                      tmp_path, capsys):
+                                      dim5_file, tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
     message, never a traceback (exit 1 means a negative verdict), and
     leave no output behind: no stdout line and no subsystem file."""
-    argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file) for a in argv]
+    argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file, dim5=dim5_file)
+            for a in argv]
     sub_out = tmp_path / "x.cocycle"
     argv += ["--subsystem-out", str(sub_out)] if argv[0] == "subsystem" else []
     assert cli.main(argv) == code
@@ -302,6 +317,25 @@ def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_fi
     assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET else "error: ")
     assert out == ""
     assert not sub_out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "{diag}", "--q=0:0:1", "--n", "4", "--out", "{missing}/p.csv"],
+    ["spectrum", "{diag}", "--auto-grid", "3", "--n", "4", "--out", "{missing}/s.csv"],
+    ["subsystem", "{pos}", "--base-n", "2", "--q=0:0:1", "--n", "4",
+     "--subsystem-out", "{missing}/s.cocycle"],
+], ids=["pressure-out", "spectrum-out", "subsystem-out"])
+def test_unwritable_output_path_is_exit_2(argv, diag_file, pos_file, tmp_path, capsys):
+    """An output path in a missing directory is a usage error: exit 2
+    and one line, not a traceback after the computation."""
+    missing = tmp_path / "missing"
+    argv = [a.format(diag=diag_file, pos=pos_file, missing=missing) for a in argv]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert out == ""
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -59,6 +59,8 @@ def files(tmp_path_factory):
         paths[name].write_text(text)
     paths["out"] = root / "out.csv"
     paths["sub"] = root / "sub.cocycle"
+    paths["bad_out"] = root / "missing" / "out.csv"
+    paths["bad_sub"] = root / "missing" / "sub.cocycle"
     return paths
 
 
@@ -80,10 +82,11 @@ def argvs(draw):
     # error, which would end the run before the command's own checks
     if draw(st.integers(0, 3)) == 0:
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(JUNK)))
+    # output paths: a good one, or one in a missing directory
     if command in ("pressure", "spectrum", "subsystem"):
-        argv += ["--out", "{out}"]
+        argv += ["--out", draw(st.sampled_from(["{out}", "{bad_out}"]))]
     if command == "subsystem":
-        argv += ["--subsystem-out", "{sub}"]
+        argv += ["--subsystem-out", draw(st.sampled_from(["{sub}", "{bad_sub}"]))]
     return argv
 
 
