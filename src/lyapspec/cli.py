@@ -12,6 +12,7 @@ prints the one stderr line and returns the code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
@@ -208,17 +209,18 @@ def manifest_lines(args: argparse.Namespace, started: float) -> list[str]:
     return lines
 
 
-def write_csv(path: str | None, header: list[str], rows: list[list], manifest: list[str]):
-    out = sys.stdout if path is None else open(path, "w")
-    try:
-        for line in manifest:
-            print(line, file=out)
-        print(",".join(header), file=out)
-        for row in rows:
-            print(",".join(_fmt(x) for x in row), file=out)
-    finally:
-        if path is not None:
-            out.close()
+def open_out(path: str | None):
+    """The CSV destination as a context manager: stdout when path is
+    None, else the file at path, opened for writing."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
+def write_csv(out, header: list[str], rows: list[list], manifest: list[str]):
+    for line in manifest:
+        print(line, file=out)
+    print(",".join(header), file=out)
+    for row in rows:
+        print(",".join(_fmt(x) for x in row), file=out)
 
 
 def _fmt(x) -> str:
@@ -310,7 +312,8 @@ def cmd_pressure(args) -> int:
              est.upper if est.upper is not None else "",
              est.cauchy if est.cauchy is not None else ""])
     header = [f"q_{i + 1}" for i in range(c.d)] + ["n", "P_n", "lower", "upper", "cauchy_diag"]
-    write_csv(args.out, header, rows, manifest_lines(args, started))
+    with open_out(args.out) as out:
+        write_csv(out, header, rows, manifest_lines(args, started))
     return EXIT_OK
 
 
@@ -342,7 +345,8 @@ def cmd_spectrum(args) -> int:
                 c, pt.alpha, args.eps, args.n, budget=args.budget)
             gap = abs(h_count - pt.h) if count else np.inf
             row.extend([args.eps, count, h_count, gap])
-    write_csv(args.out, header, rows, manifest_lines(args, started))
+    with open_out(args.out) as out:
+        write_csv(out, header, rows, manifest_lines(args, started))
     return EXIT_OK
 
 
@@ -439,11 +443,13 @@ def cmd_subsystem(args) -> int:
         rows.append([*q, sub.ell, est_sub.value / sub.ell, base, gap])
     comment = (f"dominated subsystem: base_n={sub.base_n} ell={sub.ell} "
                f"pads={sub.pad_left}|{sub.pad_right}")
-    write_cocycle(args.subsystem_out, sub.tuple_cocycle, comment=comment)
-    print(f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "
-          f"of length {sub.ell}, kappa = {sub.kappa}")
     header = [f"q_{i + 1}" for i in range(c.d)] + ["ell", "P_ell_D_per_symbol", "P_n", "gap"]
-    write_csv(args.out, header, rows, manifest_lines(args, started))
+    # --out first: an unwritable path must leave no subsystem file behind
+    with open_out(args.out) as out:
+        write_cocycle(args.subsystem_out, sub.tuple_cocycle, comment=comment)
+        print(f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "
+              f"of length {sub.ell}, kappa = {sub.kappa}")
+        write_csv(out, header, rows, manifest_lines(args, started))
     return EXIT_OK
 
 

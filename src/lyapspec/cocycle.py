@@ -156,29 +156,34 @@ def profile(c: OneStepCocycle, word: Word) -> np.ndarray:
     return _profiles(_finish(front), n)[0]
 
 
-def _sweep(c: OneStepCocycle, n: int) -> np.ndarray:
-    """log ||A_I^{wedge t}|| of all admissible words of length n, in
-    lexicographic word order, as a (#L_n, d) array.
+def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
+    """log ||A_I^{wedge t}|| of all admissible words of each length n in
+    ``lengths``, in lexicographic word order, as {n: (#L_n, d) array}.
 
-    Level-synchronous sweep: each step extends up to BLOCK_ROWS
-    consecutive frontier rows by one symbol, in lexicographic (parent,
-    symbol) order; a longer frontier runs block by block, first to last.
+    One level-synchronous sweep to the longest length: each step extends
+    up to BLOCK_ROWS consecutive frontier rows by one symbol, in
+    lexicographic (parent, symbol) order; a longer frontier runs block
+    by block, first to last, so the blocks of one level pop in word
+    order and a requested level is finished block by block.
     """
-    out = np.empty((sft.count_words(c.Q, n), c.d))
-    row = 0
+    out = {n: np.empty((sft.count_words(c.Q, n), c.d)) for n in lengths}
+    row = dict.fromkeys(out, 0)
+    top = max(out)
     # LIFO work list of (depth, parent frontier, parent rows, symbols)
     todo = [(0, _root(c), np.zeros(c.k, dtype=np.intp), np.arange(1, c.k + 1))]
     while todo:
         depth, parent, par, sym = todo.pop()
         front = _advance(c, parent, par, sym)
-        if depth + 1 == n:
-            out[row:row + len(sym)] = _finish(front)
-            row += len(sym)
+        depth += 1
+        if depth in out:
+            out[depth][row[depth]:row[depth] + len(sym)] = _finish(front)
+            row[depth] += len(sym)
+        if depth == top:
             continue
         par, col = np.nonzero(c.Q.entries[sym - 1])
         for start in reversed(range(0, len(par), BLOCK_ROWS)):
             block = slice(start, start + BLOCK_ROWS)
-            todo.append((depth + 1, front, par[block], col[block] + 1))
+            todo.append((depth, front, par[block], col[block] + 1))
     return out
 
 
@@ -190,19 +195,52 @@ def _check_budget(c: OneStepCocycle, n: int, cached: np.ndarray | None, budget: 
         )
 
 
+def _missing(c: OneStepCocycle, cache: dict, lengths, budget: int) -> list[int]:
+    """The lengths, given in increasing order, that ``cache`` lacks.
+    Every length is checked against the budget first, in that order, so
+    a BudgetError names the shortest length over it."""
+    for n in lengths:
+        _check_budget(c, n, cache.get(n), budget)
+    return [n for n in lengths if n not in cache]
+
+
+def profile_matrices(c: OneStepCocycle, lengths,
+                     budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
+    """:func:`profile_matrix` at every length in ``lengths``, as
+    {n: array}.  The missing lengths come from one sweep, except those
+    that :func:`log_wedge_norms` has swept, which are not swept again.
+    """
+    lengths = sorted(set(lengths))
+    missing = _missing(c, c._profile_cache, lengths, budget)
+    unswept = [n for n in missing if n not in c._norm_cache]
+    swept = _sweep(c, unswept) if unswept else {}
+    for n in missing:
+        logs = swept[n] if n in swept else c._norm_cache[n]
+        c._profile_cache[n] = _profiles(logs, n)
+    return {n: c._profile_cache[n] for n in lengths}
+
+
 def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Profiles of all admissible words of length n, in lexicographic
     word order, as a (#L_n, d) array.  Cached per length; a hit returns
-    the cached array itself.  A length that :func:`log_wedge_norms` has
-    swept is not swept again.
+    the cached array itself, and the budget still applies to it.
     """
     out = c._profile_cache.get(n)
-    _check_budget(c, n, out, budget)
     if out is None:
-        logs = c._norm_cache.get(n)
-        out = _profiles(_sweep(c, n) if logs is None else logs, n)
-        c._profile_cache[n] = out
+        return profile_matrices(c, (n,), budget)[n]
+    _check_budget(c, n, out, budget)
     return out
+
+
+def log_wedge_norm_matrices(c: OneStepCocycle, lengths,
+                            budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
+    """:func:`log_wedge_norms` at every length in ``lengths``, as
+    {n: array}; the missing lengths come from one sweep."""
+    lengths = sorted(set(lengths))
+    missing = _missing(c, c._norm_cache, lengths, budget)
+    if missing:
+        c._norm_cache.update(_sweep(c, missing))
+    return {n: c._norm_cache[n] for n in lengths}
 
 
 def log_wedge_norms(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
@@ -210,11 +248,7 @@ def log_wedge_norms(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET
     n in sweep order, as a (#L_n, d) array; column d is the word-ordered
     sum of log|det A_s|.  Cached per length; a hit returns the cached
     array itself."""
-    out = c._norm_cache.get(n)
-    _check_budget(c, n, out, budget)
-    if out is None:
-        out = c._norm_cache[n] = _sweep(c, n)
-    return out
+    return log_wedge_norm_matrices(c, (n,), budget)[n]
 
 
 def fiber_bunched(c: OneStepCocycle, alpha: float) -> tuple[bool, float]:

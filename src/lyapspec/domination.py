@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import BudgetError, OneStepCocycle, log_wedge_norms, product, profile_matrix
+from .cocycle import (
+    BudgetError, OneStepCocycle, log_wedge_norm_matrices, product, profile_matrices, profile_matrix,
+)
 from .pressure import PressureEstimate, log_sn, weight_differences
 from .sft import Word, full_shift
 
@@ -69,17 +71,17 @@ def domination_test(
     Pass: fitted slope < -1e-3 and ratios strictly decreasing from
     ``monotone_from`` on.  Fail: no decay over the tested range.
     Anything else is inconclusive (a plateau near ratio 1 proves
-    nothing either way).
+    nothing either way).  Every length comes from one profile sweep;
+    a length of more than ``budget`` words raises BudgetError before it.
     """
     if not 1 <= i <= c.d - 1:
         raise ValueError(f"index {i} outside 1..{c.d - 1}")
     lengths = sorted(n_range)
     if len(lengths) < 2:
         raise ValueError(f"need at least 2 word lengths, got {len(lengths)}")
-    log_ratios = np.empty(len(lengths))
-    for j, n in enumerate(lengths):
-        profs = profile_matrix(c, n, budget=budget)
-        log_ratios[j] = n * float((profs[:, i] - profs[:, i - 1]).max())
+    profs = profile_matrices(c, lengths, budget=budget)
+    log_ratios = np.array([n * float((profs[n][:, i] - profs[n][:, i - 1]).max())
+                           for n in lengths])
     slope = float(np.polyfit(lengths, log_ratios, 1)[0])
 
     tail = [r for n, r in zip(lengths, log_ratios) if n >= monotone_from]
@@ -370,8 +372,8 @@ def build_dominated_subsystem(
             if report.passed:
                 # observed 2-block almost-additivity constants: per degree t,
                 # min over pairs of log||B_IJ^t|| - log||B_I^t|| - log||B_J^t||
-                one = log_wedge_norms(c_ext, 1)
-                two = log_wedge_norms(c_ext, 2).reshape(c_ext.k, c_ext.k, c_ext.d)
+                norms = log_wedge_norm_matrices(c_ext, (1, 2))
+                one, two = norms[1], norms[2].reshape(c_ext.k, c_ext.k, c_ext.d)
                 return DominatedSubsystem(
                     base_n=n, pad_left=pad_left, pad_right=pad_right,
                     ell=len(ext_words[0]), words=ext_words,

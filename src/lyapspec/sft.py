@@ -125,6 +125,25 @@ def word_array(Q: TransitionMatrix, n: int) -> np.ndarray:
     return words
 
 
+def child_tables(Q: TransitionMatrix, n: int) -> list[np.ndarray]:
+    """Rank tables of the admissible words of length < n.
+
+    ``tables[m - 1]`` has shape (#L_m, k); entry [r, s - 1] is the row of
+    ``word_array(Q, m + 1)`` holding row r of ``word_array(Q, m)``
+    followed by s, or -1 if that word is not admissible.  Built in the
+    ``np.nonzero`` order of :func:`word_array`.
+    """
+    last = np.arange(Q.k)  # 0-based last symbol of each m-word
+    tables = []
+    for _ in range(n - 1):
+        par, sym = np.nonzero(Q.entries[last])
+        table = np.full((len(last), Q.k), -1)
+        table[par, sym] = np.arange(len(par))
+        tables.append(table)
+        last = sym
+    return tables
+
+
 def enumerate_words(Q: TransitionMatrix, n: int) -> Iterator[Word]:
     """Yield the admissible words of length n in lexicographic order."""
     yield from map(tuple, word_array(Q, n).tolist())

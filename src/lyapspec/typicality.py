@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, log_wedge_norms, product
+from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, log_wedge_norm_matrices, product
 from .sft import Word
 
 TOL_GAP = 1e-6
@@ -116,10 +116,12 @@ def check_1typical(c: OneStepCocycle, t: int, loop: HolonomyLoop) -> LevelReport
     Condition (ii): for all index sets I, J of {1..D} with
     |I| + |J| <= D, the columns {W^{wedge t} v_i : i in I} union
     {v_j : j in J} stay uniformly independent (margin = min smallest
-    singular value after column normalization).  Removing a column
-    never lowers the smallest singular value, so the minimum is taken
-    over the C(2D, D) D-column subsets of [W^{wedge t} V | V] alone,
-    in one stacked SVD.
+    singular value after column normalization).  The pairs (I, J) are
+    the subsets of at most D columns of [W^{wedge t} V | V], one stacked
+    SVD per subset size.  In exact arithmetic the D-column subsets alone
+    would give the minimum (removing a column never lowers the smallest
+    singular value), but where the margin is rounding noise the smaller
+    subsets can give a smaller value.
     """
     if not 1 <= t <= c.d - 1:
         raise ValueError(f"wedge degree {t} outside 1..{c.d - 1}")
@@ -145,9 +147,11 @@ def check_1typical(c: OneStepCocycle, t: int, loop: HolonomyLoop) -> LevelReport
     WV /= np.linalg.norm(WV, axis=0)
 
     # subsets in lexicographic order keep the I columns before the J ones
-    subsets = np.array(list(combinations(range(2 * D), D)))
-    stacked = np.hstack([WV, V])[:, subsets].swapaxes(0, 1)
-    indep_margin = float(np.linalg.svd(stacked, compute_uv=False)[:, -1].min())
+    cols = np.hstack([WV, V])
+    indep_margin = min(
+        float(np.linalg.svd(cols[:, np.array(list(combinations(range(2 * D), m)))]
+                            .swapaxes(0, 1), compute_uv=False)[:, -1].min())
+        for m in range(1, D + 1))
     indep_ok = indep_margin > TOL_INDEP
     return LevelReport(t=t, gap_margin=gap_margin, indep_margin=indep_margin,
                        eig_ok=eig_ok, indep_ok=indep_ok)
@@ -180,9 +184,13 @@ def search_typical_pair(c: OneStepCocycle, depth: int) -> TypicalityReport | Non
     return None
 
 
-def _ranks(rows: np.ndarray) -> np.ndarray:
-    """Rank of each row among the distinct rows, in lexicographic order."""
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+def _ranks(tables: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each row among the admissible words of its
+    length: a walk through :func:`sft.child_tables`, one lookup per symbol."""
+    ranks = rows[:, 0] - 1
+    for m in range(1, rows.shape[1]):
+        ranks = tables[m - 1][ranks, rows[:, m] - 1]
+    return ranks
 
 
 def qm_search(
@@ -200,17 +208,22 @@ def qm_search(
     Returns the smallest k with C(k) > 1e-12; failure, including an empty
     search, is a report state.
 
-    Every norm is read from a profile sweep (:func:`log_wedge_norms`):
+    Every norm is read from one profile sweep
+    (:func:`log_wedge_norm_matrices`) of the lengths 1..2 n_max + k_max:
     the rows of the sweep at length |I| + k + |J| are exactly the
     admissible words IKJ, and each maps to its (I, J) by the ranks of
-    its prefix and suffix.  A sweep of more than ``budget`` words
-    raises BudgetError.
+    its prefix and suffix.  A length of more than ``budget`` words
+    raises BudgetError before the sweep.
     """
     lengths = range(1, n_max + 1)
-    words = [w for n in lengths for w in sft.enumerate_words(c.Q, n)]
+    top = 2 * n_max + k_max if n_max and k_max >= 0 else n_max
+    swept = range(1, top + 1)
+    norms = {n: logs[:, :-1] for n, logs in log_wedge_norm_matrices(c, swept, budget).items()}
+    arrays = {n: sft.word_array(c.Q, n) for n in swept}
+    words = [w for n in lengths for w in map(tuple, arrays[n].tolist())]
     # row of the first length-n word in the pair table
-    offset = {n: sum(sft.count_words(c.Q, m) for m in range(1, n)) for n in lengths}
-    norms = {n: log_wedge_norms(c, n, budget)[:, :-1] for n in lengths}
+    offset = {n: sum(len(arrays[m]) for m in range(1, n)) for n in lengths}
+    tables = sft.child_tables(c.Q, n_max)
 
     constants: dict[int, float | None] = {}
     chosen_k = None
@@ -221,13 +234,10 @@ def qm_search(
         best = np.full((len(words), len(words)), -np.inf)
         for a in lengths:
             for b in lengths:
-                logs = log_wedge_norms(c, a + k + b, budget)[:, :-1]
-                W = sft.word_array(c.Q, a + k + b)
-                # every a-word is a prefix and every b-word a suffix of
-                # some row, so the ranks index the length-a and -b words
-                I, J = _ranks(W[:, :a]), _ranks(W[:, -b:])
+                W = arrays[a + k + b]
+                I, J = _ranks(tables, W[:, :a]), _ranks(tables, W[:, -b:])
                 # d = 1: no exterior degrees to check, norms multiply exactly
-                ratio = (logs - norms[a][I] - norms[b][J]).min(
+                ratio = (norms[a + k + b] - norms[a][I] - norms[b][J]).min(
                     axis=1, initial=np.inf if c.d > 1 else 0.0)
                 np.maximum.at(best, (offset[a] + I, offset[b] + J), ratio)
         if not words:

@@ -324,18 +324,23 @@ def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_fi
     ["spectrum", "{diag}", "--auto-grid", "3", "--n", "4", "--out", "{missing}/s.csv"],
     ["subsystem", "{pos}", "--base-n", "2", "--q=0:0:1", "--n", "4",
      "--subsystem-out", "{missing}/s.cocycle"],
-], ids=["pressure-out", "spectrum-out", "subsystem-out"])
+    ["subsystem", "{pos}", "--base-n", "2", "--q=0:0:1", "--n", "4",
+     "--subsystem-out", "{sub}", "--out", "{missing}/x.csv"],
+], ids=["pressure-out", "spectrum-out", "subsystem-out", "subsystem-csv-out"])
 def test_unwritable_output_path_is_exit_2(argv, diag_file, pos_file, tmp_path, capsys):
     """An output path in a missing directory is a usage error: exit 2
-    and one line, not a traceback after the computation."""
+    and one line, not a traceback after the computation, and no other
+    output is left behind: an unwritable --out writes no subsystem."""
     missing = tmp_path / "missing"
-    argv = [a.format(diag=diag_file, pos=pos_file, missing=missing) for a in argv]
+    sub = tmp_path / "x.cocycle"
+    argv = [a.format(diag=diag_file, pos=pos_file, missing=missing, sub=sub) for a in argv]
     assert cli.main(argv) == cli.EXIT_PARSE
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     assert out == ""
     assert not missing.exists()
+    assert not sub.exists()
 
 
 @pytest.mark.parametrize("argv", [

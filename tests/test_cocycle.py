@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapspec import cocycle, matalg, sft
+from lyapspec import cli, cocycle, domination, matalg, sft, typicality
 from lyapspec.cocycle import (
     BudgetError, OneStepCocycle, eigen_exponents, fiber_bunched, log_wedge_norms,
     product, profile, profile_matrix,
@@ -149,6 +149,56 @@ class TestSweepEngine:
         assert profile_matrix(c, 5).shape == (32, d)
         assert log_wedge_norms(c, 4).shape == (16, d)
         assert profile(c, (1, 2, 2)).shape == (d,)
+
+
+class TestOneSweepPerRequest:
+    """A QM search and a domination test read every length they need
+    from one sweep, after checking every length against the budget."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = cocycle._sweep
+
+        def counted(c, lengths):
+            calls.append(sorted(lengths))
+            return sweep(c, lengths)
+
+        monkeypatch.setattr(cocycle, "_sweep", counted)
+        return calls
+
+    @staticmethod
+    def _fresh(c):
+        """The same cocycle with empty caches."""
+        return OneStepCocycle(Q=c.Q, generators=c.generators)
+
+    def test_qm_search_sweeps_once(self, pos_cocycle, sweeps):
+        typicality.qm_search(self._fresh(pos_cocycle), 3, 3)
+        assert sweeps == [list(range(1, 10))]
+
+    def test_empty_qm_search_sweeps_nothing(self, pos_cocycle, sweeps):
+        assert not typicality.qm_search(self._fresh(pos_cocycle), 0, 3).found
+        assert sweeps == []
+
+    def test_domination_test_sweeps_once(self, pos_cocycle, sweeps):
+        domination.domination_test(self._fresh(pos_cocycle), 1, range(2, 9))
+        assert sweeps == [list(range(2, 9))]
+
+    def test_domination_budget_checked_before_the_sweep(self, diag_cocycle, sweeps):
+        with pytest.raises(BudgetError, match=r"^#L_10 = 1024 words exceeds the budget of 1000;"):
+            domination.domination_test(self._fresh(diag_cocycle), 1, range(2, 12), budget=1000)
+        assert sweeps == []
+
+    def test_qm_budget_message(self, diag_cocycle, tmp_path, capsys):
+        """The QM search names the shortest length over the budget, as
+        it did when it swept one length at a time."""
+        path = tmp_path / "diag.cocycle"
+        cli.write_cocycle(str(path), diag_cocycle)
+        code = cli.main(["pressure", str(path), "--n", "3", "--qm-depth", "6",
+                         "--qm-connect", "6", "--budget", "1000"])
+        assert code == cli.EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "budget exceeded: #L_10 = 1024 words exceeds the budget of 1000; reduce n\n")
 
 
 class TestEigenExponents:

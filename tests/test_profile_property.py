@@ -1,6 +1,7 @@
-"""Property tests: the batched profile sweep against plain products
-and against the SVD finish it replaced, the SVD-free spectral norm,
-the exact top wedge degree, and the invariants of the Gibbs Hessian
+"""Property tests: the batched profile sweep against plain products,
+against the SVD finish it replaced and against one sweep per length,
+the SVD-free spectral norm, the exact top wedge degree, the table
+word ranks against a sort, and the invariants of the Gibbs Hessian
 and the Legendre solver."""
 
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from lyapspec import cocycle, matalg, pressure, sft, spectrum  # noqa: E402
+from lyapspec import cocycle, matalg, pressure, sft, spectrum, typicality  # noqa: E402
 from lyapspec.cocycle import (  # noqa: E402
     OneStepCocycle, log_wedge_norms, product, profile_matrix,
 )
@@ -95,7 +96,7 @@ def test_sweep_matches_svd_finish(c, data):
     """The whole sweep against the same sweep finished by SVD."""
     n = _length(data, c)
     with mock.patch.object(cocycle, "_spectral_norm", _svd_norm):
-        ref = cocycle._sweep(c, n)
+        ref = cocycle._sweep(c, [n])[n]
     assert np.abs(log_wedge_norms(c, n) - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
@@ -109,6 +110,43 @@ def test_top_degree_is_summed_log_det(c, n):
     for col in sft.word_array(c.Q, n).T:
         expected = expected + log_det[col - 1]
     assert np.array_equal(log_wedge_norms(c, n)[:, -1], expected)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(c=cocycles(), data=st.data())
+def test_multi_length_sweep_matches_single_lengths(c, data):
+    """One sweep of a set of lengths gives, bit for bit, the arrays of
+    one sweep per length, also when the frontier is cut into blocks of
+    1 or 7 rows, so that a level spans many blocks."""
+    top = 8 if c.d < 4 else 6
+    lengths = data.draw(st.sets(st.integers(1, top), min_size=1))
+    singles = {n: cocycle._sweep(c, [n])[n] for n in lengths}
+    for rows in (1, 7):
+        with mock.patch.object(cocycle, "BLOCK_ROWS", rows):
+            multi = cocycle._sweep(c, lengths)
+        assert multi.keys() == singles.keys()
+        for n in lengths:
+            assert np.array_equal(multi[n], singles[n])
+
+
+def _unique_ranks(rows: np.ndarray) -> np.ndarray:
+    """The reference ranks: lexicographic rank among the distinct rows."""
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(k=st.integers(2, 4), data=st.data())
+def test_table_ranks_match_unique(k, data):
+    """Prefix and suffix ranks from the child tables equal the ranks of
+    a sort, on shifts that are not full."""
+    Q = _primitive(k, data.draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k)))
+    hypothesis.assume(Q is not None and not Q.is_full_shift)
+    L = data.draw(st.integers(2, 8))
+    a, b = data.draw(st.integers(1, L - 1)), data.draw(st.integers(1, L - 1))
+    W = sft.word_array(Q, L)
+    tables = sft.child_tables(Q, L)
+    assert np.array_equal(typicality._ranks(tables, W[:, :a]), _unique_ranks(W[:, :a]))
+    assert np.array_equal(typicality._ranks(tables, W[:, -b:]), _unique_ranks(W[:, -b:]))
 
 
 def _point(draw, d: int) -> np.ndarray:
