@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import math
+import os
 import sys
 import time
 from functools import partial
@@ -213,6 +215,19 @@ def open_out(path: str | None):
     """The CSV destination as a context manager: stdout when path is
     None, else the file at path, opened for writing."""
     return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise,
+    without creating or truncating the file."""
+    try:
+        os.close(os.open(path, os.O_WRONLY))
+    except FileNotFoundError:
+        parent = os.path.dirname(path) or "."
+        if not os.path.basename(path) or not os.path.isdir(parent):
+            raise
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path) from None
 
 
 def write_csv(out, header: list[str], rows: list[list], manifest: list[str]):
@@ -444,7 +459,9 @@ def cmd_subsystem(args) -> int:
     comment = (f"dominated subsystem: base_n={sub.base_n} ell={sub.ell} "
                f"pads={sub.pad_left}|{sub.pad_right}")
     header = [f"q_{i + 1}" for i in range(c.d)] + ["ell", "P_ell_D_per_symbol", "P_n", "gap"]
-    # --out first: an unwritable path must leave no subsystem file behind
+    # both destinations checked before either is written: an unwritable
+    # one must leave the other untouched
+    _check_writable(args.subsystem_out)
     with open_out(args.out) as out:
         write_cocycle(args.subsystem_out, sub.tuple_cocycle, comment=comment)
         print(f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "

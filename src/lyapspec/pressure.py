@@ -107,6 +107,20 @@ def pressure_estimate(
                             cauchy=cauchy)
 
 
+def _gibbs_mean(profs: np.ndarray, u: np.ndarray):
+    """Normalised Gibbs weights w of one pass ``(profs, u)`` of
+    :func:`_exp_potential` and the mean profile under them, the
+    gradient of P_n."""
+    w = u / u.sum()
+    return w, w @ profs
+
+
+def _gibbs_cov(profs: np.ndarray, w: np.ndarray, mean: np.ndarray, n: int) -> np.ndarray:
+    """Hessian of P_n from the weights and mean of one pass: n Cov_w."""
+    centred = profs - mean
+    return n * (centred.T * w) @ centred
+
+
 def gibbs_gradient(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Gradient of P_n at q: the Gibbs-weighted mean singular profile.
 
@@ -114,15 +128,13 @@ def gibbs_gradient(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDG
     equals the exact derivative of (1/n) log s_n.
     """
     profs, _, u = _exp_potential(c, q, n, budget)
-    return (u / u.sum()) @ profs
+    return _gibbs_mean(profs, u)[1]
 
 
 def gibbs_hessian(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Hessian of P_n at q: n times the Gibbs covariance of the profiles."""
     profs, _, u = _exp_potential(c, q, n, budget)
-    w = u / u.sum()
-    centred = profs - w @ profs
-    return n * (centred.T * w) @ centred
+    return _gibbs_cov(profs, *_gibbs_mean(profs, u), n)
 
 
 def convexity_probe(c: OneStepCocycle, q_a, q_b, n: int) -> float:

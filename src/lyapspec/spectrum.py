@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pressure
 from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
-from .pressure import gibbs_gradient, gibbs_hessian, log_sn
 
 Q_MAX = 40.0
 GRAD_TOL = 1e-6
@@ -54,7 +54,7 @@ def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET
     """
     axes = [np.linspace(-10.0, 10.0, 5)] * c.d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, c.d)
-    return np.array([gibbs_gradient(c, q, n, budget=budget) for q in mesh])
+    return np.array([pressure.gibbs_gradient(c, q, n, budget=budget) for q in mesh])
 
 
 def interior_alpha_grid(grads: np.ndarray, m: int) -> np.ndarray:
@@ -84,11 +84,12 @@ def legendre_entropy(
     """h(alpha) = inf_q {P_n(q) - <q, alpha>} by damped Newton on the
     convex finite-n objective.
 
-    Gradient g = E_w[profile] - alpha and Hessian H = n Cov_w(profiles)
-    come from the Gibbs weights at q.  The step solves (H + |g|^2 I)
-    p = -g: Newton near the minimizer, at most 1/|g| along flat or null
-    directions of H, where a plain Newton step can jump far out.  An
-    Armijo backtrack keeps descent, with -g as fallback.
+    One Gibbs pass per trial point gives the value, and, once the point
+    is accepted, the gradient g = E_w[profile] - alpha and the Hessian
+    H = n Cov_w(profiles) from the same weights.  The step solves
+    (H + |g|^2 I) p = -g: Newton near the minimizer, at most 1/|g| along
+    flat or null directions of H, where a plain Newton step can jump
+    far out.  An Armijo backtrack keeps descent, with -g as fallback.
 
     Status is boundary-suspect when the minimizer escapes past Q_MAX
     (or past Q_MAX/2 at convergence), or when ``domain``, the gradients
@@ -103,13 +104,16 @@ def legendre_entropy(
     outside = domain is not None and not in_hull(domain, alpha, tol=1e-6)
 
     def objective(qv):
-        return log_sn(c, qv, n, budget=budget) / n - float(qv @ alpha)
+        """P_n(qv) - <qv, alpha> and the Gibbs pass it came from."""
+        profs, m, u = pressure._exp_potential(c, qv, n, budget)
+        return (m + float(np.log(u.sum()))) / n - float(qv @ alpha), (profs, u)
 
-    f = objective(q)
+    f, gibbs = objective(q)
     status = "diverged"
     grad_res = np.inf
     for _ in range(2000):
-        g = gibbs_gradient(c, q, n, budget=budget) - alpha
+        w, mean = pressure._gibbs_mean(*gibbs)
+        g = mean - alpha
         grad_res = float(np.abs(g).max())
         if grad_res <= GRAD_TOL:
             status = "interior-converged"
@@ -117,7 +121,7 @@ def legendre_entropy(
         if np.linalg.norm(q) > Q_MAX:
             status = "boundary-suspect"
             break
-        H = gibbs_hessian(c, q, n, budget=budget)
+        H = pressure._gibbs_cov(gibbs[0], w, mean, n)
         p = np.linalg.solve(H + float(g @ g) * np.eye(c.d), -g)
         slope = float(g @ p)
         if not slope < 0:
@@ -125,7 +129,7 @@ def legendre_entropy(
         step = 1.0
         while step > 1e-14:
             q_new = q + step * p
-            f_new = objective(q_new)
+            f_new, gibbs_new = objective(q_new)
             if f_new <= f + 1e-4 * step * slope:
                 break
             step /= 2
@@ -133,7 +137,7 @@ def legendre_entropy(
             # no productive step left: flat to machine precision
             status = "interior-converged"
             break
-        q, f = q_new, f_new
+        q, f, gibbs = q_new, f_new, gibbs_new
 
     # a minimizer escaping far out signals the spectrum boundary even
     # when the finite-n gradient still closes

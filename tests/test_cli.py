@@ -326,14 +326,21 @@ def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_fi
      "--subsystem-out", "{missing}/s.cocycle"],
     ["subsystem", "{pos}", "--base-n", "2", "--q=0:0:1", "--n", "4",
      "--subsystem-out", "{sub}", "--out", "{missing}/x.csv"],
-], ids=["pressure-out", "spectrum-out", "subsystem-out", "subsystem-csv-out"])
+    ["subsystem", "{pos}", "--base-n", "2", "--q=0:0:1", "--n", "4",
+     "--subsystem-out", "{missing}/s.cocycle", "--out", "{csv}"],
+], ids=["pressure-out", "spectrum-out", "subsystem-out", "subsystem-csv-out",
+        "subsystem-out-keeps-csv"])
 def test_unwritable_output_path_is_exit_2(argv, diag_file, pos_file, tmp_path, capsys):
     """An output path in a missing directory is a usage error: exit 2
     and one line, not a traceback after the computation, and no other
-    output is left behind: an unwritable --out writes no subsystem."""
+    output is left behind: an unwritable --out writes no subsystem, and
+    an unwritable --subsystem-out leaves an existing --out as it was."""
     missing = tmp_path / "missing"
     sub = tmp_path / "x.cocycle"
-    argv = [a.format(diag=diag_file, pos=pos_file, missing=missing, sub=sub) for a in argv]
+    csv = tmp_path / "kept.csv"
+    csv.write_text("# earlier run\n")
+    argv = [a.format(diag=diag_file, pos=pos_file, missing=missing, sub=sub, csv=csv)
+            for a in argv]
     assert cli.main(argv) == cli.EXIT_PARSE
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
@@ -341,6 +348,7 @@ def test_unwritable_output_path_is_exit_2(argv, diag_file, pos_file, tmp_path, c
     assert out == ""
     assert not missing.exists()
     assert not sub.exists()
+    assert csv.read_text() == "# earlier run\n"
 
 
 @pytest.mark.parametrize("argv", [

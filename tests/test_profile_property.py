@@ -1,8 +1,9 @@
 """Property tests: the batched profile sweep against plain products,
 against the SVD finish it replaced and against one sweep per length,
 the SVD-free spectral norm, the exact top wedge degree, the table
-word ranks against a sort, and the invariants of the Gibbs Hessian
-and the Legendre solver."""
+word ranks against a sort, the invariants of the Gibbs Hessian and
+the Legendre solver, and the one-pass solver against the three-pass
+loop it replaced."""
 
 from unittest import mock
 
@@ -190,3 +191,75 @@ def test_solver_at_a_gradient(c, n, data, seed):
     for q in np.random.default_rng(seed).uniform(-5, 5, size=(20, c.d)):
         f = pressure.log_sn(c, q, n) / n - q @ alpha
         assert pt.h <= f - g @ (q - pt.q_star) + 1e-9
+
+
+def _three_pass_legendre(c, alpha, n, q0=None):
+    """The reference solver: the damped Newton loop of
+    :func:`spectrum.legendre_entropy` with a separate Gibbs pass for the
+    value (log_sn), the gradient and the Hessian, as it was written
+    before one pass served all three."""
+    q = np.zeros(c.d) if q0 is None else np.asarray(q0, dtype=float).copy()
+
+    def objective(qv):
+        return pressure.log_sn(c, qv, n) / n - float(qv @ alpha)
+
+    f = objective(q)
+    status = "diverged"
+    grad_res = np.inf
+    for _ in range(2000):
+        g = pressure.gibbs_gradient(c, q, n) - alpha
+        grad_res = float(np.abs(g).max())
+        if grad_res <= spectrum.GRAD_TOL:
+            status = "interior-converged"
+            break
+        if np.linalg.norm(q) > spectrum.Q_MAX:
+            status = "boundary-suspect"
+            break
+        H = pressure.gibbs_hessian(c, q, n)
+        p = np.linalg.solve(H + float(g @ g) * np.eye(c.d), -g)
+        slope = float(g @ p)
+        if not slope < 0:
+            p, slope = -g, -float(g @ g)
+        step = 1.0
+        while step > 1e-14:
+            q_new = q + step * p
+            f_new = objective(q_new)
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step /= 2
+        else:
+            status = "interior-converged"
+            break
+        q, f = q_new, f_new
+    if status == "interior-converged" and np.linalg.norm(q) > spectrum.Q_MAX / 2:
+        status = "boundary-suspect"
+    h, clamped = (0.0, True) if f < 0 else (f, False)
+    return h, q, status, clamped, grad_res
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(c=st.integers(1, 3).flatmap(lambda d: cocycles(d=d)),
+                  n=st.integers(1, 8), case=st.sampled_from(["gradient", "outside", "warm"]),
+                  data=st.data())
+def test_one_pass_solver_matches_three_pass_loop(c, n, case, data):
+    """Bit for bit the same point as the three-pass loop: at alpha =
+    grad P_n(q0) from q = 0, at alpha pushed outside the profile hull
+    (the iterate escapes), and at a gradient alpha from a warm start."""
+    alpha = pressure.gibbs_gradient(c, _point(data.draw, c.d), n)
+    q0 = None
+    if case == "outside":
+        profs = profile_matrix(c, n)
+        u = _point(data.draw, c.d)
+        hypothesis.assume(np.linalg.norm(u) > 0.1)
+        u /= np.linalg.norm(u)
+        push = (profs @ u).max() - alpha @ u + data.draw(st.floats(0.01, 1.0))
+        alpha = alpha + push * u
+    elif case == "warm":
+        q0 = 4 * _point(data.draw, c.d)
+    pt = spectrum.legendre_entropy(c, alpha, n, q0=q0)
+    h, q_star, status, clamped, grad_res = _three_pass_legendre(c, alpha, n, q0=q0)
+    assert pt.h == h
+    assert np.array_equal(pt.q_star, q_star)
+    assert pt.status == status
+    assert pt.clamped == clamped
+    assert pt.grad_residual == grad_res

@@ -103,6 +103,36 @@ class TestNewtonSolver:
         h = np.log(2) - ((1 + a) / 2 * np.log(1 + a) + (1 - a) / 2 * np.log(1 - a))
         assert pt.h == pytest.approx(h, abs=1e-9)
 
+    def test_one_gibbs_pass_per_objective_evaluation(self, monkeypatch):
+        """The value, gradient and Hessian of an iterate come from the
+        one pass at its trial point.  On the log(2 cosh q) case above the
+        objective is evaluated at q0 = 8, at the four rejected trial
+        points of the first backtrack (the full step lands at -91.5) and
+        at six accepted points: 11 passes, each at a new q, and no call
+        of the gradient or Hessian views, each of which is a pass of
+        its own."""
+        c = OneStepCocycle(Q=sft.full_shift(2),
+                           generators=[np.array([[np.exp(-1.0)]]), np.array([[np.exp(1.0)]])])
+        passes = []
+        exp_potential = pressure._exp_potential
+
+        def counted(c, q, n, budget):
+            passes.append(float(q[0]))
+            return exp_potential(c, q, n, budget)
+
+        def view(*args, **kwargs):
+            raise AssertionError("a Gibbs view called by the solver")
+
+        monkeypatch.setattr(pressure, "_exp_potential", counted)
+        monkeypatch.setattr(pressure, "gibbs_gradient", view)
+        monkeypatch.setattr(pressure, "gibbs_hessian", view)
+        pt = spectrum.legendre_entropy(c, np.array([0.99]), 1, q0=np.array([8.0]))
+        assert pt.status == "interior-converged"
+        assert len(passes) == 1 + 4 + 6
+        assert len(set(passes)) == len(passes)
+        assert passes[0] == 8.0
+        assert passes[1] == pytest.approx(-91.554, abs=1e-3)
+
     @pytest.mark.parametrize("name, alpha", [
         ("golden_identity", [0.1, 0.1]),
         ("diag_cocycle", [np.log(2.5), 0.0]),
