@@ -24,7 +24,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__, domination, pressure, sft, spectrum, typicality
-from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, fiber_bunched
+from .cocycle import (DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, fiber_bunched,
+                      profile_matrix)
 from .sft import NotPrimitiveError
 
 EXIT_OK = 0
@@ -332,6 +333,15 @@ def cmd_pressure(args) -> int:
     return EXIT_OK
 
 
+def _beyond_profiles(c: OneStepCocycle, pt: spectrum.SpectrumPoint, n: int, budget: int) -> bool:
+    """Whether a boundary-suspect alpha lies more than GRAD_TOL past every
+    length-n profile along u = q*/|q*|, so that its level set is empty."""
+    if pt.status != "boundary-suspect":  # then |q*| > Q_MAX/2
+        return False
+    u = pt.q_star / np.linalg.norm(pt.q_star)
+    return float(u @ pt.alpha) > float((profile_matrix(c, n, budget) @ u).max()) + spectrum.GRAD_TOL
+
+
 def cmd_spectrum(args) -> int:
     started = time.time()
     c = _load(args)
@@ -339,26 +349,26 @@ def cmd_spectrum(args) -> int:
     _at_least("--auto-grid", args.auto_grid, 1)
     if args.oracle and not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")
-    grads = spectrum.domain_estimate(c, args.n, budget=args.budget)
-    # auto-grid points lie in the gradient hull by construction
     if args.alpha:
-        grid, domain = parse_grid(args.alpha, c.d), grads
+        grid = parse_grid(args.alpha, c.d)
     else:
-        grid, domain = spectrum.interior_alpha_grid(grads, args.auto_grid), None
-    points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget, domain=domain)
+        grads = spectrum.domain_estimate(c, args.n, budget=args.budget)
+        grid = spectrum.interior_alpha_grid(grads, args.auto_grid)
+    points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget)
     header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
               + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])
     rows = []
     for pt in points:
         band = 0.0 if pt.status == "interior-converged" else np.nan
-        h = "" if pt.status == "boundary-suspect" and not np.isfinite(pt.h) else pt.h
+        h = "" if _beyond_profiles(c, pt, args.n, args.budget) else pt.h
         rows.append([*pt.alpha, h, *pt.q_star, pt.status, band])
     if args.oracle:
         header += ["epsilon", "count", "h_count", "gap"]
         for row, pt in zip(rows, points):
             count, h_count = spectrum.oracle_count(
                 c, pt.alpha, args.eps, args.n, budget=args.budget)
-            gap = abs(h_count - pt.h) if count else np.inf
+            # an empty level set has h = -inf
+            gap = abs(h_count - pt.h) if count and row[c.d] != "" else np.inf
             row.extend([args.eps, count, h_count, gap])
     with open_out(args.out) as out:
         write_csv(out, header, rows, manifest_lines(args, started))

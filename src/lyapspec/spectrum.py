@@ -26,27 +26,6 @@ class SpectrumPoint:
     grad_residual: float = np.nan
 
 
-def in_hull(points: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether x is a convex combination of the rows of points.
-
-    Linear-programming membership test; robust for degenerate hulls
-    (segments, single points).
-    """
-    # scipy.optimize costs more to import than most commands take to
-    # run, and only a user alpha grid reaches this LP
-    from scipy.optimize import linprog
-
-    points = np.asarray(points, dtype=float)
-    x = np.asarray(x, dtype=float)
-    m = points.shape[0]
-    A_eq = np.vstack([points.T, np.ones(m)])
-    b_eq = np.append(x, 1.0)
-    res = linprog(np.zeros(m), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:
-        return False
-    return float(np.abs(points.T @ res.x - x).max()) <= max(tol, 1e-7)
-
-
 def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Achievable exponent vectors at length n: the (5^d, d) pressure
     gradients over the q-grid {-10, -5, 0, 5, 10}^d.  Their hull sits
@@ -73,14 +52,8 @@ def interior_alpha_grid(grads: np.ndarray, m: int) -> np.ndarray:
     return lo + np.linspace(0.0, 1.0, m)[:, None] * (hi - lo)
 
 
-def legendre_entropy(
-    c: OneStepCocycle,
-    alpha,
-    n: int,
-    q0=None,
-    budget: int = DEFAULT_WORD_BUDGET,
-    domain: np.ndarray | None = None,
-) -> SpectrumPoint:
+def legendre_entropy(c: OneStepCocycle, alpha, n: int, q0=None,
+                     budget: int = DEFAULT_WORD_BUDGET) -> SpectrumPoint:
     """h(alpha) = inf_q {P_n(q) - <q, alpha>} by damped Newton on the
     convex finite-n objective.
 
@@ -91,17 +64,14 @@ def legendre_entropy(
     flat or null directions of H, where a plain Newton step can jump
     far out.  An Armijo backtrack keeps descent, with -g as fallback.
 
-    Status is boundary-suspect when the minimizer escapes past Q_MAX
-    (or past Q_MAX/2 at convergence), or when ``domain``, the gradients
-    from :func:`domain_estimate`, is given and alpha sits outside their
-    hull (one LP per point; grids from
-    ``interior_alpha_grid`` lie inside by construction and need no
-    test).  Negative finite-n values are clamped to zero with a flag.
+    grad P_n maps R^d onto the relative interior of the hull of the
+    length-n profiles, so the solver alone decides the boundary: status
+    is boundary-suspect when the minimizer escapes past Q_MAX (or past
+    Q_MAX/2 at convergence), and h is then the objective at the last
+    iterate.  Negative finite-n values are clamped to zero with a flag.
     """
     alpha = np.asarray(alpha, dtype=float)
     q = np.zeros(c.d) if q0 is None else np.asarray(q0, dtype=float).copy()
-
-    outside = domain is not None and not in_hull(domain, alpha, tol=1e-6)
 
     def objective(qv):
         """P_n(qv) - <qv, alpha> and the Gibbs pass it came from."""
@@ -143,8 +113,6 @@ def legendre_entropy(
     # when the finite-n gradient still closes
     if status == "interior-converged" and np.linalg.norm(q) > Q_MAX / 2:
         status = "boundary-suspect"
-    if outside and status != "boundary-suspect":
-        status = "boundary-suspect"
     h = f
     clamped = False
     if h < 0:
@@ -153,19 +121,14 @@ def legendre_entropy(
                          clamped=clamped, grad_residual=grad_res)
 
 
-def spectrum_curve(
-    c: OneStepCocycle,
-    alpha_grid: np.ndarray,
-    n: int,
-    budget: int = DEFAULT_WORD_BUDGET,
-    domain: np.ndarray | None = None,
-) -> list[SpectrumPoint]:
+def spectrum_curve(c: OneStepCocycle, alpha_grid: np.ndarray, n: int,
+                   budget: int = DEFAULT_WORD_BUDGET) -> list[SpectrumPoint]:
     """Legendre entropy along a grid, warm-starting q from the previous
     grid point."""
     points = []
     q0 = None
     for alpha in np.atleast_2d(alpha_grid):
-        pt = legendre_entropy(c, alpha, n, q0=q0, budget=budget, domain=domain)
+        pt = legendre_entropy(c, alpha, n, q0=q0, budget=budget)
         points.append(pt)
         q0 = pt.q_star if pt.status == "interior-converged" else None
     return points

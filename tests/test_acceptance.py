@@ -165,7 +165,7 @@ def test_08_convexity_concavity(diag_cocycle, pos_cocycle):
     for c in (diag_cocycle, pos_cocycle):
         est = spectrum.domain_estimate(c, 10)
         grid = spectrum.interior_alpha_grid(est, 9)
-        points = spectrum.spectrum_curve(c, grid, 10, domain=est)
+        points = spectrum.spectrum_curve(c, grid, 10)
         slacks = spectrum.concavity_slacks(points)
         if slacks.size:
             worst_concave = min(worst_concave, float(slacks.min()))

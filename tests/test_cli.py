@@ -384,39 +384,75 @@ def _spectrum_rows(path):
 
 
 def test_spectrum_auto_grid_statuses_match_hull_tested_curve(pos_file, tmp_path):
-    """The auto grid skips the per-point hull test; its statuses are
-    those of the same grid solved with the domain estimate."""
+    """The statuses the CLI prints for an auto grid are those of
+    spectrum_curve on the same grid: the solver alone sets them."""
     out = tmp_path / "s.csv"
     assert cli.main(["spectrum", pos_file, "--auto-grid", "7", "--n", "8",
                      "--out", str(out)]) == 0
     c = cli.load_cocycle(pos_file)
     est = spectrum.domain_estimate(c, 8)
     grid = spectrum.interior_alpha_grid(est, 7)
-    points = spectrum.spectrum_curve(c, grid, 8, domain=est)
+    points = spectrum.spectrum_curve(c, grid, 8)
     assert [row["status"] for row in _spectrum_rows(out)] == [p.status for p in points]
 
 
-@pytest.mark.parametrize("a", [np.log(5), np.log(2) + 5e-5], ids=["beyond-log3", "near-log2"])
-def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, diag_file, tmp_path):
-    """A user grid is still hull-tested.  log 5 lies beyond the largest
-    exponent log 3 of the diagonal cocycle; log 2 + 5e-5 lies inside the
-    profile hull but outside the gradient hull (q radius 10 reaches
-    log 2 + 1.2e-4), where the solver alone converges at |q| < q_max/2."""
+def _diag_entropy(a):
+    """Binary entropy of the weight t on generator 2 of the diagonal
+    cocycle, at alpha_1 = (1 - t) log 2 + t log 3 = a."""
+    t = (a - np.log(2)) / np.log(1.5)
+    return -t * np.log(t) - (1 - t) * np.log(1 - t)
+
+
+@pytest.mark.parametrize("a, status, h, tol", [
+    (np.log(5), "boundary-suspect", "", None),
+    (np.log(2) + 5e-5, "interior-converged", _diag_entropy(np.log(2) + 5e-5), 1e-8),
+    (np.log(2), "boundary-suspect", 0.0, 1e-3),
+], ids=["beyond-log3", "near-log2", "on-log2"])
+def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, status, h, tol, diag_file,
+                                                              tmp_path):
+    """log 5 lies beyond the largest exponent log 3 of the diagonal
+    cocycle: the iterate escapes, and its direction separates alpha from
+    every profile, so the empty level set prints an empty h.  log 2 +
+    5e-5 lies inside the profile hull (though outside the hull of the
+    5^d sampled gradients), and the solver converges on the closed form:
+    P_n = log(2^u + 3^u) at every n.  log 2 is a profile (the word
+    11...1), on the hull: its level set is not empty, so h stays finite."""
     out = tmp_path / "s.csv"
     a = float(a)
     assert cli.main(["spectrum", diag_file, f"--alpha={a}:{a}:1;{-a}:{-a}:1",
                      "--n", "8", "--out", str(out)]) == 0
-    rows = _spectrum_rows(out)
-    assert len(rows) == 1
-    assert rows[0]["status"] == "boundary-suspect"
+    row, = _spectrum_rows(out)
+    assert row["status"] == status
+    if h == "":
+        assert row["h"] == ""
+    else:
+        assert float(row["h"]) == pytest.approx(h, abs=tol)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    """Only the hull LP imports scipy.optimize; start-up does not pay
-    for it."""
+#: runs the CLI on sys.argv[1:] with every scipy import failing, prints
+#: the scipy modules loaded and exits with the CLI's code
+BLOCK_SCIPY = """
+import sys
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{name} is blocked")
+sys.meta_path.insert(0, BlockScipy())
+from lyapspec import cli
+code = cli.main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def test_spectrum_runs_with_scipy_blocked(diag_file, tmp_path):
+    """The package needs numpy only: an explicit alpha grid and an auto
+    grid both solve with scipy unimportable, and none of it loads."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, lyapspec.cli; print('scipy.optimize' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = str(tmp_path / "s.csv")
+    for grid in ["--alpha=0.8:0.8:1;-0.8:-0.8:1", "--auto-grid=3"]:
+        run = subprocess.run([sys.executable, "-c", BLOCK_SCIPY, "spectrum", diag_file, grid,
+                              "--n", "6", "--out", out], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"

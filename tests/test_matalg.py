@@ -1,6 +1,7 @@
+from math import comb
+
 import numpy as np
 import pytest
-from scipy.special import comb
 
 from lyapspec import matalg
 
@@ -18,7 +19,7 @@ class TestWedge:
     def test_shape(self):
         M = rng.normal(size=(5, 5))
         for t in range(1, 6):
-            D = int(comb(5, t))
+            D = comb(5, t)
             assert matalg.wedge(M, t).shape == (D, D)
 
     def test_degree_one_is_identity_map(self):

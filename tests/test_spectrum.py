@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lyapspec import pressure, sft, spectrum
-from lyapspec.cocycle import OneStepCocycle
+from lyapspec import cli, pressure, sft, spectrum
+from lyapspec.cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
 
 
 def binary_entropy(t):
@@ -18,28 +20,43 @@ def diag_alpha(t):
     return np.array([a, -a])
 
 
+def _in_hull(points, x, tol=1e-9) -> bool:
+    """Whether x lies within tol, in the max norm, of the convex hull of
+    the rows of points: one HiGHS feasibility LP, the reference for the
+    solver's boundary status (scipy is a test-only dependency)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    points = np.asarray(points, dtype=float)
+    x = np.asarray(x, dtype=float)
+    m = len(points)
+    # lambda >= 0, sum(lambda) = 1, |points^T lambda - x| <= tol
+    res = linprog(np.zeros(m), A_ub=np.vstack([points.T, -points.T]),
+                  b_ub=np.concatenate([x + tol, tol - x]), A_eq=np.ones((1, m)),
+                  b_eq=[1.0], bounds=(0, None), method="highs")
+    return res.status == 0
+
+
 class TestInHull:
     def test_inside_outside(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert spectrum.in_hull(pts, np.array([0.2, 0.2]))
-        assert not spectrum.in_hull(pts, np.array([0.8, 0.8]))
+        assert _in_hull(pts, np.array([0.2, 0.2]))
+        assert not _in_hull(pts, np.array([0.8, 0.8]))
 
     def test_degenerate_segment(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert spectrum.in_hull(pts, np.array([0.5, 0.5]))
-        assert not spectrum.in_hull(pts, np.array([0.5, 0.4]))
+        assert _in_hull(pts, np.array([0.5, 0.5]))
+        assert not _in_hull(pts, np.array([0.5, 0.4]))
 
 
 class TestDomainEstimate:
     def test_centroid_in_hull(self, pos_cocycle):
         grads = spectrum.domain_estimate(pos_cocycle, 8)
         assert grads.shape == (25, 2)
-        assert spectrum.in_hull(grads, grads.mean(axis=0))
+        assert _in_hull(grads, grads.mean(axis=0))
 
     def test_interior_grid_inside(self, pos_cocycle):
         grads = spectrum.domain_estimate(pos_cocycle, 8)
         for alpha in spectrum.interior_alpha_grid(grads, 7):
-            assert spectrum.in_hull(grads, alpha, tol=1e-6)
+            assert _in_hull(grads, alpha, tol=1e-6)
 
 
 class TestLegendreClosedForm:
@@ -58,9 +75,8 @@ class TestLegendreClosedForm:
         assert pt.h <= 1e-3
 
     def test_outside_domain_flagged(self, diag_cocycle):
-        est = spectrum.domain_estimate(diag_cocycle, 10)
         pt = spectrum.legendre_entropy(
-            diag_cocycle, np.array([np.log(5), -np.log(5)]), 10, domain=est)
+            diag_cocycle, np.array([np.log(5), -np.log(5)]), 10)
         assert pt.status == "boundary-suspect"
 
     def test_midpoint_exact(self, diag_cocycle):
@@ -148,6 +164,39 @@ class TestNewtonSolver:
         assert np.linalg.norm(pt.q_star) > spectrum.Q_MAX
 
 
+@st.composite
+def _hull_cases(draw):
+    """A full-shift cocycle with d = 1..3, a length n = 3..6, and alpha
+    drawn from the profiles' bounding box widened by 30% on each side."""
+    d, k, n = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for _ in range(k):
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        gens.append(U @ np.diag(rng.uniform(0.5, 2.0, size=d)) @ V)
+    c = OneStepCocycle(Q=sft.full_shift(k), generators=gens)
+    profs = profile_matrix(c, n)
+    lo, hi = profs.min(axis=0), profs.max(axis=0)
+    x = np.array(draw(st.lists(st.floats(-0.3, 1.3), min_size=d, max_size=d)))
+    return c, n, lo + x * (hi - lo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_hull_cases())
+def test_boundary_status_agrees_with_profile_hull_lp(case):
+    """Against the LP on the profile hull: the solver never converges
+    on an alpha more than GRAD_TOL outside it, and every alpha the CLI
+    prints with an empty h lies outside it."""
+    c, n, alpha = case
+    profs = profile_matrix(c, n)
+    pt = spectrum.legendre_entropy(c, alpha, n)
+    if pt.status == "interior-converged":
+        assert _in_hull(profs, alpha, tol=spectrum.GRAD_TOL)
+    if cli._beyond_profiles(c, pt, n, DEFAULT_WORD_BUDGET):
+        assert not _in_hull(profs, alpha)
+
+
 class TestEntropyAtZeroGradient:
     def test_golden_mean(self, golden_identity):
         """At alpha = 0 (identity generators) h equals the shift
@@ -161,7 +210,7 @@ class TestCurveProperties:
     def test_concavity(self, pos_cocycle):
         est = spectrum.domain_estimate(pos_cocycle, 10)
         grid = spectrum.interior_alpha_grid(est, 9)
-        points = spectrum.spectrum_curve(pos_cocycle, grid, 10, domain=est)
+        points = spectrum.spectrum_curve(pos_cocycle, grid, 10)
         slacks = spectrum.concavity_slacks(points)
         assert (slacks >= -1e-6).all()
 
@@ -169,7 +218,7 @@ class TestCurveProperties:
         est = spectrum.domain_estimate(pos_cocycle, 10)
         grid = spectrum.interior_alpha_grid(est, 5)
         ceiling = sft.shift_entropy(pos_cocycle.Q)
-        for pt in spectrum.spectrum_curve(pos_cocycle, grid, 10, domain=est):
+        for pt in spectrum.spectrum_curve(pos_cocycle, grid, 10):
             assert pt.h <= ceiling + 1e-9
 
 
