@@ -438,7 +438,7 @@ def cmd_dominate(args) -> int:
                 print(f"multicone t={t}: no certificate (inconclusive)")
             else:
                 print(f"multicone t={t}: {len(cert.centers)} balls of radius "
-                      f"{cert.radius}, margin {cert.margin:.6g}")
+                      f"{cert.radius}, margin {cert.margin:.6g} ({cert.kind})")
     verdict = report.verdict
     print(f"overall: {verdict}")
     return {"pass": EXIT_OK, "fail": EXIT_DOM_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
@@ -542,7 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--cone", action="store_true",
                    help="also search for multicone certificates")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the multicone search: it picks the balls of the "
+                   "cover and the directions of the sampled fallback only")
 
     p = command("subsystem", cmd_subsystem, "build a dominated subsystem and compare "
                 "its pressure to the base pressure", (pair, qm, out))

@@ -123,16 +123,32 @@ def wedge_reduction_test(c: OneStepCocycle, i: int, n_range=range(2, 11)) -> boo
 
 @dataclass
 class MulticoneCertificate:
-    """Projective balls whose union every generator maps into itself at
-    every sampled direction; ``margin`` (rad), the least radius -
-    dist(image, nearest center) seen, is *empirical* and seed-dependent."""
+    """Projective balls of one radius whose union every generator maps
+    into its interior.
+
+    ``kind`` is *certified* when every (ball, generator) pair passed the
+    S-lemma test of :func:`_pair_margins`: the image of each ball then
+    lies in the ball nearest to the image of its center, at least
+    ``margin`` (rad) inside its rim, up to rounding.  It is *empirical*
+    when some ball needed the union of balls: each such ball was checked
+    at ``samples_per_ball`` seeded directions (0 when no ball was), and
+    its margin is an estimate, not a proof.  ``margin`` is the least
+    over the certified pairs and the sampled balls."""
 
     t: int
     centers: np.ndarray = field(repr=False)
     radius: float
     margin: float
-    seed: int
+    kind: str
     samples_per_ball: int
+
+
+#: bisection resolution (rad) of a certified pair's image radius
+RHO_TOL = 1e-7
+
+#: an S-lemma matrix counts as positive definite when its least
+#: eigenvalue exceeds this fraction of the scale of its terms
+DEFINITE_TOL = 1e-12
 
 
 def _canon_rows(V: np.ndarray) -> np.ndarray:
@@ -151,46 +167,95 @@ def _proj_dist(V: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.arccos(cos.clip(-1.0, 1.0))
 
 
+def _ball_frames(centers: np.ndarray, radius: float) -> np.ndarray:
+    """Per unit center c, a T with T^T (c c^T - cos^2 r I) T = J =
+    diag(1, -1, ..., -1): the Householder reflection whose first column
+    is +-c, its columns scaled by 1/sin r along c and 1/cos r across."""
+    D = centers.shape[1]
+    u = centers.copy()
+    u[:, 0] += np.where(centers[:, 0] >= 0, 1.0, -1.0)
+    H = np.eye(D) - 2 * u[:, :, None] * u[:, None, :] / (u * u).sum(axis=1)[:, None, None]
+    scale = np.full(D, 1 / np.cos(radius))
+    scale[0] = 1 / np.sin(radius)
+    return H * scale
+
+
+def _pair_margins(
+    reps: np.ndarray, centers: np.ndarray, radius: float, floor: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """S-lemma margins of every (ball j, generator B) pair, batched.
+
+    The ball K(c, r) is {v : v^T M v >= 0} with M = c c^T - cos^2 r I.
+    With c' the center nearest to B c, B K(c, r) lies in int K(c', rho)
+    iff some lam >= 0 makes B^T M'(rho) B - lam M positive definite
+    (the S-lemma: Yakubovich 1971; Polik and Terlaky 2007).  In the
+    frame of :func:`_ball_frames` M becomes J, and the lam that make
+    A - lam J definite form the open interval between the top two real
+    eigenvalues of the pencil (A, J); it holds a lam >= 0 iff the top
+    one is positive.  One stacked ``eigvals`` proposes the midpoint and
+    one stacked ``eigvalsh`` decides.  A bisection on rho, which keeps the
+    end that passed, finds the least passing rho* to RHO_TOL.
+
+    Returns the margins r - rho*, shape (balls, generators), -inf where
+    rho = r - floor fails, and the index of each pair's c'."""
+    nb, D = centers.shape
+    BT = reps[None] @ _ball_frames(centers, radius)[:, None]
+    images = (reps[None] @ centers[:, None, :, None])[..., 0]
+    nearest = np.abs(images @ centers.T).argmax(axis=-1)
+    g = (centers[nearest][..., None, :] @ BT).reshape(-1, D)
+    gg = g[:, :, None] * g[:, None, :]
+    G = (BT.swapaxes(-1, -2) @ BT).reshape(-1, D, D)
+    # the size of the terms of A - lam J, against which definiteness is judged
+    g2, trG = (g * g).sum(axis=1), np.trace(G, axis1=1, axis2=2)
+    J = np.diag(np.r_[1.0, -np.ones(D - 1)])
+
+    def passes(idx, rho):
+        """S-lemma test of B K(c, r) in int K(c', rho) for the pairs idx."""
+        s = np.cos(rho) ** 2
+        A = gg[idx] - s[:, None, None] * G[idx]
+        mu = np.sort(np.linalg.eigvals(J @ A).real, axis=-1)
+        lam = (mu[:, -2] + mu[:, -1]) / 2
+        least = np.linalg.eigvalsh(A - lam[:, None, None] * J)[:, 0]
+        scale = g2[idx] + s * trG[idx] + np.abs(lam)
+        return (mu[:, -1] > 0) & (least > DEFINITE_TOL * scale)
+
+    top = radius - floor
+    ok = np.flatnonzero(passes(np.arange(len(g)), np.full(len(g), top)))
+    lo, hi = np.zeros(len(ok)), np.full(len(ok), top)
+    for _ in range(int(np.ceil(np.log2(max(top, RHO_TOL) / RHO_TOL)))):
+        mid = (lo + hi) / 2
+        p = passes(ok, mid)
+        lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
+    margins = np.full(len(g), -np.inf)
+    margins[ok] = radius - hi
+    return margins.reshape(nb, -1), nearest
+
+
 def _ball_samples(center: np.ndarray, radius: float, count: int, rng) -> np.ndarray:
-    """Sample directions in the closed projective ball around center,
-    weighted toward the boundary where invariance is tightest.  Sample
-    j draws a normal vector and, when j % 3 == 0, an inner angle; one
-    parallel to the center (in 1-D, every one) is skipped and draws no
-    angle.  The draws run as if nothing is skipped and are redone when
-    something is, so the random stream is that of one sample at a time."""
-    D = center.shape[0]
-    state = rng.bit_generator.state
-    inner = (np.arange(count) % 3 == 0) & (D > 1)
-    while True:
-        U, theta, done = np.empty((count, D)), np.full(count, radius), 0
-        for j in np.flatnonzero(inner):
-            rng.standard_normal(out=U[done:j + 1])
-            theta[j] *= rng.uniform(0.3, 1.0)
-            done = j + 1
-        rng.standard_normal(out=U[done:])
-        U -= (U[:, None, :] @ center[:, None])[:, 0] * center
-        nrm = np.sqrt(U[:, None, :] @ U[:, :, None])[:, 0]
-        skip = nrm[:, 0] < 1e-12
-        if not (skip & inner).any():
-            break
-        inner[np.argmax(skip & inner)] = False
-        rng.bit_generator.state = state
-    U, theta = U[~skip] / nrm[~skip], theta[~skip, None]
+    """The center and ``count`` directions in the closed projective ball
+    around it, weighted toward the boundary where invariance is
+    tightest: every third direction (j % 3 == 0) lies at an inner
+    angle.  One normal draw and one uniform draw; a direction parallel
+    to the center (in 1-D, every one) is dropped."""
+    U = rng.standard_normal((count, center.shape[0]))
+    theta = np.full(count, radius)
+    theta[::3] *= rng.uniform(0.3, 1.0, size=len(theta[::3]))
+    U -= (U @ center)[:, None] * center
+    nrm = np.sqrt((U * U).sum(axis=1))
+    keep = nrm >= 1e-12
+    U, theta = U[keep] / nrm[keep, None], theta[keep, None]
     return _canon_rows(np.vstack([center, np.cos(theta) * center + np.sin(theta) * U]))
 
 
-def _verify_cone(
-    reps: list[np.ndarray],
-    centers: np.ndarray,
-    radius: float,
-    samples_per_ball: int,
-    rng,
+def _sampled_margin(
+    reps: np.ndarray, centers: np.ndarray, radius: float, count: int, rng, balls,
 ) -> float:
-    """Worst-case invariance margin: min over balls, generators and
-    sampled directions of radius - dist(image, nearest center)."""
+    """Sampled invariance margin of the given balls against the union
+    of all balls: min over those balls, generators and sampled
+    directions of radius - dist(image, nearest center)."""
     margin = np.inf
-    for center in centers:
-        pts = _ball_samples(center, radius, samples_per_ball, rng)
+    for j in balls:
+        pts = _ball_samples(centers[j], radius, count, rng)
         for B in reps:
             dist = _proj_dist(_canon_rows(pts @ B.T), centers).max()
             margin = min(margin, radius - float(dist))
@@ -207,15 +272,18 @@ def multicone_search(
     burn_in: int = 60,
     collect: int = 40,
 ) -> MulticoneCertificate | None:
-    """Heuristic search for a projective multicone that every generator
-    maps into itself.
+    """Search for a projective multicone that every generator maps into
+    its interior.
 
-    Random orbits of the projective action locate the attractor; the
-    visited directions are covered greedily with balls of the given
-    angular radius, and invariance is checked at up to 4096 sampled
-    directions per ball: the margin is an empirical, seed-dependent
-    estimate, not a proof.  Returns None when no certificate passes
-    (inconclusive, not a disproof).
+    Seeded random orbits of the projective action locate the attractor;
+    the visited directions are covered greedily with balls of the given
+    angular radius.  Each (ball, generator) pair is then certified by
+    the S-lemma against the ball nearest to the image of its center
+    (:func:`_pair_margins`); a pair counts when its margin exceeds
+    ``margin_tol``.  A ball with a pair that does not count needs the
+    union of balls, and is checked at up to 4096 seeded directions
+    instead, which makes the certificate *empirical*.  Returns None
+    when no certificate passes (inconclusive, not a disproof).
     """
     reps = np.array(reps, dtype=float)
     D = reps.shape[1]
@@ -248,30 +316,21 @@ def multicone_search(
     if not (_proj_dist(probes, centers) > radius + margin_tol).any():
         return None
 
-    # sampling density from the projective Lipschitz constant
-    lip = max(float(np.exp(ls[0] - ls[-1])) for ls in map(matalg.log_singular_values, reps))
-    samples = max(32, int(np.ceil(8 * radius * lip / margin_tol)))
-    samples = min(samples, 4096)
-
-    margin = _verify_cone(reps, centers, radius, samples, rng)
+    margins, _ = _pair_margins(reps, centers, radius, margin_tol)
+    certified = margins > margin_tol
+    margin = float(margins[certified].min(initial=np.inf))
+    sampled = np.flatnonzero(~certified.all(axis=1))
+    samples = 0
+    if sampled.size:
+        # sampling density from the projective Lipschitz constant
+        lip = max(float(np.exp(ls[0] - ls[-1])) for ls in map(matalg.log_singular_values, reps))
+        samples = min(max(32, int(np.ceil(8 * radius * lip / margin_tol))), 4096)
+        margin = min(margin, _sampled_margin(reps, centers, radius, samples, rng, sampled))
     if margin <= margin_tol:
         return None
     return MulticoneCertificate(t=t, centers=centers, radius=radius, margin=margin,
-                                seed=seed, samples_per_ball=samples)
-
-
-def verify_certificate(
-    reps: list[np.ndarray], cert: MulticoneCertificate, density_factor: int = 2,
-    seed: int | None = None,
-) -> float:
-    """Re-verify a certificate with independent, denser sampling;
-    returns the new margin."""
-    rng = np.random.default_rng(cert.seed + 1 if seed is None else seed)
-    return _verify_cone(
-        [np.asarray(B, dtype=float) for B in reps],
-        cert.centers, cert.radius,
-        cert.samples_per_ball * density_factor, rng,
-    )
+                                kind="empirical" if sampled.size else "certified",
+                                samples_per_ball=samples)
 
 
 # ---------------------------------------------------------------------------

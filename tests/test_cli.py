@@ -225,6 +225,22 @@ class TestCommands:
         assert cli.main(["dominate", str(path), "--n-max", "8"]) \
             == cli.EXIT_INCONCLUSIVE
 
+    def test_dominate_cone_certified(self, diag_file, capsys):
+        """The S-lemma margin of the diagonal cocycle is that of its
+        weaker generator diag(2, 1/2): 0.2 - atan(tan 0.2 / 4)."""
+        assert cli.main(["dominate", diag_file, "--n-max", "9", "--cone"]) == 0
+        assert "multicone t=1: 1 balls of radius 0.2, margin 0.149366 (certified)" \
+            in capsys.readouterr().out
+
+    def test_dominate_cone_rotations_inconclusive(self, tmp_path, capsys):
+        rot = ("dim 2\nalphabet 2\ntransition full\n"
+               "matrix 1\n0 -1\n1 0\nmatrix 2\n0.8 -0.6\n0.6 0.8\n")
+        path = tmp_path / "rot.cocycle"
+        path.write_text(rot)
+        assert cli.main(["dominate", str(path), "--n-max", "9", "--cone"]) \
+            == cli.EXIT_DOM_FAIL
+        assert "multicone t=1: no certificate (inconclusive)" in capsys.readouterr().out
+
     def test_subsystem_roundtrip(self, pos_file, tmp_path):
         sub_path = tmp_path / "sub.cocycle"
         out = tmp_path / "sub.csv"

@@ -1,5 +1,6 @@
-"""Property test: the batched multicone search against the per-vector
-implementation it replaced, kept here as the reference."""
+"""Property tests of multicone verification: the S-lemma pair margins
+against exact arc endpoints, dense sampling and rescaling, and the
+batched search and sampled fallback against per-vector references."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from lyapspec import domination, matalg  # noqa: E402
+
+TOL = domination.CONE_MARGIN
 
 
 def _canon(v):
@@ -21,17 +24,18 @@ def _proj_dist(u, V):
 
 
 def _ball_samples(center, radius, count, rng):
+    """Per vector, from the same two draws as the batched sampler."""
     D = center.shape[0]
+    U = rng.standard_normal((count, D))
+    inner = iter(rng.uniform(0.3, 1.0, size=len(range(0, count, 3))))
     pts = [center]
-    for j in range(count):
-        u = rng.standard_normal(D)
-        u -= (u @ center) * center
+    for j, u in enumerate(U):
+        theta = radius * next(inner) if j % 3 == 0 else radius
+        u = u - (u @ center) * center
         nrm = np.linalg.norm(u)
         if nrm < 1e-12:
             continue
-        u /= nrm
-        theta = radius if j % 3 else radius * rng.uniform(0.3, 1.0)
-        pts.append(np.cos(theta) * center + np.sin(theta) * u)
+        pts.append(np.cos(theta) * center + np.sin(theta) * u / nrm)
     return np.array([_canon(p) for p in pts])
 
 
@@ -46,9 +50,10 @@ def _verify_cone(reps, centers, radius, samples_per_ball, rng):
     return margin
 
 
-def _multicone_search(reps, seed=0, radius=0.2, margin_tol=domination.CONE_MARGIN,
+def _multicone_search(reps, seed=0, radius=0.2, margin_tol=TOL,
                       n_starts=24, burn_in=60, collect=40):
-    """The per-vector search; returns (centers, samples, margin) or None."""
+    """The per-vector cover, and its margin against the union of balls
+    sampled at every ball; None where the cover or the probe fails."""
     D = reps[0].shape[0]
     rng = np.random.default_rng(seed)
     visited = []
@@ -79,19 +84,111 @@ def _multicone_search(reps, seed=0, radius=0.2, margin_tol=domination.CONE_MARGI
     lip = max(float(np.exp(matalg.log_singular_values(B)[0]
                            - matalg.log_singular_values(B)[-1])) for B in reps)
     samples = min(max(32, int(np.ceil(8 * radius * lip / margin_tol))), 4096)
-    margin = _verify_cone(reps, centers, radius, samples, rng)
-    if margin <= margin_tol:
-        return None
-    return centers, samples, margin
+    return centers, _verify_cone(reps, centers, radius, samples, rng)
 
 
 def _family(k, D, seed):
     return list(np.random.default_rng(seed).uniform(0.05, 1.0, size=(k, D, D)))
 
 
+def _wedge_family(k, seed):
+    """Degree-2 wedges (D = 6) of 4x4 matrices dominated at every index."""
+    rng = np.random.default_rng(seed)
+    return [matalg.wedge(np.diag([8.0, 4.0, 2.0, 1.0]) + rng.uniform(0, 0.5, (4, 4)), 2)
+            for _ in range(k)]
+
+
+def _top_direction(B):
+    w, V = np.linalg.eig(B)
+    return _canon(V[:, np.abs(w).argmax()].real)
+
+
+def _centers(reps, seed):
+    """The top eigendirection of each generator, whose ball that
+    generator maps inward, and two random directions."""
+    D = reps[0].shape[0]
+    extra = np.random.default_rng(seed + 1000).standard_normal((2, D))
+    return np.array([_top_direction(B) for B in reps] + [_canon(c) for c in extra])
+
+
 @st.composite
-def positive_reps(draw):
-    return _family(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 50)))
+def positive_reps(draw, dims=(1, 2, 3)):
+    return _family(draw(st.integers(1, 3)), draw(st.sampled_from(dims)),
+                   draw(st.integers(0, 50)))
+
+
+def _arc_margin(B, c, c_near, r):
+    """Exact r - max dist(B v, c_near) over the arc K(c, r) of RP^1: the
+    image is the arc from B v- through B c to B v+, and its farthest
+    point from c_near is an endpoint unless it holds c_near's normal."""
+    perp = np.array([-c[1], c[0]])
+    a = _canon(B @ (np.cos(r) * c - np.sin(r) * perp))
+    b = _canon(B @ (np.cos(r) * c + np.sin(r) * perp))
+    b = b if a @ b >= 0 else -b
+    x = np.linalg.solve(np.column_stack([a, b]), B @ c)
+    if x[0] * x[1] < 0:
+        b = -b  # the image is the arc outside the acute one
+    y = np.linalg.solve(np.column_stack([a, b]), np.array([-c_near[1], c_near[0]]))
+    if y[0] * y[1] >= 0:
+        return r - np.pi / 2
+    return r - max(_proj_dist(a, c_near[None])[0], _proj_dist(b, c_near[None])[0])
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(reps=positive_reps(dims=(2,)), seed=st.integers(0, 50),
+                  radius=st.sampled_from([0.1, 0.2, 0.3]))
+def test_pair_margins_match_arc_endpoints(reps, seed, radius):
+    """At D = 2 a certified pair's margin is the exact arc-endpoint
+    margin, rounded down by at most the bisection resolution; a pair
+    that fails has an exact margin of at most the floor."""
+    centers = _centers(reps, seed)
+    margins, nearest = domination._pair_margins(np.array(reps), centers, radius, TOL)
+    for j, c in enumerate(centers):
+        for i, B in enumerate(reps):
+            exact = _arc_margin(B, c, centers[nearest[j, i]], radius)
+            m = margins[j, i]
+            if m > TOL:
+                assert exact - domination.RHO_TOL - 1e-12 <= m <= exact + 1e-12
+            else:
+                assert exact <= TOL + domination.RHO_TOL + 1e-12
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(k=st.integers(1, 3), seed=st.integers(0, 50),
+                  family=st.sampled_from(["positive3", "wedge4"]))
+def test_pair_margins_sound_against_dense_samples(k, seed, family):
+    """At D = 3 and on the degree-2 wedge of R^4 (D = 6), no sampled
+    direction of a certified pair's ball maps farther than radius -
+    margin from the chosen center."""
+    reps = np.array(_family(k, 3, seed) if family == "positive3" else _wedge_family(k, seed))
+    cert = domination.multicone_search(reps, seed=seed)
+    hypothesis.assume(cert is not None)
+    margins, nearest = domination._pair_margins(reps, cert.centers, cert.radius, TOL)
+    rng = np.random.default_rng(seed)
+    for j, center in enumerate(cert.centers):
+        pts = domination._ball_samples(center, cert.radius, 2000, rng)
+        for i, B in enumerate(reps):
+            if margins[j, i] > TOL:
+                images = pts @ B.T
+                images /= np.linalg.norm(images, axis=1)[:, None]
+                dist = _proj_dist(cert.centers[nearest[j, i]], images).max()
+                assert dist <= cert.radius - margins[j, i] + 1e-12
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(reps=positive_reps(dims=(2, 3)), seed=st.integers(0, 50),
+                  scales=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3))
+def test_pair_margins_scale_free(reps, seed, scales):
+    """Scaling a generator by a positive number leaves the ball it maps
+    to and its margin unchanged, up to the bisection resolution."""
+    centers = _centers(reps, seed)
+    scaled = np.array([s * B for s, B in zip(scales, reps)])
+    m1, n1 = domination._pair_margins(np.array(reps), centers, 0.2, TOL)
+    m2, n2 = domination._pair_margins(scaled, centers, 0.2, TOL)
+    assert np.array_equal(n1, n2)
+    assert np.array_equal(m1 > TOL, m2 > TOL)
+    ok = m1 > TOL
+    assert np.abs(m1[ok] - m2[ok]).max(initial=0.0) <= domination.RHO_TOL + 1e-12
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
@@ -101,56 +198,42 @@ def positive_reps(draw):
 # short orbits leave closure images uncovered, so their order picks centers
 @hypothesis.example(reps=_family(3, 2, 11), seed=2, radius=0.2, orbits=(3, 5, 4))
 def test_search_matches_per_vector_reference(reps, seed, radius, orbits):
-    """Same random stream, same centers and sample count; the margin
-    agrees within 1e-12 (the rows' dot products are the reference's
-    BLAS dots, so it is equal unless arccos rounds non-monotonically)."""
+    """Same random stream, same cover.  A certified margin is at most
+    the reference's margin against the union of balls, sampled at every
+    ball: the S-lemma margin is exact for the one chosen ball, and the
+    union can only be nearer."""
     kw = dict(seed=seed, radius=radius, n_starts=orbits[0], burn_in=orbits[1],
               collect=orbits[2])
     ref = _multicone_search(reps, **kw)
     cert = domination.multicone_search(reps, **kw)
-    assert (cert is None) == (ref is None)
+    if ref is None:
+        assert cert is None
     if cert is not None:
-        centers, samples, margin = ref
+        centers, margin = ref
         assert np.array_equal(cert.centers, centers)
-        assert cert.samples_per_ball == samples
-        assert abs(cert.margin - margin) <= 1e-12
+        if cert.kind == "certified":
+            assert cert.samples_per_ball == 0
+            assert cert.margin <= margin + 1e-12
 
 
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(reps=positive_reps(), seed=st.integers(0, 50),
                   count=st.integers(0, 40))
 def test_verify_matches_per_vector_reference(reps, seed, count):
-    """The verifier alone, on arbitrary unit centers (not a cover)."""
+    """The sampled fallback alone, at every ball of arbitrary unit
+    centers (not a cover)."""
     D = reps[0].shape[0]
     centers = np.random.default_rng(seed + 1000).standard_normal((3, D))
     centers = np.array([_canon(c) for c in centers])
-    new = domination._verify_cone(reps, centers, 0.2, count, np.random.default_rng(seed))
+    new = domination._sampled_margin(np.array(reps), centers, 0.2, count,
+                                     np.random.default_rng(seed), range(3))
     old = _verify_cone(reps, centers, 0.2, count, np.random.default_rng(seed))
     assert abs(new - old) <= 1e-12
 
 
-@pytest.mark.parametrize("parallel", [0, 3, 4])
-def test_skipped_sample_keeps_the_stream(parallel):
-    """A normal draw parallel to the center is skipped and, at j % 3 ==
-    0, draws no angle; the batched draws redo the stream from there.
-    The center is aimed at the draw of sample ``parallel``."""
-    ref_rng = np.random.default_rng(7)
-    for j in range(parallel + 1):
-        u = ref_rng.standard_normal(3)
-        if j % 3 == 0:
-            ref_rng.uniform(0.3, 1.0)
-    center = _canon(u)
-    rng_old, rng_new = np.random.default_rng(7), np.random.default_rng(7)
-    old = _ball_samples(center, 0.2, 12, rng_old)
-    new = domination._ball_samples(center, 0.2, 12, rng_new)
-    assert len(old) == 12  # the center and 11 of the 12 samples
-    assert np.array_equal(new, old)
-    assert rng_new.random() == rng_old.random()
-
-
 def test_one_dimensional_ball_skips_every_sample():
     """No direction lies off a 1-D center: only the center is returned,
-    and the stream advances by the normal draws alone."""
+    and the stream advances by the two batched draws alone."""
     center = np.array([1.0])
     rng_old, rng_new = np.random.default_rng(3), np.random.default_rng(3)
     old = _ball_samples(center, 0.2, 10, rng_old)

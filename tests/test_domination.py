@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lyapspec import domination, sft
+from lyapspec import domination, matalg, sft
 from lyapspec.cocycle import OneStepCocycle
 
 
@@ -63,11 +63,31 @@ class TestMulticone:
         assert cert is not None
         assert cert.margin > domination.CONE_MARGIN
 
-    def test_certificate_reverifies(self, diag_cocycle):
-        cert = domination.multicone_search(diag_cocycle.generators, seed=0)
-        margin = domination.verify_certificate(diag_cocycle.generators, cert,
-                                               seed=12345)
-        assert margin > 0
+    @pytest.mark.parametrize("family", ["diag", "positive3", "wedge4"])
+    def test_certified_margin_bounds_dense_samples(self, diag_cocycle, family):
+        """A certified certificate at D = 2, 3 and 6 (the degree-2
+        wedge of 4x4 matrices): every generator maps 4,000 sampled
+        directions of each ball within radius - margin of the center
+        nearest to the image of the ball's center."""
+        rng = np.random.default_rng(5)
+        if family == "diag":
+            reps = diag_cocycle.generators
+        elif family == "positive3":
+            reps = list(rng.uniform(0.05, 1.0, size=(3, 3, 3)))
+        else:
+            reps = [matalg.wedge(np.diag([8.0, 4.0, 2.0, 1.0]) + rng.uniform(0, 0.5, (4, 4)), 2)
+                    for _ in range(3)]
+        cert = domination.multicone_search(reps, seed=0)
+        assert cert is not None and cert.kind == "certified"
+        assert cert.samples_per_ball == 0
+        for center in cert.centers:
+            pts = domination._ball_samples(center, cert.radius, 4000, rng)
+            for B in reps:
+                chosen = cert.centers[np.abs(cert.centers @ (B @ center)).argmax()]
+                images = pts @ B.T
+                images /= np.linalg.norm(images, axis=1)[:, None]
+                dist = np.arccos(np.abs(images @ chosen).clip(-1.0, 1.0)).max()
+                assert dist <= cert.radius - cert.margin + 1e-12
 
     def test_rotations_none(self, rotation_cocycle):
         assert domination.multicone_search(rotation_cocycle.generators,
@@ -87,21 +107,35 @@ class TestMulticone:
     @pytest.mark.parametrize("lam", [1.5, 2.0, 4.0])
     def test_verify_diagonal_closed_form(self, lam):
         """diag(lam, 1/lam) maps the boundary angle r of the ball around
-        e1 to atan(tan r / lam^2), the farthest image from e1."""
+        e1 to atan(tan r / lam^2), the farthest image from e1; the
+        S-lemma margin is below it by at most the bisection resolution."""
         r = 0.2
-        margin = domination._verify_cone([np.diag([lam, 1 / lam])], np.array([[1.0, 0.0]]),
-                                         r, 64, np.random.default_rng(0))
-        assert margin == pytest.approx(r - np.arctan(np.tan(r) / lam**2), abs=1e-12)
+        margins, nearest = domination._pair_margins(
+            np.array([np.diag([lam, 1 / lam])]), np.array([[1.0, 0.0]]), r,
+            domination.CONE_MARGIN)
+        exact = r - np.arctan(np.tan(r) / lam**2)
+        assert exact - domination.RHO_TOL - 1e-12 <= margins[0, 0] <= exact + 1e-12
+        assert nearest[0, 0] == 0
+
+    @pytest.mark.parametrize("a", [1.0, 100.0, 1000.0])
+    def test_quarter_turn_fails_the_s_lemma(self, a):
+        """[[0, -a], [1, 0]] maps e1 a quarter turn away.  For large a
+        some lam < 0 makes B^T M' B - lam M definite, which certifies
+        nothing; only lam >= 0 counts."""
+        margins, _ = domination._pair_margins(np.array([[[0.0, -a], [1.0, 0.0]]]),
+                                              np.array([[1.0, 0.0]]), 0.2,
+                                              domination.CONE_MARGIN)
+        assert margins[0, 0] == -np.inf
 
     @pytest.mark.parametrize("theta", [0.1, 0.5, 1.2])
     def test_verify_rotation_closed_form(self, theta):
         """A rotation by theta moves the boundary point at angle r to
-        r + theta < pi/2 from e1, so the margin is -theta."""
+        r + theta < pi/2 from e1, so the sampled margin is -theta."""
         r = 0.2
         ct, st = np.cos(theta), np.sin(theta)
-        margin = domination._verify_cone([np.array([[ct, -st], [st, ct]])],
-                                         np.array([[1.0, 0.0]]), r, 64,
-                                         np.random.default_rng(0))
+        margin = domination._sampled_margin(np.array([[[ct, -st], [st, ct]]]),
+                                            np.array([[1.0, 0.0]]), r, 64,
+                                            np.random.default_rng(0), [0])
         assert margin == pytest.approx(-theta, abs=1e-12)
 
 
@@ -117,7 +151,6 @@ class TestDominatedSubsystem:
     def test_kappa_certifies_all_pairs(self, pos_cocycle):
         """Replay the almost-additivity bound on every 2-block at
         every wedge degree."""
-        from lyapspec import matalg
         sub = domination.build_dominated_subsystem(pos_cocycle, 2, 1, (2,))
         mats = sub.tuple_cocycle.generators
         for t in (1, 2):
