@@ -3,9 +3,9 @@ run manifests.
 
 Exit codes: 0 success, 1 domination fail, 2 parse or usage error or an
 unreadable input or unwritable output path, 3 validation failure (also
-`typical`/`subsystem` on a wedge space of dimension > 6), 4 budget
-exceeded, 5 missing typicality precondition, 6 domination inconclusive,
-7 subsystem search exhaustion.  Commands raise CliError; `main` alone
+`typical`/`subsystem` on a cocycle of dim > 6), 4 budget exceeded, 5
+missing typicality precondition, 6 domination inconclusive, 7 subsystem
+search exhaustion.  Commands raise CliError; `main` alone
 prints the one stderr line and returns the code.
 """
 
@@ -116,6 +116,11 @@ def parse_cocycle_text(text: str) -> OneStepCocycle:
         raise ParseError("dim and alphabet must be >= 1", tokens[pos - 1][1])
 
     expect("transition")
+    # the arrays below are sized from the header: their tokens must exist first
+    need = (1 if peek() == "full" else k * k) + k * (2 + d * d)
+    if len(tokens) - pos < need:
+        raise ParseError(f"unexpected end of file: the header needs {need} more tokens, "
+                         f"found {len(tokens) - pos}", tokens[-1][1])
     if peek() == "full":
         take("full")
         Q_entries = np.ones((k, k), dtype=np.int64)
@@ -405,11 +410,11 @@ def cmd_typical(args) -> int:
         print(f"search exhausted at depth {args.search_depth}: no typical pair found")
         return EXIT_DOM_FAIL
     print(f"pair: a = {report.a}, w = {','.join(map(str, report.w))}")
-    for level in report.levels:
-        print(f"  t = {level.t}: eigenvalue-gap margin {level.gap_margin:.6g} "
-              f"({'ok' if level.eig_ok else 'FAIL'}), "
-              f"independence margin {level.indep_margin:.6g} "
-              f"({'ok' if level.indep_ok else 'FAIL'})")
+    for t, gap in enumerate(report.gap_margins, start=1):
+        print(f"  t = {t}: eigenvalue-gap margin {gap:.6g} "
+              f"({'ok' if gap > typicality.TOL_GAP else 'FAIL'})")
+    print(f"  twisting margin {report.twist_margin:.6g} "
+          f"({'ok' if report.twist_margin > typicality.TOL_INDEP else 'FAIL'})")
     print(f"typical: {'yes' if report.passed else 'no'}")
     return EXIT_OK if report.passed else EXIT_DOM_FAIL
 

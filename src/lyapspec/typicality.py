@@ -13,15 +13,16 @@ from itertools import combinations
 
 import numpy as np
 
-from . import matalg, sft
+from . import sft
 from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, log_wedge_norm_matrices, product
 from .sft import Word
 
 TOL_GAP = 1e-6
 TOL_INDEP = 1e-8
 
-#: condition (ii) enumerates subsets of {1..D}; refuse larger wedge spaces
-MAX_WEDGE_DIM = 6
+#: twisting compares C(2d, d) - 2 pairs of index sets (922 at d = 6);
+#: refuse larger dimensions
+MAX_DIM = 6
 
 
 @dataclass
@@ -38,29 +39,18 @@ class HolonomyLoop:
 
 
 @dataclass
-class LevelReport:
-    """Outcome of the 1-typicality check at one exterior degree."""
-
-    t: int
-    gap_margin: float
-    indep_margin: float
-    eig_ok: bool
-    indep_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.eig_ok and self.indep_ok
-
-
-@dataclass
 class TypicalityReport:
+    """Pinching margins ``gap_margins[t - 1]``, t = 1..d-1, and the
+    twisting margin at one pair (a, w); see :func:`check_typical`."""
+
     a: int
     w: Word
-    levels: list[LevelReport]
+    gap_margins: list[float]
+    twist_margin: float
 
     @property
     def passed(self) -> bool:
-        return all(level.passed for level in self.levels)
+        return min(self.gap_margins, default=np.inf) > TOL_GAP and self.twist_margin > TOL_INDEP
 
 
 @dataclass
@@ -108,60 +98,52 @@ def _sorted_eigensystem(M: np.ndarray):
     return lam[order], vec[:, order]
 
 
-def check_1typical(c: OneStepCocycle, t: int, loop: HolonomyLoop) -> LevelReport:
-    """1-typicality of the degree-t wedge cocycle at the given loop.
+def _orth(M: np.ndarray, m: int) -> np.ndarray:
+    """Orthonormal bases of the spans of every m columns of M, stacked
+    in lexicographic order of the column subsets."""
+    subsets = np.array(list(combinations(range(M.shape[1]), m)))
+    return np.linalg.qr(M[:, subsets].swapaxes(0, 1))[0]
 
-    Condition (i): the eigenvalues of A_a^{wedge t} are simple with
-    pairwise distinct moduli (margin = min log-modulus gap).
-    Condition (ii): for all index sets I, J of {1..D} with
-    |I| + |J| <= D, the columns {W^{wedge t} v_i : i in I} union
-    {v_j : j in J} stay uniformly independent (margin = min smallest
-    singular value after column normalization).  The pairs (I, J) are
-    the subsets of at most D columns of [W^{wedge t} V | V], one stacked
-    SVD per subset size.  In exact arithmetic the D-column subsets alone
-    would give the minimum (removing a column never lowers the smallest
-    singular value), but where the margin is rounding noise the smaller
-    subsets can give a smaller value.
-    """
-    if not 1 <= t <= c.d - 1:
-        raise ValueError(f"wedge degree {t} outside 1..{c.d - 1}")
-    Aat = c.wedges[t][loop.a - 1]
-    D = Aat.shape[0]
-    if D > MAX_WEDGE_DIM:
-        raise ValueError(
-            f"wedge space dimension {D} > {MAX_WEDGE_DIM}: subset enumeration refused"
-        )
-    lam, vecs = _sorted_eigensystem(Aat)
-    gaps = np.diff(np.log(np.abs(lam))[::-1])
-    gap_margin = float(gaps.min()) if gaps.size else np.inf
-    eig_ok = gap_margin > TOL_GAP
-    if not eig_ok:
-        return LevelReport(t=t, gap_margin=gap_margin, indep_margin=0.0,
-                           eig_ok=False, indep_ok=False)
 
-    # simple spectrum with distinct moduli is real; drop rounding imaginaries
-    V = np.real(vecs)
-    V /= np.linalg.norm(V, axis=0)
-    Wt = matalg.wedge(loop.W, t)
-    WV = Wt @ V
-    WV /= np.linalg.norm(WV, axis=0)
-
-    # subsets in lexicographic order keep the I columns before the J ones
-    cols = np.hstack([WV, V])
-    indep_margin = min(
-        float(np.linalg.svd(cols[:, np.array(list(combinations(range(2 * D), m)))]
-                            .swapaxes(0, 1), compute_uv=False)[:, -1].min())
-        for m in range(1, D + 1))
-    indep_ok = indep_margin > TOL_INDEP
-    return LevelReport(t=t, gap_margin=gap_margin, indep_margin=indep_margin,
-                       eig_ok=eig_ok, indep_ok=indep_ok)
+def _twist_margin(W: np.ndarray, V: np.ndarray) -> float:
+    """Least |det[orth(W V_I) | orth(V_J)]| over the column index sets
+    I, J of V with |I| + |J| = d, both nonempty: the product of the
+    sines of the principal angles between span(W V_I) and span(V_J).
+    It is 0 exactly when the two spaces meet, and does not change when
+    W or a column of V is rescaled."""
+    d, WV = len(V), W @ V
+    margin = np.inf
+    for m in range(1, d):
+        # one stacked QR per side, one stacked det over the pairs
+        image, eigen = _orth(WV, m), _orth(V, d - m)
+        pairs = np.concatenate([np.repeat(image, len(eigen), axis=0),
+                                np.tile(eigen, (len(image), 1, 1))], axis=2)
+        margin = min(margin, float(np.abs(np.linalg.det(pairs)).min()))
+    return margin
 
 
 def check_typical(c: OneStepCocycle, a: int, w: Word) -> TypicalityReport:
-    """Aggregate the 1-typicality checks over t = 1..d-1 for one pair (a, w)."""
+    """Pinching and twisting (Bonatti-Viana 2004) at the pair (a, w).
+
+    Pinching: at every degree t = 1..d-1 the eigenvalues of
+    A_a^{wedge t} have pairwise distinct moduli; its margin is the least
+    log-modulus gap.  Twisting: for the loop matrix W and the
+    eigenvectors v_1..v_d of A_a, span(W v_I) meets span(v_J) only in 0
+    whenever |I| + |J| = d; its margin is :func:`_twist_margin`, set to
+    0 when pinching fails.
+    """
+    if c.d > MAX_DIM:
+        raise ValueError(f"dim {c.d} > {MAX_DIM}: twisting check refused")
     loop = holonomy_loop(c, a, w)
-    levels = [check_1typical(c, t, loop) for t in range(1, c.d)]
-    return TypicalityReport(a=a, w=tuple(w), levels=levels)
+    gaps = []
+    for t in range(1, c.d):
+        lam, _ = _sorted_eigensystem(c.wedges[t][a - 1])
+        gaps.append(float(np.diff(np.log(np.abs(lam))[::-1]).min()))
+    twist = 0.0
+    if min(gaps, default=np.inf) > TOL_GAP:
+        # a spectrum with distinct moduli is real: drop rounding imaginaries
+        twist = _twist_margin(loop.W, np.real(np.linalg.eig(c.generators[a - 1])[1]))
+    return TypicalityReport(a=a, w=loop.w, gap_margins=gaps, twist_margin=twist)
 
 
 def search_typical_pair(c: OneStepCocycle, depth: int) -> TypicalityReport | None:

@@ -26,6 +26,18 @@ def pos_cocycle():
 
 
 @pytest.fixture(scope="session")
+def twisted4_cocycle():
+    """Full shift on two symbols in dim 4: A_1 = diag(5, 3, 2, 1) has
+    distinct products of eigenvalues at every degree, and A_2, the
+    Pascal matrix, is totally positive, so every minor of the loop
+    matrix at a = 1, w = (2,) is nonzero and the pair is twisted."""
+    pascal = np.array([[1.0, 1, 1, 1], [1, 2, 3, 4], [1, 3, 6, 10], [1, 4, 10, 20]])
+    return OneStepCocycle(
+        Q=sft.full_shift(2), generators=[np.diag([5.0, 3.0, 2.0, 1.0]), pascal],
+    )
+
+
+@pytest.fixture(scope="session")
 def golden_mean_Q():
     return sft.validate([[1, 1], [1, 0]])
 

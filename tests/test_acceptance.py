@@ -103,18 +103,17 @@ def test_04_shift_entropy(golden_identity):
 
 def test_05_typicality_checker(pos_cocycle, rotation_cocycle, diag_cocycle):
     """Accepts the positive pair with positive margins; rejects the
-    rotations at the eigenvalue condition and the commuting diagonal
-    tuple at the independence condition."""
+    rotations at pinching and the commuting diagonal tuple at
+    twisting."""
     good = typicality.check_typical(pos_cocycle, 1, (2,))
     rot = typicality.check_typical(rotation_cocycle, 1, (2,))
     com = typicality.check_typical(diag_cocycle, 1, (2,))
-    ok = (good.passed
-          and good.levels[0].gap_margin > 0 and good.levels[0].indep_margin > 0
-          and not rot.levels[0].eig_ok
-          and com.levels[0].eig_ok and not com.levels[0].indep_ok)
+    ok = (good.passed and good.gap_margins[0] > 0 and good.twist_margin > 0
+          and not rot.gap_margins[0] > typicality.TOL_GAP
+          and com.gap_margins[0] > typicality.TOL_GAP
+          and not com.twist_margin > typicality.TOL_INDEP)
     report("criterion 5: typicality accepts/rejects as expected "
-           f"(margins {good.levels[0].gap_margin:.3f}/"
-           f"{good.levels[0].indep_margin:.3f})", ok)
+           f"(margins {good.gap_margins[0]:.3f}/{good.twist_margin:.3f})", ok)
 
 
 def test_06_quasi_multiplicativity(pos_cocycle):

@@ -51,13 +51,19 @@ def scalar_file(tmp_path):
 
 
 @pytest.fixture
-def dim5_file(tmp_path):
-    """Its degree-2 wedge space has dimension 10, past the typicality
-    checker's limit of 6."""
-    path = tmp_path / "dim5.cocycle"
-    eye = "\n".join(" ".join("1" if i == j else "0" for j in range(5)) for i in range(5))
-    path.write_text(f"dim 5\nalphabet 2\ntransition full\nmatrix 1\n{eye}\n"
+def dim7_file(tmp_path):
+    """Past the typicality checker's cap of dim 6."""
+    path = tmp_path / "dim7.cocycle"
+    eye = "\n".join(" ".join("1" if i == j else "0" for j in range(7)) for i in range(7))
+    path.write_text(f"dim 7\nalphabet 2\ntransition full\nmatrix 1\n{eye}\n"
                     f"matrix 2\n{eye.replace('1', '2')}\n")
+    return str(path)
+
+
+@pytest.fixture
+def dim4_file(tmp_path, twisted4_cocycle):
+    path = tmp_path / "dim4.cocycle"
+    cli.write_cocycle(str(path), twisted4_cocycle)
     return str(path)
 
 
@@ -111,6 +117,17 @@ class TestParser:
         bad = GOLDEN.replace("1 1\n1 0", "1 2\n1 0")
         with pytest.raises(cli.ParseError):
             cli.parse_cocycle_text(bad)
+
+    @pytest.mark.parametrize("text", [
+        "dim 1000000000\nalphabet 2\ntransition full\nmatrix 1\n1\n",
+        "dim 1\nalphabet 1000000000\ntransition full\nmatrix 1\n1\n",
+        "dim 1\nalphabet 1000000000\ntransition\n1 1\n",
+    ], ids=["dim", "alphabet-full", "alphabet-explicit"])
+    def test_huge_header_is_end_of_file(self, text):
+        """A header whose arrays could never be allocated is checked
+        against the tokens that follow it before any allocation."""
+        with pytest.raises(cli.ParseError, match="unexpected end of file"):
+            cli.parse_cocycle_text(text)
 
     def test_non_primitive_rejected(self):
         bad = GOLDEN.replace("1 1\n1 0", "0 1\n1 0")
@@ -196,6 +213,13 @@ class TestCommands:
                          "--fixed-symbol", "1", "--homoclinic", "2"])
         assert code == 0
         assert "typical: yes" in capsys.readouterr().out
+
+    def test_typical_accepts_dim_4(self, dim4_file, capsys):
+        code = cli.main(["typical", dim4_file, "--fixed-symbol", "1", "--homoclinic", "2"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in out[1:4]] == ["  t = 1", "  t = 2", "  t = 3"]
+        assert out[4:] == ["  twisting margin 0.00080972 (ok)", "typical: yes"]
 
     def test_typical_no_fixed_symbol_exit_5(self, tmp_path):
         path = tmp_path / "cycle.cocycle"
@@ -307,8 +331,8 @@ class TestCommands:
       "--budget", "1000"], cli.EXIT_BUDGET),
     (["subsystem", "{pos}", "--block-depth", "30"], cli.EXIT_BUDGET),
     (["subsystem", "{pos}", "--base-n", "40"], cli.EXIT_BUDGET),
-    (["typical", "{dim5}"], cli.EXIT_VALIDATE),
-    (["subsystem", "{dim5}"], cli.EXIT_VALIDATE),
+    (["typical", "{dim7}"], cli.EXIT_VALIDATE),
+    (["subsystem", "{dim7}"], cli.EXIT_VALIDATE),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
@@ -317,13 +341,13 @@ class TestCommands:
         "subsystem-budget", "pressure-qm-depth", "pressure-qm-connect",
         "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",
         "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n",
-        "typical-search-dim-5", "subsystem-search-dim-5"])
+        "typical-search-dim-7", "subsystem-search-dim-7"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
-                                      dim5_file, tmp_path, capsys):
+                                      dim7_file, tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
     message, never a traceback (exit 1 means a negative verdict), and
     leave no output behind: no stdout line and no subsystem file."""
-    argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file, dim5=dim5_file)
+    argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file, dim7=dim7_file)
             for a in argv]
     sub_out = tmp_path / "x.cocycle"
     argv += ["--subsystem-out", str(sub_out)] if argv[0] == "subsystem" else []

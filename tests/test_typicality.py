@@ -37,23 +37,24 @@ class TestCheckTypical:
     def test_accepts_worked_example(self, pos_cocycle):
         report = typicality.check_typical(pos_cocycle, 1, (2,))
         assert report.passed
-        level = report.levels[0]
-        assert level.gap_margin == pytest.approx(np.log(2), abs=1e-9)
-        assert level.indep_margin > 0.08
+        assert report.gap_margins == pytest.approx([np.log(2)], abs=1e-9)
+        # least over the four pairs: span(W e_2) against span(e_2)
+        assert report.twist_margin == pytest.approx(0.25 / np.hypot(0.25, 2.0), abs=1e-12)
 
     def test_rejects_rotations_at_eigenvalues(self, rotation_cocycle):
         """Rotations have equal-modulus complex eigenvalues, failing
-        the distinct-moduli condition."""
+        pinching."""
         report = typicality.check_typical(rotation_cocycle, 1, (2,))
         assert not report.passed
-        assert not report.levels[0].eig_ok
+        assert report.gap_margins[0] <= typicality.TOL_GAP
 
     def test_rejects_commuting_diagonals_at_independence(self, diag_cocycle):
         """Commuting diagonal generators share eigenvectors, so the
-        holonomy images cannot be in general position."""
+        loop matrix maps each eigenvector onto itself: pinched, not
+        twisted."""
         report = typicality.check_typical(diag_cocycle, 1, (2,))
-        assert report.levels[0].eig_ok
-        assert not report.levels[0].indep_ok
+        assert report.gap_margins[0] > typicality.TOL_GAP
+        assert report.twist_margin <= typicality.TOL_INDEP
         assert not report.passed
 
     def test_all_wedge_degrees_checked(self):
@@ -64,7 +65,15 @@ class TestCheckTypical:
                                   [1.0, 2.0, 1.0],
                                   [0.0, 1.0, 3.0]])])
         report = typicality.check_typical(c, 1, (2,))
-        assert [level.t for level in report.levels] == [1, 2]
+        assert report.gap_margins == pytest.approx([np.log(2)] * 2, abs=1e-9)
+
+    def test_accepts_dim_4(self, twisted4_cocycle):
+        """Twisting is checked on R^4, so a dim-4 cocycle can pass; its
+        words are also quasi-multiplicative, an empirical cross-check."""
+        report = typicality.check_typical(twisted4_cocycle, 1, (2,))
+        assert report.passed
+        assert len(report.gap_margins) == 3
+        assert typicality.qm_search(twisted4_cocycle, 3, 3).C > 0
 
 
 class TestSearch:
