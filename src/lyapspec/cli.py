@@ -3,7 +3,9 @@ run manifests.
 
 Exit codes: 0 success, 1 domination fail, 2 parse or usage error or an
 unreadable input or unwritable output path, 3 validation failure (also
-`typical`/`subsystem` on a cocycle of dim > 6), 4 budget exceeded, 5
+an alphabet above MAX_ALPHABET symbols, and `typical`/`subsystem` on a
+cocycle of dim > 6), 4 budget exceeded (also a `typical`/`subsystem`
+pair search past typicality.MAX_TYPICAL_CHECKS checks), 5
 missing typicality precondition, 6 domination inconclusive, 7 subsystem
 search exhaustion.  Commands raise CliError; `main` alone
 prints the one stderr line and returns the code.
@@ -40,6 +42,12 @@ EXIT_SEARCH_EXHAUSTED = 7
 
 #: refuse grid specs with more points than this
 MAX_GRID_POINTS = 10**6
+
+#: refuse .cocycle files with a larger alphabet before the k x k
+#: transition matrix is allocated: sft.validate holds a few k x k int64
+#: arrays (8 MB each at the cap), and each Boolean power it takes is an
+#: O(k^3) integer product (5.7 s at k = 1,024, 32 s at k = 2,000)
+MAX_ALPHABET = 1024
 
 
 class ParseError(ValueError):
@@ -121,6 +129,8 @@ def parse_cocycle_text(text: str) -> OneStepCocycle:
     if len(tokens) - pos < need:
         raise ParseError(f"unexpected end of file: the header needs {need} more tokens, "
                          f"found {len(tokens) - pos}", tokens[-1][1])
+    if k > MAX_ALPHABET:
+        raise ValueError(f"alphabet {k} is larger than the supported {MAX_ALPHABET} symbols")
     if peek() == "full":
         take("full")
         Q_entries = np.ones((k, k), dtype=np.int64)
@@ -399,6 +409,8 @@ def _typicality(c: OneStepCocycle, args) -> typicality.TypicalityReport | None:
         check = partial(typicality.check_typical, c, args.fixed_symbol, w)
     try:
         return check()
+    except BudgetError:
+        raise
     except ValueError as exc:
         raise CliError(EXIT_VALIDATE, f"error: {exc}") from exc
 

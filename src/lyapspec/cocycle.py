@@ -26,6 +26,14 @@ DEFAULT_WORD_BUDGET = 20_000_000
 #: (a row holds sum_t C(d,t)^2 floats)
 BLOCK_ROWS = 1 << 10
 
+#: power steps before the Rayleigh quotient of a D >= 3 spectral norm
+POWER_STEPS = 4
+
+#: largest Kato-Temple bound on lam_1 - rho, relative to rho, at which a
+#: D >= 3 spectral norm keeps its Rayleigh quotient rho (the root then
+#: has half this relative error); other rows go to LAPACK
+RAYLEIGH_RTOL = 1e-14
+
 
 class BudgetError(ValueError):
     """An enumeration would exceed the word budget."""
@@ -117,12 +125,38 @@ def _root(c: OneStepCocycle):
 def _spectral_norm(V: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of an (N, D, D) stack.
     For D = 2 the closed form (|(p+s, q-r)| + |(p-s, q+r)|)/2, a sum of
-    nonnegative terms; otherwise the root of the top eigenvalue of the
-    Gram matrix V^T V (rows of max-entry 1 keep it from overflowing)."""
-    if V.shape[-1] == 2:
+    nonnegative terms; otherwise the root of the top eigenvalue lam_1 of
+    the Gram matrix G = V^T V (rows of max-entry 1 keep it from
+    overflowing).
+
+    For D >= 3, POWER_STEPS power steps from the row of G with the
+    largest diagonal entry give a unit x, its Rayleigh quotient
+    rho = x^T G x and residual r = Gx - rho x.  G is positive
+    semidefinite, so lam_2 <= tr G - rho, and the Kato-Temple bound
+    gives 0 <= lam_1 - rho <= |r|^2 / (2 rho - tr G) when 2 rho > tr G.
+    A row keeps rho when that bound, with |r| raised by D eps tr G for
+    the rounding of r, is below RAYLEIGH_RTOL rho; the other rows, among
+    them every row with lam_1 = lam_2, take LAPACK's ``eigvalsh``.
+    """
+    D = V.shape[-1]
+    if D == 2:
         p, q, r, s = V[:, 0, 0], V[:, 0, 1], V[:, 1, 0], V[:, 1, 1]
         return (np.hypot(p + s, q - r) + np.hypot(p - s, q + r)) / 2
-    return np.sqrt(np.linalg.eigvalsh(np.swapaxes(V, 1, 2) @ V)[:, -1])
+    G = np.ascontiguousarray(np.swapaxes(V, 1, 2)) @ V
+    diag = np.einsum("nii->ni", G)
+    x = G[np.arange(len(G)), np.argmax(diag, axis=1)]
+    for _ in range(POWER_STEPS):
+        x = np.einsum("nij,nj->ni", G, x)
+    x /= np.sqrt(np.einsum("ni,ni->n", x, x))[:, None]
+    Gx = np.einsum("nij,nj->ni", G, x)
+    rho = np.einsum("ni,ni->n", x, Gx)
+    r = Gx - rho[:, None] * x
+    trace = diag.sum(axis=1)
+    r_norm = np.sqrt(np.einsum("ni,ni->n", r, r)) + D * np.finfo(float).eps * trace
+    lapack = ~(r_norm**2 < RAYLEIGH_RTOL * rho * (2 * rho - trace))
+    if lapack.any():
+        rho[lapack] = np.linalg.eigvalsh(G[lapack])[:, -1]
+    return np.sqrt(rho)
 
 
 def _finish(front) -> np.ndarray:

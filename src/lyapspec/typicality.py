@@ -14,11 +14,16 @@ from itertools import combinations
 import numpy as np
 
 from . import sft
-from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, log_wedge_norm_matrices, product
+from .cocycle import (DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle,
+                      log_wedge_norm_matrices, product)
 from .sft import Word
 
 TOL_GAP = 1e-6
 TOL_INDEP = 1e-8
+
+#: most (a, w) pairs one search_typical_pair call checks: a check_typical
+#: call takes 160-400 us at d <= 6, so the search stops after 3-8 s
+MAX_TYPICAL_CHECKS = 20_000
 
 #: twisting compares C(2d, d) - 2 pairs of index sets (922 at d = 6);
 #: refuse larger dimensions
@@ -150,16 +155,24 @@ def search_typical_pair(c: OneStepCocycle, depth: int) -> TypicalityReport | Non
     """Try every fixed symbol a and core word w up to the given length;
     return the first passing report, or None on exhaustion.
 
-    Raises ValueError when no symbol has a self-transition.
+    Raises ValueError when no symbol has a self-transition, and
+    BudgetError when a pass would need more than MAX_TYPICAL_CHECKS
+    checks.
     """
     fixed = [a for a in range(1, c.k + 1) if c.Q.allows(a, a)]
     if not fixed:
         raise ValueError("no symbol a with Q[a,a] = 1: no fixed point available")
+    checks = 0
     for a in fixed:
         for n in range(1, depth + 1):
             for w in sft.enumerate_words(c.Q, n):
                 if not (c.Q.allows(a, w[0]) and c.Q.allows(w[-1], a)):
                     continue
+                if checks == MAX_TYPICAL_CHECKS:
+                    raise BudgetError(
+                        f"no typical pair among the first {checks} checked, at a = {a} "
+                        f"and length {n}; reduce the search depth")
+                checks += 1
                 report = check_typical(c, a, w)
                 if report.passed:
                     return report

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lyapspec import cli, sft, spectrum
+from lyapspec import cli, sft, spectrum, typicality
 from lyapspec.cocycle import OneStepCocycle
 
 DIAG = """\
@@ -176,6 +176,19 @@ class TestCommands:
         path.write_text(GOLDEN.replace("1 1\n1 0", "0 1\n1 0"))
         assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATE
 
+    def test_validate_large_alphabet_exit_3(self, tmp_path, capsys):
+        """A complete full-shift file with an alphabet above the cap is
+        refused before its k x k transition matrix is allocated."""
+        k = cli.MAX_ALPHABET + 1
+        path = tmp_path / "wide.cocycle"
+        path.write_text(f"dim 1\nalphabet {k}\ntransition full\n"
+                        + "".join(f"matrix {s}\n2\n" for s in range(1, k + 1)))
+        assert cli.main(["validate", str(path)]) == cli.EXIT_VALIDATE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"validation error: alphabet {k} is larger than "
+                                    f"the supported {cli.MAX_ALPHABET} symbols"]
+
     def test_pressure_csv(self, diag_file, tmp_path, capsys):
         out = tmp_path / "p.csv"
         code = cli.main(["pressure", diag_file, "--q=0:1:1", "--n", "6",
@@ -333,6 +346,7 @@ class TestCommands:
     (["subsystem", "{pos}", "--base-n", "40"], cli.EXIT_BUDGET),
     (["typical", "{dim7}"], cli.EXIT_VALIDATE),
     (["subsystem", "{dim7}"], cli.EXIT_VALIDATE),
+    (["typical", "{diag}", "--search-depth", "13"], cli.EXIT_BUDGET),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
@@ -341,7 +355,7 @@ class TestCommands:
         "subsystem-budget", "pressure-qm-depth", "pressure-qm-connect",
         "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",
         "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n",
-        "typical-search-dim-7", "subsystem-search-dim-7"])
+        "typical-search-dim-7", "subsystem-search-dim-7", "typical-search-budget"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
                                       dim7_file, tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
@@ -357,6 +371,18 @@ def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_fi
     assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET else "error: ")
     assert out == ""
     assert not sub_out.exists()
+
+
+@pytest.mark.parametrize("command", ["typical", "subsystem"])
+def test_pair_search_cap_exit_4(command, diag_file, monkeypatch, capsys):
+    """The pair search stops at MAX_TYPICAL_CHECKS checks, so a deep
+    search on the diagonal cocycle (no pair is typical) exits 4."""
+    monkeypatch.setattr(typicality, "MAX_TYPICAL_CHECKS", 100)
+    assert cli.main([command, diag_file, "--search-depth", "16"]) == cli.EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["budget exceeded: no typical pair among the first 100 "
+                                "checked, at a = 1 and length 6; reduce the search depth"]
 
 
 @pytest.mark.parametrize("argv", [

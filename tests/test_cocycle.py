@@ -150,6 +150,19 @@ class TestSweepEngine:
         assert log_wedge_norms(c, 4).shape == (16, d)
         assert profile(c, (1, 2, 2)).shape == (d,)
 
+    def test_sweep_certifies_most_rows(self, monkeypatch):
+        """The Rayleigh quotient finishes most D >= 3 rows: a sweep at
+        n = 10 of a Gaussian k = 2, d = 4 cocycle sends at most half of
+        its 3 * 2**10 such rows to eigvalsh.  A count, not a timing."""
+        rng = np.random.default_rng(0)
+        c = OneStepCocycle(Q=sft.full_shift(2),
+                           generators=[rng.standard_normal((4, 4)) for _ in range(2)])
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: rows.append(len(G)) or eigvalsh(G))
+        cocycle._sweep(c, [10])
+        assert sum(rows) <= 3 * 2**10 // 2
+
 
 class TestOneSweepPerRequest:
     """A QM search and a domination test read every length they need

@@ -1,9 +1,9 @@
 """Property tests: the batched profile sweep against plain products,
 against the SVD finish it replaced and against one sweep per length,
-the SVD-free spectral norm, the exact top wedge degree, the table
-word ranks against a sort, the invariants of the Gibbs Hessian and
-the Legendre solver, and the one-pass solver against the three-pass
-loop it replaced."""
+the SVD-free spectral norm and which of its rows go to LAPACK, the
+exact top wedge degree, the table word ranks against a sort, the
+invariants of the Gibbs Hessian and the Legendre solver, and the
+one-pass solver against the three-pass loop it replaced."""
 
 from unittest import mock
 
@@ -69,26 +69,115 @@ def _svd_norm(V: np.ndarray) -> np.ndarray:
     return np.linalg.svd(V, compute_uv=False)[:, 0]
 
 
+#: stack sizes D of the spectral-norm tests: the closed form at 2, the
+#: Rayleigh quotient or LAPACK above (D = C(d, t) of wedge degrees)
+SIZES = [2, 3, 4, 5, 6, 10]
+
+
+def _frames(rng, rows: int, D: int) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((rows, D, D)))[0]
+
+
+def _max_entry_one(V: np.ndarray) -> np.ndarray:
+    return V / np.abs(V).max(axis=(1, 2))[:, None, None]
+
+
 @st.composite
 def stacks(draw):
-    """64 random D x D matrices, D in {2, 3, 4, 6}, with singular values
+    """64 random D x D matrices, D in SIZES, with singular values
     spread over [10^-e, 1] (condition number 10^e, e <= 12), rescaled to
     max-entry 1 like the rows of a sweep frontier."""
-    D = draw(st.sampled_from([2, 3, 4, 6]))
+    D = draw(st.sampled_from(SIZES))
     e = draw(st.floats(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    U = np.linalg.qr(rng.standard_normal((64, D, D)))[0]
-    W = np.linalg.qr(rng.standard_normal((64, D, D)))[0]
+    U, W = _frames(rng, 64, D), _frames(rng, 64, D)
     s = 10.0 ** -rng.uniform(0, e, size=(64, D))
     s[:, 0], s[:, -1] = 1.0, 10.0**-e
-    V = (U * s[:, None, :]) @ W
-    return V / np.abs(V).max(axis=(1, 2))[:, None, None]
+    return _max_entry_one((U * s[:, None, :]) @ W)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(V=stacks())
 def test_spectral_norm_matches_svd(V):
     assert np.abs(cocycle._spectral_norm(V) / _svd_norm(V) - 1).max() <= 1e-13
+
+
+class _CountedEigvalsh:
+    """np.linalg.eigvalsh that counts the matrices it is given."""
+
+    def __init__(self):
+        self.rows = 0
+        self._eigvalsh = np.linalg.eigvalsh
+
+    def __call__(self, G):
+        self.rows += len(G)
+        return self._eigvalsh(G)
+
+
+@st.composite
+def near_rank_one(draw):
+    """64 random D x D matrices, D >= 3, with sigma_2/sigma_1 <= 1e-3,
+    as the wedge products of long words are."""
+    D = draw(st.sampled_from(SIZES[1:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = 10.0 ** -rng.uniform(3, 12, size=(64, D))
+    s[:, 0] = 1.0
+    return _max_entry_one((_frames(rng, 64, D) * s[:, None, :]) @ _frames(rng, 64, D))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(V=near_rank_one())
+def test_near_rank_one_needs_no_lapack(V):
+    """A well-separated top singular value is certified by the Rayleigh
+    quotient on every row: no row goes to eigvalsh."""
+    eigvalsh = _CountedEigvalsh()
+    with mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
+        norms = cocycle._spectral_norm(V)
+    assert eigvalsh.rows == 0
+    assert np.abs(norms / _svd_norm(V) - 1).max() <= 1e-13
+
+
+def _permuted_diagonal(D: int, top: int) -> np.ndarray:
+    """A stack of 8 signed permutations times diag(1 (top times), 1/2,
+    ...): lam_1 = ... = lam_top of the Gram matrix, exactly."""
+    rng = np.random.default_rng(D)
+    s = np.full(D, 0.5)
+    s[:top] = 1.0
+    P = np.eye(D)[[rng.permutation(D) for _ in range(8)]]
+    return P * rng.choice([-1.0, 1.0], size=(8, 1, D)) * s
+
+
+@st.composite
+def degenerate(draw):
+    """64 D x D matrices, D >= 3, whose top two singular values agree:
+    orthogonal matrices, or U diag(1, 1, s_3, ...) W with s_i in
+    [0.1, 0.9]."""
+    D = draw(st.sampled_from(SIZES[1:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = _frames(rng, 64, D)
+    if draw(st.booleans()):
+        s = rng.uniform(0.1, 0.9, size=(64, D))
+        s[:, :2] = 1.0
+        V = (V * s[:, None, :]) @ _frames(rng, 64, D)
+    return V
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.example(V=np.broadcast_to(np.eye(3), (8, 3, 3)).copy())
+@hypothesis.example(V=np.broadcast_to(np.eye(10), (8, 10, 10)).copy())
+@hypothesis.example(V=_permuted_diagonal(3, 2))
+@hypothesis.example(V=_permuted_diagonal(6, 2))
+@hypothesis.example(V=_permuted_diagonal(5, 5))
+@hypothesis.given(V=degenerate())
+def test_degenerate_rows_go_to_lapack(V):
+    """No Rayleigh quotient is certified when lam_1 = lam_2: every row
+    goes to eigvalsh and keeps its value bit for bit."""
+    eigvalsh = _CountedEigvalsh()
+    with mock.patch.object(np.linalg, "eigvalsh", eigvalsh):
+        norms = cocycle._spectral_norm(V)
+    assert eigvalsh.rows == len(V)
+    G = np.ascontiguousarray(np.swapaxes(V, 1, 2)) @ V
+    assert np.array_equal(norms, np.sqrt(np.linalg.eigvalsh(G)[:, -1]))
 
 
 @hypothesis.settings(max_examples=40, deadline=None)

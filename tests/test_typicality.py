@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lyapspec import pressure, sft, typicality
-from lyapspec.cocycle import OneStepCocycle, product
+from lyapspec.cocycle import BudgetError, OneStepCocycle, product
 
 
 class TestHolonomyLoop:
@@ -83,6 +83,17 @@ class TestSearch:
 
     def test_exhaustion_returns_none(self, rotation_cocycle):
         assert typicality.search_typical_pair(rotation_cocycle, 2) is None
+
+    def test_check_cap(self, pos_cocycle, monkeypatch):
+        """The cap counts checks as the search runs: a pair found at
+        length 1 within it is returned although longer lengths would
+        exceed it, and one check short of the pair raises."""
+        monkeypatch.setattr(typicality, "MAX_TYPICAL_CHECKS", 2)
+        report = typicality.search_typical_pair(pos_cocycle, 3)
+        assert (report.a, report.w) == (1, (2,))
+        monkeypatch.setattr(typicality, "MAX_TYPICAL_CHECKS", 1)
+        with pytest.raises(BudgetError):
+            typicality.search_typical_pair(pos_cocycle, 3)
 
     def test_no_fixed_symbol_raises(self):
         # 1 -> 2 -> 3 -> 1 plus chords, primitive, but no self-loop
