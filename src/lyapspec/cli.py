@@ -379,9 +379,8 @@ def cmd_spectrum(args) -> int:
         rows.append([*pt.alpha, h, *pt.q_star, pt.status, band])
     if args.oracle:
         header += ["epsilon", "count", "h_count", "gap"]
-        for row, pt in zip(rows, points):
-            count, h_count = spectrum.oracle_count(
-                c, pt.alpha, args.eps, args.n, budget=args.budget)
+        counts, h_counts = spectrum.oracle_count(c, grid, args.eps, args.n, budget=args.budget)
+        for row, pt, count, h_count in zip(rows, points, counts.tolist(), h_counts.tolist()):
             # an empty level set has h = -inf
             gap = abs(h_count - pt.h) if count and row[c.d] != "" else np.inf
             row.extend([args.eps, count, h_count, gap])

@@ -36,21 +36,54 @@ class PressureEstimate:
     cauchy: float | None
 
 
-def _exp_potential(c: OneStepCocycle, q, n: int, budget: int):
-    """Profiles of the length-n words, m = max_I n<q, profile(I)>, and
-    the unnormalised Gibbs weights exp(n<q, profile(I)> - m)."""
-    profs = profile_matrix(c, n, budget=budget)
-    v = profs @ (n * np.asarray(q, dtype=float))
-    m = float(v.max())
-    return profs, m, np.exp(v - m)
+#: float64 elements in one block of a batched Gibbs pass (rows of q
+#: times words, 64 KB); a block holds at least one row
+GIBBS_BLOCK = 2**13
+
+
+def _products(profs: np.ndarray) -> np.ndarray:
+    """The (N, d*d) products profile_i * profile_j of every word, whose
+    Gibbs average is the second moment of the profiles."""
+    N, d = profs.shape
+    return (profs[:, :, None] * profs[:, None, :]).reshape(N, d * d)
+
+
+def _gibbs(profs: np.ndarray, Q: np.ndarray, n: int, *fields: np.ndarray) -> list[np.ndarray]:
+    """One Gibbs pass for every row q of the (G, d) array ``Q`` over the
+    length-n profiles ``profs``: log s_n(q), then the Gibbs average
+    E_w[F] of each (N, m) per-word array F of ``fields`` as a (G, m)
+    array (``profs`` gives the mean, the gradient of P_n;
+    :func:`_products` the second moment).
+
+    V = (n Q) profs^T is formed row-major, in blocks of rows of at most
+    GIBBS_BLOCK elements; each row is shifted by its max, exponentiated
+    in place and summed, and E_w[F] is V F over the row sums.
+    """
+    rows = max(1, GIBBS_BLOCK // len(profs))
+    if len(Q) > rows:
+        blocks = [_gibbs(profs, Q[lo:lo + rows], n, *fields) for lo in range(0, len(Q), rows)]
+        return [np.concatenate(parts) for parts in zip(*blocks)]
+    V = (n * Q) @ profs.T
+    m = V.max(axis=1)
+    V -= m[:, None]
+    np.exp(V, out=V)
+    s = V.sum(axis=1)
+    return [m + np.log(s), *(V @ F / s[:, None] for F in fields)]
+
+
+def _hessians(mean: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
+    """Hessians of P_n from the moments of :func:`_gibbs`: n Cov_w, as
+    a (G, d, d) stack."""
+    d = mean.shape[1]
+    return n * (second.reshape(-1, d, d) - mean[:, :, None] * mean[:, None, :])
 
 
 def log_sn(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> float:
     """log s_n(q) = log sum over words I of length n of psi^q(A_I)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, m, u = _exp_potential(c, q, n, budget)
-    return m + float(np.log(u.sum()))
+    profs = profile_matrix(c, n, budget=budget)
+    return float(_gibbs(profs, np.asarray(q, dtype=float)[None], n)[0][0])
 
 
 def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int) -> float:
@@ -107,34 +140,21 @@ def pressure_estimate(
                             cauchy=cauchy)
 
 
-def _gibbs_mean(profs: np.ndarray, u: np.ndarray):
-    """Normalised Gibbs weights w of one pass ``(profs, u)`` of
-    :func:`_exp_potential` and the mean profile under them, the
-    gradient of P_n."""
-    w = u / u.sum()
-    return w, w @ profs
-
-
-def _gibbs_cov(profs: np.ndarray, w: np.ndarray, mean: np.ndarray, n: int) -> np.ndarray:
-    """Hessian of P_n from the weights and mean of one pass: n Cov_w."""
-    centred = profs - mean
-    return n * (centred.T * w) @ centred
-
-
 def gibbs_gradient(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Gradient of P_n at q: the Gibbs-weighted mean singular profile.
 
     Weights are w_I proportional to exp(n <q, profile(I)>); the result
     equals the exact derivative of (1/n) log s_n.
     """
-    profs, _, u = _exp_potential(c, q, n, budget)
-    return _gibbs_mean(profs, u)[1]
+    profs = profile_matrix(c, n, budget=budget)
+    return _gibbs(profs, np.asarray(q, dtype=float)[None], n, profs)[1][0]
 
 
 def gibbs_hessian(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Hessian of P_n at q: n times the Gibbs covariance of the profiles."""
-    profs, _, u = _exp_potential(c, q, n, budget)
-    return _gibbs_cov(profs, *_gibbs_mean(profs, u), n)
+    profs = profile_matrix(c, n, budget=budget)
+    _, mean, second = _gibbs(profs, np.asarray(q, dtype=float)[None], n, profs, _products(profs))
+    return _hessians(mean, second, n)[0]
 
 
 def convexity_probe(c: OneStepCocycle, q_a, q_b, n: int) -> float:

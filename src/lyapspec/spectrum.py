@@ -33,7 +33,8 @@ def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET
     """
     axes = [np.linspace(-10.0, 10.0, 5)] * c.d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, c.d)
-    return np.array([pressure.gibbs_gradient(c, q, n, budget=budget) for q in mesh])
+    profs = profile_matrix(c, n, budget=budget)
+    return pressure._gibbs(profs, mesh, n, profs)[1]
 
 
 def interior_alpha_grid(grads: np.ndarray, m: int) -> np.ndarray:
@@ -52,10 +53,11 @@ def interior_alpha_grid(grads: np.ndarray, m: int) -> np.ndarray:
     return lo + np.linspace(0.0, 1.0, m)[:, None] * (hi - lo)
 
 
-def legendre_entropy(c: OneStepCocycle, alpha, n: int, q0=None,
-                     budget: int = DEFAULT_WORD_BUDGET) -> SpectrumPoint:
-    """h(alpha) = inf_q {P_n(q) - <q, alpha>} by damped Newton on the
-    convex finite-n objective.
+def _newton(c: OneStepCocycle, alphas: np.ndarray, n: int, q0: np.ndarray | None,
+            budget: int) -> list[SpectrumPoint]:
+    """h(alpha) = inf_q {P_n(q) - <q, alpha>} for every row of the (G, d)
+    array ``alphas`` by damped Newton on the convex finite-n objective,
+    all rows in lockstep from the rows of ``q0`` (default q = 0).
 
     One Gibbs pass per trial point gives the value, and, once the point
     is accepted, the gradient g = E_w[profile] - alpha and the Hessian
@@ -63,6 +65,9 @@ def legendre_entropy(c: OneStepCocycle, alpha, n: int, q0=None,
     (H + |g|^2 I) p = -g: Newton near the minimizer, at most 1/|g| along
     flat or null directions of H, where a plain Newton step can jump
     far out.  An Armijo backtrack keeps descent, with -g as fallback.
+    A row leaves the batch when it stops, and each backtrack step
+    evaluates only the rows still searching, so a row's iterates do not
+    depend on the other rows (up to the rounding of the batched pass).
 
     grad P_n maps R^d onto the relative interior of the hull of the
     length-n profiles, so the solver alone decides the boundary: status
@@ -70,68 +75,78 @@ def legendre_entropy(c: OneStepCocycle, alpha, n: int, q0=None,
     Q_MAX/2 at convergence), and h is then the objective at the last
     iterate.  Negative finite-n values are clamped to zero with a flag.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    q = np.zeros(c.d) if q0 is None else np.asarray(q0, dtype=float).copy()
+    profs = profile_matrix(c, n, budget=budget)
+    P2 = pressure._products(profs)
+    G, d = alphas.shape
+    q = np.zeros((G, d)) if q0 is None else np.array(q0, dtype=float)
 
-    def objective(qv):
-        """P_n(qv) - <qv, alpha> and the Gibbs pass it came from."""
-        profs, m, u = pressure._exp_potential(c, qv, n, budget)
-        return (m + float(np.log(u.sum()))) / n - float(qv @ alpha), (profs, u)
+    def objective(rows, qv):
+        """P_n(qv) - <qv, alpha> at the rows ``rows``, and the moments of
+        the Gibbs pass it came from."""
+        log_s, mean, second = pressure._gibbs(profs, qv, n, profs, P2)
+        return log_s / n - np.einsum("ij,ij->i", qv, alphas[rows]), mean, second
 
-    f, gibbs = objective(q)
-    status = "diverged"
-    grad_res = np.inf
+    f, mean, second = objective(slice(None), q)
+    status = np.full(G, "diverged", dtype=object)
+    grad_res = np.full(G, np.inf)
+    live = np.arange(G)
     for _ in range(2000):
-        w, mean = pressure._gibbs_mean(*gibbs)
-        g = mean - alpha
-        grad_res = float(np.abs(g).max())
-        if grad_res <= GRAD_TOL:
-            status = "interior-converged"
+        g = mean[live] - alphas[live]
+        grad_res[live] = np.abs(g).max(axis=1)
+        done = grad_res[live] <= GRAD_TOL
+        out = ~done & (np.linalg.norm(q[live], axis=1) > Q_MAX)
+        status[live[done]] = "interior-converged"
+        status[live[out]] = "boundary-suspect"
+        keep = ~(done | out)
+        live, g = live[keep], g[keep]
+        if not live.size:
             break
-        if np.linalg.norm(q) > Q_MAX:
-            status = "boundary-suspect"
-            break
-        H = pressure._gibbs_cov(gibbs[0], w, mean, n)
-        p = np.linalg.solve(H + float(g @ g) * np.eye(c.d), -g)
-        slope = float(g @ p)
-        if not slope < 0:
-            p, slope = -g, -float(g @ g)
+        gg = np.einsum("ij,ij->i", g, g)
+        H = pressure._hessians(mean[live], second[live], n)
+        p = np.linalg.solve(H + gg[:, None, None] * np.eye(d), -g[:, :, None])[:, :, 0]
+        slope = np.einsum("ij,ij->i", g, p)
+        uphill = ~(slope < 0)
+        p[uphill], slope[uphill] = -g[uphill], -gg[uphill]
         step = 1.0
-        while step > 1e-14:
-            q_new = q + step * p
-            f_new, gibbs_new = objective(q_new)
-            if f_new <= f + 1e-4 * step * slope:
-                break
+        searching = np.arange(live.size)
+        while searching.size and step > 1e-14:
+            rows = live[searching]
+            q_new = q[rows] + step * p[searching]
+            f_new, mean_new, second_new = objective(rows, q_new)
+            ok = f_new <= f[rows] + 1e-4 * step * slope[searching]
+            acc = rows[ok]
+            q[acc], f[acc] = q_new[ok], f_new[ok]
+            mean[acc], second[acc] = mean_new[ok], second_new[ok]
+            searching = searching[~ok]
             step /= 2
-        else:
-            # no productive step left: flat to machine precision
-            status = "interior-converged"
-            break
-        q, f, gibbs = q_new, f_new, gibbs_new
+        # no productive step left: flat to machine precision
+        status[live[searching]] = "interior-converged"
+        live = np.delete(live, searching)
 
     # a minimizer escaping far out signals the spectrum boundary even
     # when the finite-n gradient still closes
-    if status == "interior-converged" and np.linalg.norm(q) > Q_MAX / 2:
-        status = "boundary-suspect"
-    h = f
-    clamped = False
-    if h < 0:
-        h, clamped = 0.0, True
-    return SpectrumPoint(alpha=alpha, h=h, q_star=q, status=status,
-                         clamped=clamped, grad_residual=grad_res)
+    far = np.linalg.norm(q, axis=1) > Q_MAX / 2
+    status[far & (status == "interior-converged")] = "boundary-suspect"
+    clamped = f < 0
+    h = np.where(clamped, 0.0, f)
+    return [SpectrumPoint(alpha=alphas[i], h=float(h[i]), q_star=q[i], status=status[i],
+                          clamped=bool(clamped[i]), grad_residual=float(grad_res[i]))
+            for i in range(G)]
+
+
+def legendre_entropy(c: OneStepCocycle, alpha, n: int, q0=None,
+                     budget: int = DEFAULT_WORD_BUDGET) -> SpectrumPoint:
+    """h(alpha) at one exponent vector: :func:`_newton` on one row, from
+    ``q0`` (default q = 0)."""
+    q0 = None if q0 is None else np.asarray(q0, dtype=float)[None]
+    return _newton(c, np.asarray(alpha, dtype=float)[None], n, q0, budget)[0]
 
 
 def spectrum_curve(c: OneStepCocycle, alpha_grid: np.ndarray, n: int,
                    budget: int = DEFAULT_WORD_BUDGET) -> list[SpectrumPoint]:
-    """Legendre entropy along a grid, warm-starting q from the previous
-    grid point."""
-    points = []
-    q0 = None
-    for alpha in np.atleast_2d(alpha_grid):
-        pt = legendre_entropy(c, alpha, n, q0=q0, budget=budget)
-        points.append(pt)
-        q0 = pt.q_star if pt.status == "interior-converged" else None
-    return points
+    """Legendre entropy along a grid, every point solved together from
+    q = 0 by :func:`_newton`."""
+    return _newton(c, np.atleast_2d(np.asarray(alpha_grid, dtype=float)), n, None, budget)
 
 
 def concavity_slacks(points: list[SpectrumPoint]) -> np.ndarray:
@@ -149,14 +164,31 @@ def oracle_count(
     epsilon: float,
     n: int,
     budget: int = DEFAULT_WORD_BUDGET,
-) -> tuple[int, float]:
+):
     """Count length-n cylinders whose singular profile lies in the
     epsilon max-norm box around alpha; h_count = (1/n) log count
-    (-inf when the count is zero)."""
+    (-inf when the count is zero).
+
+    ``alpha`` is one exponent vector, which gives (count, h_count), or a
+    (G, d) grid, which gives arrays of both.  The grid is tested one
+    axis at a time on row blocks of at most pressure.GIBBS_BLOCK
+    (alpha, word) pairs.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     alpha = np.asarray(alpha, dtype=float)
+    grid = np.atleast_2d(alpha)
     profs = profile_matrix(c, n, budget=budget)
-    hits = int((np.abs(profs - alpha) <= epsilon).all(axis=1).sum())
-    h_count = np.log(hits) / n if hits else -np.inf
+    hits = np.empty(len(grid), dtype=int)
+    rows = max(1, pressure.GIBBS_BLOCK // len(profs))
+    for lo in range(0, len(grid), rows):
+        blk = grid[lo:lo + rows]
+        inside = np.abs(profs[:, 0] - blk[:, :1]) <= epsilon
+        for j in range(1, c.d):
+            inside &= np.abs(profs[:, j] - blk[:, j:j + 1]) <= epsilon
+        hits[lo:lo + rows] = inside.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        h_count = np.log(hits) / n
+    if alpha.ndim == 1:
+        return int(hits[0]), float(h_count[0])
     return hits, h_count

@@ -124,30 +124,30 @@ class TestNewtonSolver:
         one pass at its trial point.  On the log(2 cosh q) case above the
         objective is evaluated at q0 = 8, at the four rejected trial
         points of the first backtrack (the full step lands at -91.5) and
-        at six accepted points: 11 passes, each at a new q, and no call
-        of the gradient or Hessian views, each of which is a pass of
-        its own."""
+        at six accepted points: 11 rows through the batched Gibbs pass,
+        each at a new q, and no call of the gradient or Hessian views,
+        each of which is a pass of its own."""
         c = OneStepCocycle(Q=sft.full_shift(2),
                            generators=[np.array([[np.exp(-1.0)]]), np.array([[np.exp(1.0)]])])
-        passes = []
-        exp_potential = pressure._exp_potential
+        rows = []
+        gibbs = pressure._gibbs
 
-        def counted(c, q, n, budget):
-            passes.append(float(q[0]))
-            return exp_potential(c, q, n, budget)
+        def counted(profs, Q, n, *fields):
+            rows.extend(float(q[0]) for q in Q)
+            return gibbs(profs, Q, n, *fields)
 
         def view(*args, **kwargs):
             raise AssertionError("a Gibbs view called by the solver")
 
-        monkeypatch.setattr(pressure, "_exp_potential", counted)
+        monkeypatch.setattr(pressure, "_gibbs", counted)
         monkeypatch.setattr(pressure, "gibbs_gradient", view)
         monkeypatch.setattr(pressure, "gibbs_hessian", view)
         pt = spectrum.legendre_entropy(c, np.array([0.99]), 1, q0=np.array([8.0]))
         assert pt.status == "interior-converged"
-        assert len(passes) == 1 + 4 + 6
-        assert len(set(passes)) == len(passes)
-        assert passes[0] == 8.0
-        assert passes[1] == pytest.approx(-91.554, abs=1e-3)
+        assert len(rows) == 1 + 4 + 6
+        assert len(set(rows)) == len(rows)
+        assert rows[0] == 8.0
+        assert rows[1] == pytest.approx(-91.554, abs=1e-3)
 
     @pytest.mark.parametrize("name, alpha", [
         ("golden_identity", [0.1, 0.1]),
@@ -197,6 +197,60 @@ def test_boundary_status_agrees_with_profile_hull_lp(case):
         assert not _in_hull(profs, alpha)
 
 
+@st.composite
+def _grid_cases(draw):
+    """A :func:`_hull_cases` cocycle and length with a grid of 1..12
+    alpha rows from the same widened bounding box."""
+    c, n, alpha = draw(_hull_cases())
+    profs = profile_matrix(c, n)
+    lo, hi = profs.min(axis=0), profs.max(axis=0)
+    x = np.array(draw(st.lists(st.lists(st.floats(-0.3, 1.3), min_size=c.d, max_size=c.d),
+                               min_size=0, max_size=11)))
+    return c, n, np.vstack([alpha, lo + x.reshape(-1, c.d) * (hi - lo)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_grid_cases())
+def test_row_result_does_not_depend_on_the_batch(case):
+    """Each point of a spectrum_curve grid is the point the one-row
+    solver finds, and again with Gibbs blocks of one row, up to the
+    rounding of the batched pass (BLAS sums in another order).
+
+    q* itself is determined only to the conditioning of the Hessian: at
+    an alpha on or near a vertex of the profile hull, which the strategy
+    draws, it runs off along a nearly flat direction, and the one-row
+    and batched q* were up to 2.1e-5 apart at |q*| = 8.8.  Its image
+    grad P_n(q*) is well determined (6.8e-12 apart at worst over 36,000
+    points in scratch).  The h of a boundary-suspect point is the
+    objective at its last, escaping iterate (5.7e-11 apart at worst);
+    interior h agrees to rounding."""
+    c, n, grid = case
+    single = [spectrum.legendre_entropy(c, alpha, n) for alpha in grid]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pressure, "GIBBS_BLOCK", 1)
+        one_row = spectrum.spectrum_curve(c, grid, n)
+    for curve in (spectrum.spectrum_curve(c, grid, n), one_row):
+        for pt, ref in zip(curve, single, strict=True):
+            assert pt.status == ref.status
+            h_tol = 1e-12 if ref.status == "interior-converged" else 1e-9
+            assert abs(pt.h - ref.h) <= h_tol * max(1.0, abs(ref.h))
+            dgrad = (pressure.gibbs_gradient(c, pt.q_star, n)
+                     - pressure.gibbs_gradient(c, ref.q_star, n))
+            assert np.abs(dgrad).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["pos_cocycle", "golden_identity", "twisted4_cocycle"])
+def test_batched_domain_estimate_matches_gradients(name, request):
+    c = request.getfixturevalue(name)
+    n = 4 if c.d == 4 else 8
+    grads = spectrum.domain_estimate(c, n)
+    axes = [np.linspace(-10.0, 10.0, 5)] * c.d
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, c.d)
+    ref = np.array([pressure.gibbs_gradient(c, q, n) for q in mesh])
+    assert grads.shape == (5**c.d, c.d)
+    assert np.abs(grads - ref).max() <= 1e-13
+
+
 class TestEntropyAtZeroGradient:
     def test_golden_mean(self, golden_identity):
         """At alpha = 0 (identity generators) h equals the shift
@@ -239,6 +293,31 @@ class TestOracle:
         assert count == expected
         if count:
             assert h_count == pytest.approx(np.log(count) / n, abs=1e-12)
+
+    @pytest.mark.parametrize("name, n, eps", [
+        ("diag_cocycle", 10, 0.02), ("pos_cocycle", 10, 0.05), ("twisted4_cocycle", 5, 0.3),
+    ])
+    def test_grid_counts_match_per_alpha_counts(self, name, n, eps, request):
+        """One grid pass gives, in row blocks of any size, exactly the
+        count of the per-alpha box test |profile - alpha| <= eps, as
+        does a single alpha; on the diagonal cocycle the grid hits every
+        binomial level (j occurrences of symbol 2, C(n, j) words)."""
+        c = request.getfixturevalue(name)
+        profs = profile_matrix(c, n)
+        grid = np.vstack([profs[::max(1, len(profs) // 40)], [np.full(c.d, 10.0)]])
+        if name == "diag_cocycle":
+            grid = np.vstack([grid, [diag_alpha(j / n) for j in range(n + 1)]])
+        ref = [int((np.abs(profs - alpha) <= eps).all(axis=1).sum()) for alpha in grid]
+        assert [spectrum.oracle_count(c, alpha, eps, n)[0] for alpha in grid] == ref
+        for block in (pressure.GIBBS_BLOCK, 1, len(profs) * 3 + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pressure, "GIBBS_BLOCK", block)
+                counts, h_counts = spectrum.oracle_count(c, grid, eps, n)
+            assert counts.tolist() == ref
+            assert h_counts.tolist() == [np.log(k) / n if k else -np.inf for k in ref]
+        if name == "diag_cocycle":
+            from math import comb
+            assert ref[-(n + 1):] == [comb(n, j) for j in range(n + 1)]
 
     def test_empty_box(self, diag_cocycle):
         count, h_count = spectrum.oracle_count(
