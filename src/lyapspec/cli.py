@@ -26,8 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, domination, pressure, sft, spectrum, typicality
-from .cocycle import (DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, fiber_bunched,
-                      profile_matrix)
+from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, profile_matrix
 from .sft import NotPrimitiveError
 
 EXIT_OK = 0
@@ -310,8 +309,6 @@ def _load(args) -> OneStepCocycle:
 
 def cmd_validate(args) -> int:
     c = _load(args)
-    if not args.alpha > 0:
-        raise UsageError(f"--alpha must be positive, got {args.alpha}")
     print(f"alphabet k = {c.k}")
     print(f"dimension d = {c.d}")
     print(f"mixing rate = {c.Q.mixing_rate}")
@@ -319,9 +316,6 @@ def cmd_validate(args) -> int:
         scale = float(np.abs(A).max())
         margin = abs(float(np.linalg.det(A))) / max(scale**c.d, 1e-300)
         print(f"matrix {s}: invertibility margin {margin:.6g}")
-    bunched, value = fiber_bunched(c, args.alpha)
-    print(f"fiber bunching at alpha={args.alpha}: value {value:.6g} "
-          f"({'fiber bunched' if bunched else 'not fiber bunched'})")
     return EXIT_OK
 
 
@@ -333,15 +327,10 @@ def cmd_pressure(args) -> int:
     _at_least("--qm-connect", args.qm_connect, 0)
     grid = parse_grid(args.q, c.d)
     qm = typicality.qm_search(c, args.qm_depth, args.qm_connect, budget=args.budget)
-    rows = []
-    for q in grid:
-        est = pressure.pressure_estimate(
-            c, q, args.n, qm_C=qm.C, qm_k=qm.k, budget=args.budget)
-        rows.append(
-            [*q, args.n, est.value,
-             est.lower if est.lower is not None else "",
-             est.upper if est.upper is not None else "",
-             est.cauchy if est.cauchy is not None else ""])
+    est = pressure.pressure_table(c, grid, args.n, qm_C=qm.C, qm_k=qm.k, budget=args.budget)
+    brackets = np.column_stack([est.lower, est.upper, est.cauchy]).tolist()
+    rows = [[*q, args.n, value, *("" if math.isnan(x) else x for x in row)]
+            for q, value, row in zip(grid, est.value.tolist(), brackets)]
     header = [f"q_{i + 1}" for i in range(c.d)] + ["n", "P_n", "lower", "upper", "cauchy_diag"]
     with open_out(args.out) as out:
         write_csv(out, header, rows, manifest_lines(args, started))
@@ -476,12 +465,10 @@ def cmd_subsystem(args) -> int:
     except domination.SubsystemSearchError as exc:
         raise CliError(EXIT_SEARCH_EXHAUSTED, f"error: {exc}") from exc
     # rows first: a budget error must leave no subsystem file behind
-    rows = []
-    for q in grid:
-        est_sub = domination.subsystem_pressure(sub, q, args.block_depth)
-        base = pressure.log_sn(c, q, args.n) / args.n
-        gap = abs(est_sub.value / sub.ell - base)
-        rows.append([*q, sub.ell, est_sub.value / sub.ell, base, gap])
+    per_symbol = domination.subsystem_pressure(sub, grid, args.block_depth).value / sub.ell
+    base = pressure.log_sums(c, grid, (args.n,))[args.n] / args.n
+    cells = np.column_stack([per_symbol, base, np.abs(per_symbol - base)]).tolist()
+    rows = [[*q, sub.ell, *row] for q, row in zip(grid, cells)]
     comment = (f"dominated subsystem: base_n={sub.base_n} ell={sub.ell} "
                f"pads={sub.pad_left}|{sub.pad_right}")
     header = [f"q_{i + 1}" for i in range(c.d)] + ["ell", "P_ell_D_per_symbol", "P_n", "gap"]
@@ -534,9 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = command("validate", cmd_validate, "parse and validate a .cocycle file")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="Hoelder exponent for the fiber-bunching report")
+    command("validate", cmd_validate, "parse and validate a .cocycle file")
 
     p = command("pressure", cmd_pressure, "pressure table over a q grid", (qm, budget, out))
     p.add_argument("--q", default="-3:3:0.25", help="grid spec lo:hi:step[;...]")

@@ -285,22 +285,6 @@ def log_wedge_norms(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET
     return log_wedge_norm_matrices(c, (n,), budget)[n]
 
 
-def fiber_bunched(c: OneStepCocycle, alpha: float) -> tuple[bool, float]:
-    """Fiber-bunching margin: max over generators of
-    ||A|| ||A^-1|| (1/2)^alpha, and whether it is < 1.
-
-    Informational for one-step cocycles, which always admit canonical
-    holonomies.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    worst = 0.0
-    for A in c.generators:
-        sv = np.exp(matalg.log_singular_values(A))
-        worst = max(worst, sv[0] / sv[-1] * 0.5**alpha)
-    return worst < 1.0, worst
-
-
 def eigen_exponents(c: OneStepCocycle, word: Word) -> np.ndarray:
     """Per-symbol log-moduli of the eigenvalues of A_I for a periodic
     word (Lyapunov exponents of the orbit with itinerary I^infinity),

@@ -13,7 +13,7 @@ from . import matalg, sft
 from .cocycle import (
     BudgetError, OneStepCocycle, log_wedge_norm_matrices, product, profile_matrices, profile_matrix,
 )
-from .pressure import PressureEstimate, log_sn, weight_differences
+from .pressure import PressureEstimate, log_sums, weight_differences
 from .sft import Word, full_shift
 
 SLOPE_TOL = 1e-3
@@ -453,14 +453,18 @@ def _worst_word_index(c_ext: OneStepCocycle) -> int:
 
 
 def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> PressureEstimate:
-    """Block pressure of the dominated subsystem at weight q:
-    (1/m) log sum over m-blocks of exp<q, Psi(B-block)>.
+    """Block pressure of the dominated subsystem at weight q, or at every
+    row of a (G, d) grid: (1/m) log sum over m-blocks of
+    exp<q, Psi(B-block)>, with one sweep of the block lengths m and
+    m - 1 and one Gibbs pass per length.
 
     Lower bracket from the observed 2-block almost-additivity constants
     (supermultiplicativity with kappa), upper bracket by Fekete when
-    all t_i >= 0.  Divide the value by the subsystem word length to
-    compare with the base pressure.  More than 30 * BLOCK_BUDGET blocks
-    raise BudgetError.
+    all t_i >= 0, and ``cauchy`` the change from m - 1 blocks.  Fields
+    are arrays of shape q.shape[:-1], NaN for an absent bracket.
+    Divide the value by the subsystem word length to compare with the
+    base pressure.  More than 30 * BLOCK_BUDGET blocks raise
+    BudgetError.
     """
     if block_depth < 1:
         raise ValueError("block_depth must be >= 1")
@@ -471,17 +475,16 @@ def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> Pressure
             f"{n_blocks} blocks exceed the budget of {budget}; lower block_depth"
         )
     q = np.asarray(q, dtype=float)
-    c_ext = sub.tuple_cocycle
-    value = log_sn(c_ext, q, block_depth, budget=budget) / block_depth
+    m, shape = block_depth, q.shape[:-1]
+    logs = log_sums(sub.tuple_cocycle, q.reshape(-1, q.shape[-1]), {m, m - 1} - {0}, budget)
+    value = (logs[m] / m).reshape(shape)
 
     t = weight_differences(q)
     # deg-d wedge norms are multiplicative exactly; kappa there is 1
-    log_c1 = float(sum(ti * lk for ti, lk in zip(t, sub.log_kappa) if ti >= 0))
-    lower = value + log_c1 / block_depth
-    upper = value if bool((t >= 0).all()) else None
-    cauchy = None
-    if block_depth > 1:
-        prev = log_sn(c_ext, q, block_depth - 1, budget=budget) / (block_depth - 1)
-        cauchy = abs(value - prev)
-    return PressureEstimate(q=q, n=block_depth, value=value, lower=lower,
-                            upper=upper, cauchy=cauchy)
+    log_c1 = sum(np.where(t[..., i] >= 0, t[..., i] * lk, 0.0)
+                 for i, lk in enumerate(sub.log_kappa))
+    lower = value + log_c1 / m
+    upper = np.where((t >= 0).all(axis=-1), value, np.nan)
+    cauchy = (np.abs(value - (logs[m - 1] / (m - 1)).reshape(shape)) if m > 1
+              else np.full(shape, np.nan))
+    return PressureEstimate(q=q, n=m, value=value, lower=lower, upper=upper, cauchy=cauchy)

@@ -8,7 +8,6 @@ exist at the d x d (or D x D wedge) kernel level.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -55,11 +54,6 @@ def wedge(M: np.ndarray, t: int) -> np.ndarray:
         raise ValueError(f"wedge degree {t} outside 1..{d}")
     if t == 1:
         return M.copy()
-    subsets = list(combinations(range(d), t))
-    D = comb(d, t)
-    W = np.empty((D, D))
-    for a, rows in enumerate(subsets):
-        sub = M[np.ix_(rows, range(d))]
-        for b, cols in enumerate(subsets):
-            W[a, b] = np.linalg.det(sub[:, cols])
-    return W
+    S = np.array(list(combinations(range(d), t)))
+    # minors[a, b] = M[S[a]][:, S[b]]: every minor in one stacked det
+    return np.linalg.det(M[S[:, None, :, None], S[None, :, None, :]])

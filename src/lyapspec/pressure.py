@@ -9,13 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, log_wedge_norms, profile_matrix
+from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_budget, log_wedge_norms,
+                      profile_matrices, profile_matrix)
 
 
 def weight_differences(q: np.ndarray) -> np.ndarray:
-    """t_i = q_i - q_{i+1} with q_{d+1} = 0."""
-    q = np.asarray(q, dtype=float)
-    return q - np.append(q[1:], 0.0)
+    """t_i = q_i - q_{i+1} with q_{d+1} = 0, along the last axis."""
+    return -np.diff(np.asarray(q, dtype=float), axis=-1, append=0.0)
 
 
 @dataclass
@@ -25,15 +25,17 @@ class PressureEstimate:
     ``lower`` comes from the supermultiplicativity constant supplied by
     a quasi-multiplicativity report (empirical-constant bracket);
     ``upper`` is the Fekete bound, present only when all t_i >= 0.
-    ``cauchy`` is |P_n - P_{n-2}| when n > 2.
+    ``cauchy`` is |P_n - P_{n-2}| when n > 2.  At one q the fields are
+    floats and an absent bracket is None; over a (G, d) grid of q
+    (:func:`pressure_table`) they are (G,) arrays with NaN in its place.
     """
 
     q: np.ndarray
     n: int
-    value: float
-    lower: float | None
-    upper: float | None
-    cauchy: float | None
+    value: float | np.ndarray
+    lower: float | np.ndarray | None
+    upper: float | np.ndarray | None
+    cauchy: float | np.ndarray | None
 
 
 #: float64 elements in one block of a batched Gibbs pass (rows of q
@@ -78,32 +80,73 @@ def _hessians(mean: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
     return n * (second.reshape(-1, d, d) - mean[:, :, None] * mean[:, None, :])
 
 
+def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
+             budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
+    """log s_m(q) for every row q of the (G, d) array ``Q`` at every
+    length m in ``lengths``, as {m: (G,) array}: the profiles of every
+    length come from one :func:`profile_matrices` call, and each length
+    takes one Gibbs pass over the whole of ``Q``.
+
+    The longest length is checked against the budget first: #L_m grows
+    with m, so a BudgetError names it, as a sweep of it alone would.
+    """
+    top = max(lengths)
+    _check_budget(c, top, c._profile_cache.get(top), budget)
+    profs = profile_matrices(c, lengths, budget)
+    return {m: _gibbs(P, Q, m)[0] for m, P in profs.items()}
+
+
 def log_sn(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> float:
     """log s_n(q) = log sum over words I of length n of psi^q(A_I)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    profs = profile_matrix(c, n, budget=budget)
-    return float(_gibbs(profs, np.asarray(q, dtype=float)[None], n)[0][0])
+    return float(log_sums(c, np.asarray(q, dtype=float)[None], (n,), budget)[n][0])
 
 
-def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int) -> float:
-    """log C_1 for the supermultiplicative bracket.
+def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int):
+    """log C_1 for the supermultiplicative bracket, at one q or at every
+    row of a (G, d) grid.
 
     Coordinates with t_i >= 0 contribute C^{t_i} through the
     quasi-multiplicativity constant; coordinates with t_i < 0
     contribute C_0^{t_i} with C_0 the submultiplicativity constant
     (max over generators of ||A^{wedge i}||, to the power k).
     """
-    q = np.asarray(q, dtype=float)
     t = weight_differences(q)
-    log_c1 = 0.0
-    for i, ti in enumerate(t, start=1):
-        if ti >= 0:
-            log_c1 += ti * np.log(qm_C)
-        else:
-            log_c0 = qm_k * log_wedge_norms(c, 1)[:, i - 1].max()
-            log_c1 += ti * log_c0
-    return log_c1
+    log_c0 = qm_k * log_wedge_norms(c, 1).max(axis=0)
+    terms = np.where(t >= 0, t * np.log(qm_C), t * log_c0)
+    # summed over i in order, as a scalar loop would
+    return sum(terms[..., i] for i in range(c.d))
+
+
+def pressure_table(
+    c: OneStepCocycle,
+    grid: np.ndarray,
+    n: int,
+    qm_C: float | None = None,
+    qm_k: int | None = None,
+    budget: int = DEFAULT_WORD_BUDGET,
+) -> PressureEstimate:
+    """P_n(q) = (1/n) log s_n(q) with brackets for the limit pressure,
+    at every row q of the (G, d) ``grid``, as arrays with NaN for an
+    absent bracket.  Its lengths n, n - k and n - 2 come from one sweep
+    (:func:`log_sums`).
+
+    Lower bracket (needs quasi-multiplicativity constants): the
+    sequence s_{n-k}(q)/C_1 is supermultiplicative, so
+    (log C_1 + log s_{n-k}(q))/n <= P.  Upper bracket (all t_i >= 0):
+    psi^q is then submultiplicative and Fekete gives P <= P_n.
+    """
+    grid = np.asarray(grid, dtype=float)
+    bracket = qm_C is not None and qm_k is not None and qm_C > 0 and n > qm_k
+    lengths = {n, *([n - qm_k] if bracket else []), *([n - 2] if n > 2 else [])}
+    logs = log_sums(c, grid, lengths, budget)
+    value = logs[n] / n
+    lower = ((bracket_constants(c, grid, qm_C, qm_k) + logs[n - qm_k]) / n if bracket
+             else np.full_like(value, np.nan))
+    upper = np.where((weight_differences(grid) >= 0).all(axis=1), value, np.nan)
+    cauchy = np.abs(value - logs[n - 2] / (n - 2)) if n > 2 else np.full_like(value, np.nan)
+    return PressureEstimate(q=grid, n=n, value=value, lower=lower, upper=upper, cauchy=cauchy)
 
 
 def pressure_estimate(
@@ -114,29 +157,12 @@ def pressure_estimate(
     qm_k: int | None = None,
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> PressureEstimate:
-    """P_n(q) = (1/n) log s_n(q) with brackets for the limit pressure.
-
-    Lower bracket (needs quasi-multiplicativity constants): the
-    sequence s_{n-k}(q)/C_1 is supermultiplicative, so
-    (log C_1 + log s_{n-k}(q))/n <= P.  Upper bracket (all t_i >= 0):
-    psi^q is then submultiplicative and Fekete gives P <= P_n.
-    """
+    """:func:`pressure_table` at the one weight vector q."""
     q = np.asarray(q, dtype=float)
-    value = log_sn(c, q, n, budget=budget) / n
-
-    lower = None
-    if qm_C is not None and qm_k is not None and qm_C > 0 and n > qm_k:
-        log_c1 = bracket_constants(c, q, qm_C, qm_k)
-        lower = (log_c1 + log_sn(c, q, n - qm_k, budget=budget)) / n
-
-    t = weight_differences(q)
-    upper = value if bool((t >= 0).all()) else None
-
-    cauchy = None
-    if n > 2:
-        cauchy = abs(value - log_sn(c, q, n - 2, budget=budget) / (n - 2))
-
-    return PressureEstimate(q=q, n=n, value=value, lower=lower, upper=upper,
+    est = pressure_table(c, q[None], n, qm_C, qm_k, budget)
+    lower, upper, cauchy = (None if np.isnan(a[0]) else float(a[0])
+                            for a in (est.lower, est.upper, est.cauchy))
+    return PressureEstimate(q=q, n=n, value=float(est.value[0]), lower=lower, upper=upper,
                             cauchy=cauchy)
 
 

@@ -328,7 +328,6 @@ class TestCommands:
     (["dominate", "{diag}", "--cone", "--seed", "-1"], cli.EXIT_PARSE),
     (["pressure", "{diag}", "--q=nan:1:1"], cli.EXIT_PARSE),
     (["spectrum", "{diag}", "--alpha=0:inf:1"], cli.EXIT_PARSE),
-    (["validate", "{diag}", "--alpha", "0"], cli.EXIT_PARSE),
     (["typical", "{pos}", "--fixed-symbol", "1", "--homoclinic", "1,x"], cli.EXIT_PARSE),
     (["typical", "{pos}", "--search-depth", "0"], cli.EXIT_PARSE),
     (["typical", "{pos}", "--fixed-symbol", "7", "--homoclinic", "1"], cli.EXIT_VALIDATE),
@@ -350,7 +349,7 @@ class TestCommands:
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
-        "spectrum-grid-inf", "validate-alpha",
+        "spectrum-grid-inf",
         "typical-word", "typical-depth", "typical-symbol", "subsystem-word-symbol", "subsystem-depth",
         "subsystem-budget", "pressure-qm-depth", "pressure-qm-connect",
         "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",

@@ -3,7 +3,7 @@ import pytest
 
 from lyapspec import cli, cocycle, domination, matalg, sft, typicality
 from lyapspec.cocycle import (
-    BudgetError, OneStepCocycle, eigen_exponents, fiber_bunched, log_wedge_norms,
+    BudgetError, OneStepCocycle, eigen_exponents, log_wedge_norms,
     product, profile, profile_matrix,
 )
 
@@ -165,8 +165,9 @@ class TestSweepEngine:
 
 
 class TestOneSweepPerRequest:
-    """A QM search and a domination test read every length they need
-    from one sweep, after checking every length against the budget."""
+    """A QM search, a domination test and a pressure grid read every
+    length they need from one sweep, after checking every length
+    against the budget."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
@@ -200,6 +201,28 @@ class TestOneSweepPerRequest:
     def test_domination_budget_checked_before_the_sweep(self, diag_cocycle, sweeps):
         with pytest.raises(BudgetError, match=r"^#L_10 = 1024 words exceeds the budget of 1000;"):
             domination.domination_test(self._fresh(diag_cocycle), 1, range(2, 12), budget=1000)
+        assert sweeps == []
+
+    def test_pressure_sweeps_once_beyond_the_qm_search(self, pos_cocycle, tmp_path, sweeps):
+        """pressure reads n, n - k and n - 2 from one sweep after the
+        QM search's sweep of 1..6."""
+        path = tmp_path / "pos.cocycle"
+        cli.write_cocycle(str(path), pos_cocycle)
+        assert cli.main(["pressure", str(path), "--q=-1:1:1", "--n", "10", "--qm-depth", "2",
+                         "--qm-connect", "2", "--out", str(tmp_path / "p.csv")]) == 0
+        assert len(sweeps) == 2
+        assert sweeps[0] == list(range(1, 7))
+        assert sweeps[1][-1] == 10 and 8 in sweeps[1]
+
+    def test_pressure_budget_message_names_n(self, diag_cocycle, tmp_path, capsys, sweeps):
+        """A budget below #L_{n-2} names #L_n, as a sweep of n alone did."""
+        path = tmp_path / "diag.cocycle"
+        cli.write_cocycle(str(path), diag_cocycle)
+        code = cli.main(["pressure", str(path), "--n", "12", "--qm-depth", "0",
+                         "--budget", "1000"])
+        assert code == cli.EXIT_BUDGET
+        assert capsys.readouterr().err == (
+            "budget exceeded: #L_12 = 4096 words exceeds the budget of 1000; reduce n\n")
         assert sweeps == []
 
     def test_qm_budget_message(self, diag_cocycle, tmp_path, capsys):
@@ -243,15 +266,3 @@ class TestEigenExponents:
         assert np.cumsum(eig)[0] <= np.cumsum(prof)[0] + 1e-10
         # determinant makes the full sums equal
         assert eig.sum() == pytest.approx(prof.sum(), abs=1e-10)
-
-
-class TestFiberBunching:
-    def test_conformal_is_bunched(self):
-        c = OneStepCocycle(Q=sft.full_shift(2),
-                           generators=[2 * np.eye(2), 0.5 * np.eye(2)])
-        ok, value = fiber_bunched(c, 1.0)
-        assert ok and value < 1
-
-    def test_strong_projection_is_not(self, diag_cocycle):
-        ok, value = fiber_bunched(diag_cocycle, 1.0)
-        assert not ok and value > 1

@@ -170,6 +170,17 @@ class TestDominatedSubsystem:
         est = domination.subsystem_pressure(sub, q, 4)
         assert est.lower <= est.value <= est.upper
 
+    def test_pressure_grid_rows_match_one_q_estimates(self, pos_cocycle):
+        sub = domination.build_dominated_subsystem(pos_cocycle, 2, 1, (2,))
+        grid = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 2.0]])
+        table = domination.subsystem_pressure(sub, grid, 4)
+        assert np.isnan(table.upper[1:]).all()
+        for i, q in enumerate(grid):
+            one = domination.subsystem_pressure(sub, q, 4)
+            for field in ("value", "lower", "upper", "cauchy"):
+                np.testing.assert_allclose(getattr(table, field)[i], getattr(one, field),
+                                           rtol=1e-13, atol=1e-13, err_msg=field)
+
     def test_rotations_exhaust(self, rotation_cocycle):
         with pytest.raises(domination.SubsystemSearchError):
             domination.build_dominated_subsystem(rotation_cocycle, 2, 1, (2,),

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapspec import matalg, pressure, sft, typicality
-from lyapspec.cocycle import OneStepCocycle
+from lyapspec.cocycle import OneStepCocycle, profile_matrix
 
 rng = np.random.default_rng(11)
 
@@ -145,3 +147,86 @@ class TestLogSumExp:
         q = rng.normal(size=2) * 30
         a = pressure.log_sn(pos_cocycle, q, 10)
         assert a == pressure.log_sn(pos_cocycle, q, 10)
+
+
+def _log_s(c, q, m):
+    """Reference log s_m(q): log-sum-exp over the words, one row at a time."""
+    return np.logaddexp.reduce(m * profile_matrix(c, m) @ q)
+
+
+def _log_c1(c, q, qm_C, qm_k):
+    """Reference log C_1, coordinate by coordinate."""
+    t = [q[i] - (q[i + 1] if i + 1 < len(q) else 0.0) for i in range(len(q))]
+    return sum(ti * np.log(qm_C) if ti >= 0 else
+               ti * qm_k * max(matalg.log_spectral_norm(matalg.wedge(A, i + 1))
+                               for A in c.generators)
+               for i, ti in enumerate(t))
+
+
+class TestPressureTable:
+    """The grid form against an independent per-row reference and the
+    one-q form, and its absent brackets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 3), d=st.integers(1, 3), n=st.integers(1, 6),
+           qm_k=st.integers(0, 3), seed=st.integers(0, 2**16),
+           qs=st.lists(st.lists(st.floats(-4, 4), min_size=3, max_size=3),
+                       min_size=1, max_size=12))
+    def test_rows_match_reference(self, k, d, n, qm_k, seed, qs):
+        rng = np.random.default_rng(seed)
+        gens = [np.linalg.qr(rng.standard_normal((d, d)))[0] @ np.diag(rng.uniform(0.5, 2, d))
+                for _ in range(k)]
+        c = OneStepCocycle(Q=sft.full_shift(k), generators=gens)
+        grid = np.array(qs)[:, :d]
+        est = pressure.pressure_table(c, grid, n, qm_C=0.5, qm_k=qm_k)
+        for i, q in enumerate(grid):
+            value = _log_s(c, q, n) / n
+            want = {"value": value,
+                    "lower": ((_log_c1(c, q, 0.5, qm_k) + _log_s(c, q, n - qm_k)) / n
+                              if n > qm_k else np.nan),
+                    "upper": value if min(q - np.append(q[1:], 0)) >= 0 else np.nan,
+                    "cauchy": abs(value - _log_s(c, q, n - 2) / (n - 2)) if n > 2 else np.nan}
+            for field, ref in want.items():
+                np.testing.assert_allclose(getattr(est, field)[i], ref, rtol=1e-13, atol=1e-13,
+                                           err_msg=field)
+
+    @pytest.mark.parametrize("block", [1, 64, pressure.GIBBS_BLOCK])
+    def test_grid_of_many_blocks_matches_one_row_estimates(self, pos_cocycle, block,
+                                                           monkeypatch):
+        """1,024 words at n = 10 and 49 rows: several Gibbs blocks at
+        every block size; each row matches its one-q estimate up to the
+        summation order of a batched product."""
+        monkeypatch.setattr(pressure, "GIBBS_BLOCK", block)
+        axis = np.linspace(-3, 3, 7)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        est = pressure.pressure_table(pos_cocycle, grid, 10, qm_C=0.3, qm_k=1)
+        for i, q in enumerate(grid):
+            one = pressure.pressure_estimate(pos_cocycle, q, 10, qm_C=0.3, qm_k=1)
+            assert (one.upper is None) == np.isnan(est.upper[i])
+            for field in ("value", "lower", "upper", "cauchy"):
+                want = getattr(one, field)
+                np.testing.assert_allclose(getattr(est, field)[i],
+                                           np.nan if want is None else want,
+                                           rtol=1e-13, atol=1e-13, err_msg=field)
+            assert est.value[i] == pytest.approx(_log_s(pos_cocycle, q, 10) / 10, rel=1e-13)
+
+    @pytest.mark.parametrize("qm_C, qm_k, n", [(None, 1, 6), (1.0, None, 6), (0.0, 1, 6),
+                                               (-1.0, 1, 6), (1.0, 6, 6), (1.0, 7, 6)])
+    def test_lower_absent_without_usable_constants(self, pos_cocycle, qm_C, qm_k, n):
+        grid = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert np.isnan(pressure.pressure_table(pos_cocycle, grid, n, qm_C, qm_k).lower).all()
+        assert pressure.pressure_estimate(pos_cocycle, grid[0], n, qm_C, qm_k).lower is None
+
+    def test_upper_absent_where_a_weight_difference_is_negative(self, pos_cocycle):
+        """t = (1, 0), (-1, 1), (1, 1), (-1, 0): only the first and
+        third rows have every t_i >= 0."""
+        grid = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [-1.0, 0.0]])
+        est = pressure.pressure_table(pos_cocycle, grid, 5)
+        np.testing.assert_array_equal(np.isnan(est.upper), [False, True, False, True])
+        np.testing.assert_array_equal(est.upper[[0, 2]], est.value[[0, 2]])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cauchy_absent_at_short_lengths(self, pos_cocycle, n):
+        grid = np.array([[1.0, 0.0], [0.5, 0.5]])
+        assert np.isnan(pressure.pressure_table(pos_cocycle, grid, n).cauchy).all()
+        assert pressure.pressure_estimate(pos_cocycle, grid[0], n).cauchy is None
