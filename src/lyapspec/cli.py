@@ -3,12 +3,13 @@ run manifests.
 
 Exit codes: 0 success, 1 domination fail, 2 parse or usage error or an
 unreadable input or unwritable output path, 3 validation failure (also
-an alphabet above MAX_ALPHABET symbols, and `typical`/`subsystem` on a
-cocycle of dim > 6), 4 budget exceeded (also a `typical`/`subsystem`
-pair search past typicality.MAX_TYPICAL_CHECKS checks), 5
-missing typicality precondition, 6 domination inconclusive, 7 subsystem
-search exhaustion.  Commands raise CliError; `main` alone
-prints the one stderr line and returns the code.
+an alphabet above MAX_ALPHABET symbols, generators whose exterior powers
+overflow, and in `typical`/`subsystem` a word product past 1e300 or a
+dim above 6), 4 budget exceeded (also a `typical`/`subsystem` pair
+search past typicality.MAX_TYPICAL_CHECKS checks), 5 missing typicality
+precondition, 6 domination inconclusive, 7 subsystem search exhaustion.
+Commands raise CliError; `main` alone prints the one stderr line and
+returns the code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from . import __version__, domination, pressure, sft, spectrum, typicality
+from . import __version__, domination, matalg, pressure, sft, spectrum, typicality
 from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, profile_matrix
 from .sft import NotPrimitiveError
 
@@ -313,9 +314,7 @@ def cmd_validate(args) -> int:
     print(f"dimension d = {c.d}")
     print(f"mixing rate = {c.Q.mixing_rate}")
     for s, A in enumerate(c.generators, start=1):
-        scale = float(np.abs(A).max())
-        margin = abs(float(np.linalg.det(A))) / max(scale**c.d, 1e-300)
-        print(f"matrix {s}: invertibility margin {margin:.6g}")
+        print(f"matrix {s}: invertibility margin {matalg.det_margin(A):.6g}")
     return EXIT_OK
 
 
@@ -378,6 +377,16 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _checked(call):
+    """call(), with a ValueError other than a BudgetError as exit 3."""
+    try:
+        return call()
+    except BudgetError:
+        raise
+    except ValueError as exc:
+        raise CliError(EXIT_VALIDATE, f"error: {exc}") from exc
+
+
 def _typicality(c: OneStepCocycle, args) -> typicality.TypicalityReport | None:
     """The check of the pair --fixed-symbol/--homoclinic when both are
     given, else the first passing pair of the search (None when it is
@@ -395,12 +404,7 @@ def _typicality(c: OneStepCocycle, args) -> typicality.TypicalityReport | None:
         except ValueError:
             raise UsageError(f"bad word {args.homoclinic!r}, expected symbols 1,2,...") from None
         check = partial(typicality.check_typical, c, args.fixed_symbol, w)
-    try:
-        return check()
-    except BudgetError:
-        raise
-    except ValueError as exc:
-        raise CliError(EXIT_VALIDATE, f"error: {exc}") from exc
+    return _checked(check)
 
 
 def cmd_typical(args) -> int:
@@ -460,12 +464,12 @@ def cmd_subsystem(args) -> int:
     if typ is None or not typ.passed:
         raise CliError(EXIT_NO_FIXED, "error: typicality precondition not met")
     try:
-        sub = domination.build_dominated_subsystem(
-            c, args.base_n, typ.a, typ.w, pad_bound=args.pad_bound)
+        sub = _checked(partial(domination.build_dominated_subsystem,
+                               c, args.base_n, typ.a, typ.w, pad_bound=args.pad_bound))
     except domination.SubsystemSearchError as exc:
         raise CliError(EXIT_SEARCH_EXHAUSTED, f"error: {exc}") from exc
     # rows first: a budget error must leave no subsystem file behind
-    per_symbol = domination.subsystem_pressure(sub, grid, args.block_depth).value / sub.ell
+    per_symbol = domination.subsystem_pressure(sub, grid, args.block_depth) / sub.ell
     base = pressure.log_sums(c, grid, (args.n,))[args.n] / args.n
     cells = np.column_stack([per_symbol, base, np.abs(per_symbol - base)]).tolist()
     rows = [[*q, sub.ell, *row] for q, row in zip(grid, cells)]

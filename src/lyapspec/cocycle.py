@@ -45,8 +45,9 @@ class OneStepCocycle:
 
     Wedge representatives of every generator are cached for t = 1..d
     at construction (``wedges[t][s - 1]``, stacked per t), and so is
-    ``log_det[s - 1]`` = log|det A_s|, the log-norm of the top degree;
-    per-length sweeps (log wedge norms, profiles) are cached on demand.
+    ``log_det[s - 1]`` = log|det A_s|, the log-norm of the top degree; a
+    generator with a non-finite wedge or log|det| is refused.  Per-length
+    sweeps (log wedge norms, profiles) are cached on demand.
     """
 
     Q: TransitionMatrix
@@ -68,11 +69,14 @@ class OneStepCocycle:
                 raise ValueError(f"generator {s} has shape {A.shape}, expected {(d, d)}")
             if not matalg.is_invertible(A):
                 raise ValueError(f"generator {s} is not invertible")
-        self.wedges = {
-            t: np.stack([matalg.wedge(A, t) for A in self.generators])
-            for t in range(1, d + 1)
-        }
-        self.log_det = np.log(np.abs(self.wedges[d][:, 0, 0]))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            self.wedges = {t: np.stack([matalg.wedge(A, t) for A in self.generators])
+                           for t in range(1, d + 1)}
+            self.log_det = np.log(np.abs(self.wedges[d][:, 0, 0]))
+        entries = np.hstack([W.reshape(len(W), -1) for W in self.wedges.values()])
+        bad = np.flatnonzero(~np.isfinite(np.column_stack([entries, self.log_det])).all(axis=1))
+        if bad.size:
+            raise ValueError(f"generator {bad[0] + 1} has an exterior power beyond the float range")
 
     @property
     def k(self) -> int:
@@ -85,18 +89,24 @@ class OneStepCocycle:
 
 def product(c: OneStepCocycle, word: Word) -> np.ndarray:
     """The word product A_{i_{n-1}} ... A_{i_0}; identity for the empty word."""
-    if len(word) > MAX_PRODUCT_LENGTH:
-        raise ValueError(
-            f"plain products are limited to length {MAX_PRODUCT_LENGTH}; use profile()"
-        )
     if word and not sft.is_admissible(c.Q, word):
         raise ValueError(f"word {word} is not admissible")
-    M = np.eye(c.d)
-    for s in word:
-        M = c.generators[s - 1] @ M
-    if np.abs(M).max() > 1e300:
-        raise OverflowError("word product entries exceed 1e300")
-    return M
+    return word_products(c, np.array(word, dtype=np.intp).reshape(1, -1))[0]
+
+
+def word_products(c: OneStepCocycle, words: np.ndarray) -> np.ndarray:
+    """:func:`product` of every row of an (N, n) word array, unchecked for
+    admissibility, as an (N, d, d) stack of one stacked matmul per column.
+    Words past MAX_PRODUCT_LENGTH, or an entry past 1e300 or NaN, raise ValueError."""
+    if words.shape[1] > MAX_PRODUCT_LENGTH:
+        raise ValueError(f"plain products are limited to length {MAX_PRODUCT_LENGTH}; use profiles")
+    mats = np.repeat(np.eye(c.d)[None], len(words), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col in words.T:
+            mats = c.wedges[1][col - 1] @ mats
+        if not np.abs(mats).max(initial=0.0) <= 1e300:
+            raise ValueError("word product entries exceed 1e300")
+    return mats
 
 
 def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray):

@@ -11,9 +11,10 @@ import numpy as np
 
 from . import matalg, sft
 from .cocycle import (
-    BudgetError, OneStepCocycle, log_wedge_norm_matrices, product, profile_matrices, profile_matrix,
+    BudgetError, OneStepCocycle, log_wedge_norm_matrices, profile_matrices, profile_matrix,
+    word_products,
 )
-from .pressure import PressureEstimate, log_sums, weight_differences
+from .pressure import log_sums
 from .sft import Word, full_shift
 
 SLOPE_TOL = 1e-3
@@ -103,19 +104,6 @@ def domination_report(c: OneStepCocycle, n_range=range(2, 15), **kw) -> Dominati
     return DominationReport(
         entries=[domination_test(c, i, n_range=n_range, **kw) for i in range(1, c.d)]
     )
-
-
-def wedge_cocycle(c: OneStepCocycle, t: int) -> OneStepCocycle:
-    """The one-step cocycle generated by the degree-t wedge reps."""
-    return OneStepCocycle(Q=c.Q, generators=list(c.wedges[t]))
-
-
-def wedge_reduction_test(c: OneStepCocycle, i: int, n_range=range(2, 11)) -> bool:
-    """Consistency: domination at index i agrees with domination at
-    index 1 of the degree-i wedge cocycle."""
-    direct = domination_test(c, i, n_range=n_range)
-    reduced = domination_test(wedge_cocycle(c, i), 1, n_range=n_range)
-    return direct.verdict == reduced.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +326,15 @@ def multicone_search(
 
 @dataclass
 class DominatedSubsystem:
-    """Equal-length extended word family J1·I·J2 over the base words of
-    length n, whose induced one-step tuple is dominated at all indices.
-    """
+    """Equal-length extended words J1·I·J2, one row of ``words`` per base
+    word I of length n, whose induced one-step tuple is dominated at all
+    indices."""
 
     base_n: int
     pad_left: Word
     pad_right: Word
     ell: int
-    words: list[Word]
+    words: np.ndarray
     tuple_cocycle: OneStepCocycle
     report: DominationReport
     log_kappa: np.ndarray  # per wedge degree t = 1..d
@@ -395,36 +383,30 @@ def build_dominated_subsystem(
     Candidates are tried in increasing padding length, the empty pair
     first, so an already-dominated tuple gets empty paddings.  Every
     accepted family has one common (J1, J2), hence automatically a
-    uniform total length.  More than BLOCK_BUDGET base words raise
-    BudgetError before any is enumerated.
+    uniform total length.  A symbol of (a, w) outside the alphabet
+    raises ValueError, and so do products that overflow; more than
+    BLOCK_BUDGET base words raise BudgetError before any is enumerated.
     """
+    sft.check_symbols(c.Q, (a, *w))
     n_words = sft.count_words(c.Q, n)
     if n_words > BLOCK_BUDGET:
         raise BudgetError(
             f"{n_words} base words of length {n} exceed the budget of {BLOCK_BUDGET}"
         )
-    base_words = list(sft.enumerate_words(c.Q, n))
+    base = sft.word_array(c.Q, n)
     candidates = _padding_candidates(a, tuple(w), pad_bound)
-    depths = _block_depths(len(base_words))
+    depths = _block_depths(len(base))
 
-    c_ext = None
+    words = None
     for pad_left in candidates:
         for pad_right in candidates:
-            ok = True
-            for I in base_words:
-                ext = pad_left + I + pad_right
-                if not sft.is_admissible(c.Q, ext):
-                    ok = False
-                    break
-                # blocks must concatenate admissibly in the base shift
-                if not c.Q.allows(ext[-1], ext[0]):
-                    ok = False
-                    break
-            if not ok:
+            ext = np.tile(pad_left + (0,) * n + pad_right, (len(base), 1))
+            ext[:, len(pad_left):len(pad_left) + n] = base
+            # every step, and the wrap that lets blocks concatenate, is allowed
+            if not c.Q.entries[ext - 1, np.roll(ext, -1, axis=1) - 1].all():
                 continue
-            ext_words = [pad_left + I + pad_right for I in base_words]
-            mats = [product(c, word) for word in ext_words]
-            c_ext = OneStepCocycle(Q=full_shift(len(mats)), generators=mats)
+            words = ext
+            c_ext = OneStepCocycle(Q=full_shift(len(base)), generators=list(word_products(c, ext)))
             report = domination_report(
                 c_ext, n_range=depths, monotone_from=depths[0], budget=BLOCK_BUDGET,
             )
@@ -435,12 +417,12 @@ def build_dominated_subsystem(
                 one, two = norms[1], norms[2].reshape(c_ext.k, c_ext.k, c_ext.d)
                 return DominatedSubsystem(
                     base_n=n, pad_left=pad_left, pad_right=pad_right,
-                    ell=len(ext_words[0]), words=ext_words,
+                    ell=words.shape[1], words=words,
                     tuple_cocycle=c_ext, report=report,
                     log_kappa=(two - one[:, None] - one[None]).min(axis=(0, 1)),
                 )
     # the worst word of the last tuple tested, none if no candidate was admissible
-    worst = None if c_ext is None else ext_words[_worst_word_index(c_ext)]
+    worst = None if words is None else tuple(words[_worst_word_index(c_ext)].tolist())
     raise SubsystemSearchError(
         f"padding search exhausted (bound {pad_bound}); worst extended word: {worst}"
     )
@@ -452,20 +434,12 @@ def _worst_word_index(c_ext: OneStepCocycle) -> int:
     return int(gaps.max(axis=1).argmax())
 
 
-def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> PressureEstimate:
-    """Block pressure of the dominated subsystem at weight q, or at every
-    row of a (G, d) grid: (1/m) log sum over m-blocks of
-    exp<q, Psi(B-block)>, with one sweep of the block lengths m and
-    m - 1 and one Gibbs pass per length.
-
-    Lower bracket from the observed 2-block almost-additivity constants
-    (supermultiplicativity with kappa), upper bracket by Fekete when
-    all t_i >= 0, and ``cauchy`` the change from m - 1 blocks.  Fields
-    are arrays of shape q.shape[:-1], NaN for an absent bracket.
-    Divide the value by the subsystem word length to compare with the
-    base pressure.  More than 30 * BLOCK_BUDGET blocks raise
-    BudgetError.
-    """
+def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> np.ndarray:
+    """Block pressure (1/m) log s_m(q), m = block_depth, of the dominated
+    subsystem at weight q or at every row of a (G, d) grid, as an array of
+    shape q.shape[:-1], from one sweep and one Gibbs pass.  Divide by the
+    word length to compare with the base pressure.  More than
+    30 * BLOCK_BUDGET blocks raise BudgetError."""
     if block_depth < 1:
         raise ValueError("block_depth must be >= 1")
     budget = BLOCK_BUDGET * 30
@@ -475,16 +449,5 @@ def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> Pressure
             f"{n_blocks} blocks exceed the budget of {budget}; lower block_depth"
         )
     q = np.asarray(q, dtype=float)
-    m, shape = block_depth, q.shape[:-1]
-    logs = log_sums(sub.tuple_cocycle, q.reshape(-1, q.shape[-1]), {m, m - 1} - {0}, budget)
-    value = (logs[m] / m).reshape(shape)
-
-    t = weight_differences(q)
-    # deg-d wedge norms are multiplicative exactly; kappa there is 1
-    log_c1 = sum(np.where(t[..., i] >= 0, t[..., i] * lk, 0.0)
-                 for i, lk in enumerate(sub.log_kappa))
-    lower = value + log_c1 / m
-    upper = np.where((t >= 0).all(axis=-1), value, np.nan)
-    cauchy = (np.abs(value - (logs[m - 1] / (m - 1)).reshape(shape)) if m > 1
-              else np.full(shape, np.nan))
-    return PressureEstimate(q=q, n=m, value=value, lower=lower, upper=upper, cauchy=cauchy)
+    logs = log_sums(sub.tuple_cocycle, q.reshape(-1, q.shape[-1]), (block_depth,), budget)
+    return (logs[block_depth] / block_depth).reshape(q.shape[:-1])

@@ -22,12 +22,15 @@ def check_finite(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def is_invertible(M: np.ndarray) -> bool:
+def det_margin(M: np.ndarray) -> float:
+    """Scale-free invertibility margin |det(M / max |entry|)|; 0 for M = 0."""
     M = check_finite(M)
     scale = float(np.abs(M).max())
-    if scale == 0.0:
-        return False
-    return abs(float(np.linalg.det(M / scale))) > DET_RTOL
+    return 0.0 if scale == 0.0 else abs(float(np.linalg.det(M / scale)))
+
+
+def is_invertible(M: np.ndarray) -> bool:
+    return det_margin(M) > DET_RTOL
 
 
 def log_singular_values(M: np.ndarray) -> np.ndarray:

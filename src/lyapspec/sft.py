@@ -81,7 +81,7 @@ def validate(entries) -> TransitionMatrix:
     )
 
 
-def _check_symbols(Q: TransitionMatrix, word: Sequence[int]) -> None:
+def check_symbols(Q: TransitionMatrix, word: Sequence[int]) -> None:
     for s in word:
         if not 1 <= s <= Q.k:
             raise ValueError(f"symbol {s} outside alphabet 1..{Q.k}")
@@ -89,7 +89,7 @@ def _check_symbols(Q: TransitionMatrix, word: Sequence[int]) -> None:
 
 def is_admissible(Q: TransitionMatrix, word: Sequence[int]) -> bool:
     """Whether every consecutive transition of the word is allowed."""
-    _check_symbols(Q, word)
+    check_symbols(Q, word)
     return all(Q.allows(a, b) for a, b in zip(word, word[1:]))
 
 

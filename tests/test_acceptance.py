@@ -228,9 +228,9 @@ def test_10_domination_and_subsystems(diag_cocycle, rotation_cocycle,
 
         depth = 5 if base_n == 2 else 3
         for q in q_list:
-            est = domination.subsystem_pressure(sub, q, depth)
+            value = domination.subsystem_pressure(sub, q, depth)
             gaps.setdefault(tuple(q), []).append(
-                abs(est.value / sub.ell - base[tuple(q)]))
+                abs(value / sub.ell - base[tuple(q)]))
     shrinking = all(g[1] < g[0] for g in gaps.values())
     ok &= kappa_ok and shrinking
     gap_text = ", ".join(f"{k}: {v[0]:.4f}->{v[1]:.4f}"

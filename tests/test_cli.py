@@ -75,6 +75,27 @@ def pos_file(tmp_path):
     return str(path)
 
 
+def _scaled_pos_file(tmp_path, exponent):
+    """The positive cocycle with every entry times 10**exponent."""
+    path = tmp_path / f"pos{exponent}.cocycle"
+    path.write_text(f"dim 2\nalphabet 2\ntransition full\nmatrix 1\n2e{exponent} 0\n"
+                    f"0 1e{exponent}\nmatrix 2\n1e{exponent} 1e{exponent}\n"
+                    f"1e{exponent} 2e{exponent}\n")
+    return str(path)
+
+
+@pytest.fixture
+def pos110_file(tmp_path):
+    """Valid, but a product of three generators passes 1e300."""
+    return _scaled_pos_file(tmp_path, 110)
+
+
+@pytest.fixture
+def pos160_file(tmp_path):
+    """Finite entries whose determinants overflow a float."""
+    return _scaled_pos_file(tmp_path, 160)
+
+
 class TestParser:
     def test_parse_full_shift(self):
         c = cli.parse_cocycle_text(DIAG)
@@ -162,6 +183,18 @@ class TestCommands:
         assert cli.main(["validate", diag_file]) == 0
         out = capsys.readouterr().out
         assert "mixing rate = 1" in out
+
+    def test_validate_margin_is_scale_free(self, tmp_path, capsys):
+        """Entries near 1e103 in dim 3: the margin is |det(A / scale)|,
+        while scale**3 would overflow a float."""
+        path = tmp_path / "big3.cocycle"
+        path.write_text("dim 3\nalphabet 2\ntransition full\n"
+                        "matrix 1\n1e103 9e102 0\n9e102 1e103 0\n0 0 5e102\n"
+                        "matrix 2\n1e103 0 0\n0 1e103 0\n0 0 1e102\n")
+        assert cli.main(["validate", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == "matrix 1: invertibility margin 0.095"
+        assert out[-1] == "matrix 2: invertibility margin 0.1"
 
     def test_validate_parse_error_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cocycle"
@@ -346,6 +379,12 @@ class TestCommands:
     (["typical", "{dim7}"], cli.EXIT_VALIDATE),
     (["subsystem", "{dim7}"], cli.EXIT_VALIDATE),
     (["typical", "{diag}", "--search-depth", "13"], cli.EXIT_BUDGET),
+    (["subsystem", "{pos110}"], cli.EXIT_VALIDATE),
+    (["typical", "{pos110}", "--fixed-symbol", "1", "--homoclinic", "2,2"], cli.EXIT_VALIDATE),
+    (["validate", "{pos160}"], cli.EXIT_VALIDATE),
+    (["pressure", "{pos160}", "--q=0:0:1", "--n", "4"], cli.EXIT_VALIDATE),
+    (["spectrum", "{pos160}", "--n", "4", "--auto-grid", "3"], cli.EXIT_VALIDATE),
+    (["dominate", "{pos160}"], cli.EXIT_VALIDATE),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
@@ -354,20 +393,25 @@ class TestCommands:
         "subsystem-budget", "pressure-qm-depth", "pressure-qm-connect",
         "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",
         "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n",
-        "typical-search-dim-7", "subsystem-search-dim-7", "typical-search-budget"])
+        "typical-search-dim-7", "subsystem-search-dim-7", "typical-search-budget",
+        "subsystem-product-overflow", "typical-product-overflow", "validate-wedge-overflow",
+        "pressure-wedge-overflow", "spectrum-wedge-overflow", "dominate-wedge-overflow"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
-                                      dim7_file, tmp_path, capsys):
+                                      dim7_file, pos110_file, pos160_file, tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
     message, never a traceback (exit 1 means a negative verdict), and
-    leave no output behind: no stdout line and no subsystem file."""
-    argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file, dim7=dim7_file)
-            for a in argv]
+    leave no output behind: no stdout line and no subsystem file.  A
+    file the loader refuses reports a validation error."""
+    refused = argv[1] == "{pos160}"
+    argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file, dim7=dim7_file,
+                     pos110=pos110_file, pos160=pos160_file) for a in argv]
     sub_out = tmp_path / "x.cocycle"
     argv += ["--subsystem-out", str(sub_out)] if argv[0] == "subsystem" else []
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
-    assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET else "error: ")
+    assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET
+                          else "validation error: " if refused else "error: ")
     assert out == ""
     assert not sub_out.exists()
 

@@ -1,7 +1,10 @@
 """Property test: the QM search, the subsystem kappa and the word
-enumerator read from the profile sweep, against the triple loop, the
-2-block loop and the recursive enumerator they replaced, kept here as
+enumerator read from the profile sweep, and the subsystem builder on
+word arrays, against the triple loop, the 2-block loop, the recursive
+enumerator and the per-word padding loop they replaced, kept here as
 the references."""
+
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from lyapspec import domination, matalg, sft, typicality  # noqa: E402
-from lyapspec.cocycle import OneStepCocycle  # noqa: E402
+from lyapspec.cocycle import OneStepCocycle, product  # noqa: E402
 
 TOL = 1e-12
 
@@ -187,3 +190,71 @@ def test_subsystem_kappa_matches_two_block_loop(k, d, seed):
     except domination.SubsystemSearchError:
         hypothesis.assume(False)
     assert np.abs(sub.log_kappa - _tuple_kappa(sub.tuple_cocycle)).max() <= TOL
+
+
+def _reference_pads(c, n, a, w, pad_bound):
+    """The per-word padding loop the array builder replaced: the first
+    (J1, J2) whose extended words are admissible, close up and give a
+    dominated tuple, built with one ``product`` per word; None with the
+    worst word of the last tuple tested on exhaustion."""
+    base_words = list(sft.enumerate_words(c.Q, n))
+    candidates = domination._padding_candidates(a, tuple(w), pad_bound)
+    depths = domination._block_depths(len(base_words))
+    worst = None
+    for pad_left in candidates:
+        for pad_right in candidates:
+            ext_words = [pad_left + I + pad_right for I in base_words]
+            if not all(sft.is_admissible(c.Q, e) and c.Q.allows(e[-1], e[0])
+                       for e in ext_words):
+                continue
+            c_ext = OneStepCocycle(Q=sft.full_shift(len(ext_words)),
+                                   generators=[product(c, e) for e in ext_words])
+            report = domination.domination_report(c_ext, n_range=depths,
+                                                  monotone_from=depths[0],
+                                                  budget=domination.BLOCK_BUDGET)
+            if report.passed:
+                return (pad_left, pad_right), None
+            worst = ext_words[domination._worst_word_index(c_ext)]
+    return None, worst
+
+
+@hypothesis.settings(max_examples=60, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.filter_too_much])
+@hypothesis.given(Q=primitive_Q(), d=st.sampled_from([2, 3]), positive=st.booleans(),
+                  seed=st.integers(0, 2**16), n=st.integers(1, 2), data=st.data())
+@hypothesis.example(Q=sft.validate([[1, 1], [1, 0]]), d=2, positive=True, seed=0, n=1,
+                    data=None)
+def test_subsystem_builder_matches_per_word_loop(Q, d, positive, seed, n, data):
+    """On primitive Q that are not full shifts, where some paddings are
+    rejected, the array builder picks the pads of the per-word loop (or
+    exhausts with the same worst word); every row of ``words`` is
+    admissible and closes up, and the tuple is ``product`` of each row
+    bit for bit."""
+    hypothesis.assume(not Q.is_full_shift)
+    if data is None:  # the golden-mean example: (2,) cannot close up, so () | () is rejected
+        a, w, pad_bound = 1, (2,), 2
+    else:
+        fixed = [s for s in range(1, Q.k + 1) if Q.allows(s, s)]
+        a = data.draw(st.sampled_from(fixed)) if fixed else data.draw(st.integers(1, Q.k))
+        w = tuple(data.draw(st.lists(st.integers(1, Q.k), min_size=1, max_size=2)))
+        pad_bound = data.draw(st.integers(0, 2))
+    rng = np.random.default_rng(seed)
+    gens = (rng.uniform(0.05, 1.0, size=(Q.k, d, d)) if positive
+            else rng.standard_normal((Q.k, d, d)))
+    c = OneStepCocycle(Q=Q, generators=list(gens))
+    try:
+        pads, worst = _reference_pads(c, n, a, w, pad_bound)
+    except ValueError as exc:  # a product that is not invertible
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            domination.build_dominated_subsystem(c, n, a, w, pad_bound=pad_bound)
+        return
+    if pads is None:
+        with pytest.raises(domination.SubsystemSearchError,
+                           match=f"worst extended word: {re.escape(str(worst))}$"):
+            domination.build_dominated_subsystem(c, n, a, w, pad_bound=pad_bound)
+        return
+    sub = domination.build_dominated_subsystem(c, n, a, w, pad_bound=pad_bound)
+    assert (sub.pad_left, sub.pad_right) == pads
+    rows = [tuple(row) for row in sub.words.tolist()]
+    assert all(sft.is_admissible(Q, e) and Q.allows(e[-1], e[0]) for e in rows)
+    assert np.array_equal(sub.tuple_cocycle.generators, [product(c, e) for e in rows])
