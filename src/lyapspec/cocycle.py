@@ -22,8 +22,8 @@ MAX_PRODUCT_LENGTH = 30
 #: default enumeration budget (number of words per sweep)
 DEFAULT_WORD_BUDGET = 20_000_000
 
-#: frontier rows per step of a profile sweep; bounds its working set
-#: (a row holds sum_t C(d,t)^2 floats)
+#: frontier rows per step of a profile sweep, and per finish batch;
+#: bounds its working set (a row holds sum_t C(d,t)^2 floats)
 BLOCK_ROWS = 1 << 10
 
 #: power steps before the Rayleigh quotient of a D >= 3 spectral norm
@@ -208,11 +208,25 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
     up to BLOCK_ROWS consecutive frontier rows by one symbol, in
     lexicographic (parent, symbol) order; a longer frontier runs block
     by block, first to last, so the blocks of one level pop in word
-    order and a requested level is finished block by block.
+    order.  Popped blocks of requested levels share :func:`_finish` calls
+    of at most BLOCK_ROWS rows; the finish works row by row, so each
+    level gets the values of a finish per block, in word order.
     """
     out = {n: np.empty((sft.count_words(c.Q, n), c.d)) for n in lengths}
     row = dict.fromkeys(out, 0)
     top = max(out)
+    batch = []  # popped (depth, frontier) blocks of requested levels, to finish
+
+    def finish_batch():
+        fronts = [front for _, front in batch]
+        logs = _finish(fronts[0] if len(fronts) == 1 else (
+            [np.concatenate(stack) for stack in zip(*(mats for mats, _ in fronts))],
+            np.concatenate([laccs for _, laccs in fronts])))
+        for depth, (_, laccs) in batch:
+            out[depth][row[depth]:row[depth] + len(laccs)], logs = np.split(logs, [len(laccs)])
+            row[depth] += len(laccs)
+        batch.clear()
+
     # LIFO work list of (depth, parent frontier, parent rows, symbols)
     todo = [(0, _root(c), np.zeros(c.k, dtype=np.intp), np.arange(1, c.k + 1))]
     while todo:
@@ -220,14 +234,16 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
         front = _advance(c, parent, par, sym)
         depth += 1
         if depth in out:
-            out[depth][row[depth]:row[depth] + len(sym)] = _finish(front)
-            row[depth] += len(sym)
+            if batch and sum(len(laccs) for _, (_, laccs) in batch) + len(sym) > BLOCK_ROWS:
+                finish_batch()
+            batch.append((depth, front))
         if depth == top:
             continue
         par, col = np.nonzero(c.Q.entries[sym - 1])
         for start in reversed(range(0, len(par), BLOCK_ROWS)):
             block = slice(start, start + BLOCK_ROWS)
             todo.append((depth, front, par[block], col[block] + 1))
+    finish_batch()
     return out
 
 

@@ -139,13 +139,21 @@ RHO_TOL = 1e-7
 DEFINITE_TOL = 1e-12
 
 
-def _canon_rows(V: np.ndarray) -> np.ndarray:
-    """Unit representatives of the projective points in the rows of V,
-    each signed so that its largest-|entry| is positive.  The stacked
-    row products are one BLAS dot each, bit-identical to ``v @ v``."""
-    V = V / np.sqrt(V[..., None, :] @ V[..., :, None])[..., 0]
+def _unit_rows(V: np.ndarray) -> np.ndarray:
+    """The rows of V over their norms.  The stacked row products are one
+    BLAS dot each, bit-identical to ``v @ v``."""
+    return V / np.sqrt(V[..., None, :] @ V[..., :, None])[..., 0]
+
+
+def _signed_rows(V: np.ndarray) -> np.ndarray:
+    """The rows of V, each signed so that its largest-|entry| is positive."""
     big = np.take_along_axis(V, np.abs(V).argmax(axis=-1)[..., None], -1)
     return np.where(big > 0, V, -V)
+
+
+def _canon_rows(V: np.ndarray) -> np.ndarray:
+    """Signed unit representatives of the projective points in the rows of V."""
+    return _signed_rows(_unit_rows(V))
 
 
 def _proj_dist(V: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -280,11 +288,12 @@ def multicone_search(
     # the orbits step together; stacked products match B @ v bit for bit
     draws = [(rng.standard_normal(D), rng.integers(len(reps), size=burn_in + collect))
              for _ in range(n_starts)]
-    v, orbit = _canon_rows(np.array([u for u, _ in draws])), []
+    # B(-v) = -(B v) exactly: steps only normalise, and the collected ones are signed once
+    v, orbit = _unit_rows(np.array([u for u, _ in draws])), []
     for step in np.array([s for _, s in draws]).T:
-        v = _canon_rows((reps[step] @ v[:, :, None])[..., 0])
+        v = _unit_rows((reps[step] @ v[:, :, None])[..., 0])
         orbit.append(v)
-    visited = np.stack(orbit[burn_in:], axis=1).reshape(-1, D)
+    visited = _signed_rows(np.stack(orbit[burn_in:], axis=1).reshape(-1, D))
     # close the sample under one application of every generator
     visited = np.vstack([visited, _canon_rows((reps @ visited[:, None, :, None]).reshape(-1, D))])
 

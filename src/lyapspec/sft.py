@@ -29,6 +29,9 @@ class TransitionMatrix:
     k: int
     entries: np.ndarray = field(repr=False)
     mixing_rate: int = 0
+    #: #L_1, #L_2, ... and the last one's words by first symbol (:func:`count_words`)
+    _counts: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _vec: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=np.int64))
@@ -97,32 +100,40 @@ def count_words(Q: TransitionMatrix, n: int) -> int:
     """Exact number of admissible words of length n.
 
     Equals the sum of all entries of Q^(n-1), computed with Python
-    integers, so the count never overflows.
+    integers, so the count never overflows.  The counts are kept on Q
+    and extended on demand, one step of the count vector per length.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    # Python-int matrix power; k is small, n moderate.
-    rows = [[int(x) for x in row] for row in Q.entries]
-    vec = [1] * Q.k
-    for _ in range(n - 1):
-        vec = [sum(rows[i][j] * vec[j] for j in range(Q.k)) for i in range(Q.k)]
-    return sum(vec)
+    counts, vec = Q._counts, Q._vec
+    if len(counts) < n:
+        succ = [np.flatnonzero(row).tolist() for row in Q.entries]
+        while len(counts) < n:
+            vec[:] = [sum(vec[j] for j in row) for row in succ] if counts else [1] * Q.k
+            counts.append(sum(vec))
+    return counts[n - 1]
 
 
-def word_array(Q: TransitionMatrix, n: int) -> np.ndarray:
-    """Admissible words of length n, one per row, in lexicographic order.
+def word_arrays(Q: TransitionMatrix, n: int) -> list[np.ndarray]:
+    """:func:`word_array` at every length 1..n, as a list, from one pass.
 
     Level-synchronous, in the order of a profile sweep: each level
     extends every row by the symbols that ``np.nonzero`` finds in the
     transition row of its last symbol.
     """
+    levels = [np.arange(1, Q.k + 1)[:, None]] if n >= 1 else []
+    for _ in range(n - 1):
+        words = levels[-1]
+        par, sym = np.nonzero(Q.entries[words[:, -1] - 1])
+        levels.append(np.column_stack([words[par], sym + 1]))
+    return levels
+
+
+def word_array(Q: TransitionMatrix, n: int) -> np.ndarray:
+    """Admissible words of length n, one per row, in lexicographic order."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    words = np.arange(1, Q.k + 1)[:, None]
-    for _ in range(n - 1):
-        par, sym = np.nonzero(Q.entries[words[:, -1] - 1])
-        words = np.column_stack([words[par], sym + 1])
-    return words
+    return word_arrays(Q, n)[-1]
 
 
 def child_tables(Q: TransitionMatrix, n: int) -> list[np.ndarray]:

@@ -204,52 +204,71 @@ def qm_search(
     search, is a report state.
 
     Every norm is read from one profile sweep
-    (:func:`log_wedge_norm_matrices`) of the lengths 1..2 n_max + k_max:
-    the rows of the sweep at length |I| + k + |J| are exactly the
-    admissible words IKJ, and each maps to its (I, J) by the ranks of
-    its prefix and suffix.  A length of more than ``budget`` words
-    raises BudgetError before the sweep.
+    (:func:`log_wedge_norm_matrices`) of the lengths 1..2 n_max + k_max,
+    and every word from one :func:`sft.word_arrays` pass: the rows at
+    length L = |I| + k + |J| are exactly the admissible words IKJ, and
+    each maps to its (I, J) by the ranks of its prefix (one walk per L)
+    and suffix.  Each k takes one scatter-max over all its splits.  A
+    length of more than ``budget`` words raises BudgetError before the
+    sweep.
     """
-    lengths = range(1, n_max + 1)
     top = 2 * n_max + k_max if n_max and k_max >= 0 else n_max
-    swept = range(1, top + 1)
-    norms = {n: logs[:, :-1] for n, logs in log_wedge_norm_matrices(c, swept, budget).items()}
-    arrays = {n: sft.word_array(c.Q, n) for n in swept}
-    words = [w for n in lengths for w in map(tuple, arrays[n].tolist())]
-    # row of the first length-n word in the pair table
-    offset = {n: sum(len(arrays[m]) for m in range(1, n)) for n in lengths}
+    norms = {n: logs[:, :-1]
+             for n, logs in log_wedge_norm_matrices(c, range(1, top + 1), budget).items()}
+    arrays = sft.word_arrays(c.Q, top)
+    # offset[a - 1]: row of the first length-a word in the pair table
+    offset = np.cumsum([0] + [len(arrays[a]) for a in range(n_max)])
+    size = int(offset[-1])
     tables = sft.child_tables(c.Q, n_max)
 
+    # per k, the flat (I, J) pair indices and the ratios of every split
+    scatter = {k: ([], []) for k in range(k_max + 1)}
+    for L in range(2, top + 1):
+        W = arrays[L - 1]
+        # the lengths a of I (and b of J) that some k = L - a - b admits
+        splits = range(max(1, L - k_max - n_max), min(n_max, L - 1) + 1)
+        # the prefix ranks of every length, from one :func:`_ranks` walk
+        prefix = [W[:, 0] - 1]
+        for m in range(1, max(splits, default=1)):
+            prefix.append(tables[m - 1][prefix[-1], W[:, m] - 1])
+        for b in splits:
+            J = _ranks(tables, W[:, -b:])
+            for a in splits:
+                k, I = L - a - b, prefix[a - 1]
+                if 0 <= k <= k_max:
+                    scatter[k][0].append((offset[a - 1] + I) * size + offset[b - 1] + J)
+                    # d = 1: no exterior degrees to check, norms multiply exactly
+                    scatter[k][1].append((norms[L] - norms[a][I] - norms[b][J]).min(
+                        axis=1, initial=np.inf if c.d > 1 else 0.0))
+
+    def pair(ij: int) -> tuple[Word, Word]:
+        rows = divmod(ij, size)
+        lens = np.searchsorted(offset, rows, side="right")
+        return tuple(tuple(arrays[a - 1][r - offset[a - 1]].tolist()) for a, r in zip(lens, rows))
+
     constants: dict[int, float | None] = {}
-    chosen_k = None
-    chosen_C = None
-    worst_pair = None
+    chosen_k = chosen_C = worst_pair = None
     for k in range(0, k_max + 1):
-        # best[I, J] = max over K of the ratio; -inf: no K makes IKJ admissible
-        best = np.full((len(words), len(words)), -np.inf)
-        for a in lengths:
-            for b in lengths:
-                W = arrays[a + k + b]
-                I, J = _ranks(tables, W[:, :a]), _ranks(tables, W[:, -b:])
-                # d = 1: no exterior degrees to check, norms multiply exactly
-                ratio = (norms[a + k + b] - norms[a][I] - norms[b][J]).min(
-                    axis=1, initial=np.inf if c.d > 1 else 0.0)
-                np.maximum.at(best, (offset[a] + I, offset[b] + J), ratio)
-        if not words:
+        if not size:
             # no words, no pairs: an empty search bounds nothing
             constants[k] = None
             continue
+        # best[I, J] = max over K of the ratio; -inf: no K makes IKJ admissible
+        best = np.full(size * size, -np.inf)
+        np.maximum.at(best, *map(np.concatenate, scatter[k]))
         # the first minimal pair in (I, J) order
-        i, j = np.unravel_index(np.argmin(best), best.shape)
-        log_c, k_worst = best[i, j], (words[i], words[j])
+        ij = int(np.argmin(best))
+        log_c = best[ij]
         if log_c == -np.inf:
             constants[k] = None
-            worst_pair = k_worst
+            worst_pair = pair(ij)
             continue
-        C_k = float(np.exp(log_c))
+        # a ratio past the float range keeps C = inf
+        with np.errstate(over="ignore"):
+            C_k = float(np.exp(log_c))
         constants[k] = C_k
         if chosen_k is None and C_k > 1e-12:
-            chosen_k, chosen_C, worst_pair = k, C_k, k_worst
+            chosen_k, chosen_C, worst_pair = k, C_k, pair(ij)
     return QMReport(
         n_max=n_max, k_max=k_max, k=chosen_k, C=chosen_C,
         constants_by_k=constants, worst_pair=worst_pair,

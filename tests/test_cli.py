@@ -244,6 +244,23 @@ class TestCommands:
                          "--budget", "10"])
         assert code == cli.EXIT_BUDGET
 
+    def test_pressure_qm_constant_past_float_range_is_quiet(self, tmp_path):
+        """Generators near 1e103 give a QM ratio past the float range: C
+        is kept as inf, and the run warns nothing."""
+        rows = ["1 .9 0", ".9 1 0", "0 0 .5", "1 .2 .1", ".3 .4 .2", ".1 .1 .3"]
+        big = [" ".join(f"{float(x)}e103" for x in row.split()) for row in rows]
+        path = tmp_path / "big.cocycle"
+        path.write_text("dim 3\nalphabet 2\ntransition full\nmatrix 1\n"
+                        + "\n".join(big[:3]) + "\nmatrix 2\n" + "\n".join(big[3:]) + "\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        run = subprocess.run([sys.executable, "-m", "lyapspec.cli", "pressure", str(path),
+                              "--q=0:1:1", "--n", "6", "--out", str(tmp_path / "p.csv")],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                             text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        qm = typicality.qm_search(cli.load_cocycle(str(path)), 4, 4)
+        assert np.inf in qm.constants_by_k.values()
+
     def test_spectrum_csv(self, pos_file, tmp_path):
         out = tmp_path / "s.csv"
         code = cli.main(["spectrum", pos_file, "--auto-grid", "3",
@@ -378,7 +395,9 @@ class TestCommands:
     (["subsystem", "{pos}", "--base-n", "40"], cli.EXIT_BUDGET),
     (["typical", "{dim7}"], cli.EXIT_VALIDATE),
     (["subsystem", "{dim7}"], cli.EXIT_VALIDATE),
-    (["typical", "{diag}", "--search-depth", "13"], cli.EXIT_BUDGET),
+    # runs the whole MAX_TYPICAL_CHECKS search, about 6 s
+    pytest.param(["typical", "{diag}", "--search-depth", "13"], cli.EXIT_BUDGET,
+                 marks=pytest.mark.slow),
     (["subsystem", "{pos110}"], cli.EXIT_VALIDATE),
     (["typical", "{pos110}", "--fixed-symbol", "1", "--homoclinic", "2,2"], cli.EXIT_VALIDATE),
     (["validate", "{pos160}"], cli.EXIT_VALIDATE),

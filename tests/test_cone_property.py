@@ -2,6 +2,8 @@
 against exact arc endpoints, dense sampling and rescaling, and the
 batched search and sampled fallback against per-vector references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,32 @@ def test_pair_margins_scale_free(reps, seed, scales):
     assert np.abs(m1[ok] - m2[ok]).max(initial=0.0) <= domination.RHO_TOL + 1e-12
 
 
+def _canon_every_step(V):
+    """The per-step canonical rows of the orbit: unit rows, each signed
+    so that its largest-|entry| is positive."""
+    V = V / np.sqrt(V[..., None, :] @ V[..., :, None])[..., 0]
+    big = np.take_along_axis(V, np.abs(V).argmax(axis=-1)[..., None], -1)
+    return np.where(big > 0, V, -V)
+
+
+@pytest.mark.parametrize("name", ["diag_cocycle", "pos_cocycle", "twisted4_cocycle",
+                                  "rotation_cocycle", "golden_identity"])
+def test_orbit_signed_once_matches_every_step(name, request):
+    """Signing the collected orbit once gives the cover, margin and
+    kind of an orbit canonicalised at every step, on every degree."""
+    c = request.getfixturevalue(name)
+    for t in range(1, c.d):
+        reps = list(c.wedges[t])
+        cert = domination.multicone_search(reps, t=t)
+        with mock.patch.object(domination, "_unit_rows", _canon_every_step):
+            ref = domination.multicone_search(reps, t=t)
+        assert (cert is None) == (ref is None)
+        if cert is not None:
+            assert np.array_equal(cert.centers, ref.centers)
+            assert (cert.margin, cert.kind) == (ref.margin, ref.kind)
+
+
+@pytest.mark.slow
 @hypothesis.settings(max_examples=30, deadline=None)
 @hypothesis.given(reps=positive_reps(), seed=st.integers(0, 50),
                   radius=st.sampled_from([0.1, 0.2, 0.3]),

@@ -177,6 +177,27 @@ def test_enumeration_matches_recursive_reference(Q, n):
     assert np.array_equal(sft.word_array(Q, n), np.array(words))
 
 
+@hypothesis.settings(max_examples=60, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.filter_too_much])
+@hypothesis.given(Q=primitive_Q(max_k=4), order=st.permutations(range(1, 13)))
+def test_count_words_matches_matrix_power(Q, order):
+    """The counts kept on Q, extended in any order of lengths, equal
+    the entry sum of Q^(n-1)."""
+    for n in order:
+        assert sft.count_words(Q, n) == int(np.linalg.matrix_power(Q.entries, n - 1).sum())
+
+
+@hypothesis.settings(max_examples=40, deadline=None,
+                     suppress_health_check=[hypothesis.HealthCheck.filter_too_much])
+@hypothesis.given(Q=primitive_Q(max_k=4), n=st.integers(0, 7))
+def test_word_arrays_match_word_array(Q, n):
+    """One pass gives every length's word array."""
+    arrays = sft.word_arrays(Q, n)
+    assert len(arrays) == n
+    for m, words in enumerate(arrays, start=1):
+        assert np.array_equal(words, sft.word_array(Q, m))
+
+
 @hypothesis.settings(max_examples=20, deadline=None)
 @hypothesis.given(k=st.integers(1, 3), d=st.sampled_from([2, 3]),
                   seed=st.integers(0, 2**16))

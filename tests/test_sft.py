@@ -73,6 +73,19 @@ class TestWords:
         assert count == fib(128)
         assert count > 2**63
 
+    def test_count_exact_at_length_60(self):
+        assert sft.count_words(sft.full_shift(3), 60) == 3**60
+
+    def test_counts_not_shared(self):
+        """Counts are kept per matrix, also for equal entries."""
+        full, golden = sft.full_shift(2), sft.validate([[1, 1], [1, 0]])
+        again = sft.full_shift(2)
+        assert sft.count_words(full, 10) == 2**10
+        assert sft.count_words(golden, 10) == fib(10)
+        assert sft.count_words(again, 5) == 2**5
+        assert sft.count_words(full, 12) == 2**12
+        assert full._counts is not again._counts
+
     def test_enumeration_lex_order(self, golden_mean_Q):
         words = list(sft.enumerate_words(golden_mean_Q, 3))
         assert words == sorted(words)

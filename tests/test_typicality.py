@@ -1,7 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from lyapspec import pressure, sft, typicality
+from lyapspec import cocycle, pressure, sft, typicality
 from lyapspec.cocycle import BudgetError, OneStepCocycle, product
 
 
@@ -151,6 +153,14 @@ class TestQmSearch:
         qm = typicality.qm_search(c, 3, 3)
         assert qm.found
         assert qm.k >= 1
+
+    def test_levels_share_finish_calls(self, pos_cocycle):
+        """The 9 swept levels (1,022 rows) take at most 2 finish calls."""
+        c = OneStepCocycle(Q=sft.full_shift(2), generators=pos_cocycle.generators)
+        with mock.patch.object(cocycle, "_finish", wraps=cocycle._finish) as finish:
+            qm = typicality.qm_search(c, 3, 3)
+        assert finish.call_count <= 2
+        assert qm.found
 
     def test_empty_search_not_found(self, pos_cocycle):
         """With no words there is no pair to bound: not found, and the
