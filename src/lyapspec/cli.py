@@ -27,7 +27,8 @@ from functools import partial
 import numpy as np
 
 from . import __version__, domination, matalg, pressure, sft, spectrum, typicality
-from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, profile_matrix
+from .cocycle import (DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, log_wedge_norm_matrices,
+                      profile_matrix)
 from .sft import NotPrimitiveError
 
 EXIT_OK = 0
@@ -325,6 +326,13 @@ def cmd_pressure(args) -> int:
     _at_least("--qm-depth", args.qm_depth, 0)
     _at_least("--qm-connect", args.qm_connect, 0)
     grid = parse_grid(args.q, c.d)
+    # one sweep for the QM search and the table, when the search stops at
+    # its first connector length k; past the budget, the search and the
+    # table check their own lengths and name the first one over it
+    k, reads = typicality.qm_lengths(c.Q, args.qm_depth, args.qm_connect)
+    lengths = {*reads, *pressure.table_lengths(args.n, k)}
+    if sft.count_words(c.Q, max(lengths)) <= args.budget:
+        log_wedge_norm_matrices(c, lengths, args.budget)
     qm = typicality.qm_search(c, args.qm_depth, args.qm_connect, budget=args.budget)
     est = pressure.pressure_table(c, grid, args.n, qm_C=qm.C, qm_k=qm.k, budget=args.budget)
     brackets = np.column_stack([est.lower, est.upper, est.cauchy]).tolist()

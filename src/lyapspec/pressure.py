@@ -25,9 +25,11 @@ class PressureEstimate:
     ``lower`` comes from the supermultiplicativity constant supplied by
     a quasi-multiplicativity report (empirical-constant bracket);
     ``upper`` is the Fekete bound, present only when all t_i >= 0.
-    ``cauchy`` is |P_n - P_{n-2}| when n > 2.  At one q the fields are
-    floats and an absent bracket is None; over a (G, d) grid of q
-    (:func:`pressure_table`) they are (G,) arrays with NaN in its place.
+    ``cauchy`` is |P_n - P_{n-2}| when n > 2: a difference of two
+    finite-n values, not a bound on the error of P_n.  At one q the
+    fields are floats and an absent bracket is None; over a (G, d) grid
+    of q (:func:`pressure_table`) they are (G,) arrays with NaN in its
+    place.
     """
 
     q: np.ndarray
@@ -119,6 +121,14 @@ def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int):
     return sum(terms[..., i] for i in range(c.d))
 
 
+def table_lengths(n: int, qm_k: int | None = None) -> set[int]:
+    """The lengths :func:`pressure_table` reads at n: n, n - 2 when
+    n > 2, and n - qm_k for a lower bracket at connector length
+    qm_k < n."""
+    return {n, *([n - qm_k] if qm_k is not None and n > qm_k else []),
+            *([n - 2] if n > 2 else [])}
+
+
 def pressure_table(
     c: OneStepCocycle,
     grid: np.ndarray,
@@ -134,13 +144,13 @@ def pressure_table(
 
     Lower bracket (needs quasi-multiplicativity constants): the
     sequence s_{n-k}(q)/C_1 is supermultiplicative, so
-    (log C_1 + log s_{n-k}(q))/n <= P.  Upper bracket (all t_i >= 0):
-    psi^q is then submultiplicative and Fekete gives P <= P_n.
+    (log C_1 + log s_{n-k}(q))/n <= P; a constant C past the float
+    range gives no bracket.  Upper bracket (all t_i >= 0): psi^q is
+    then submultiplicative and Fekete gives P <= P_n.
     """
     grid = np.asarray(grid, dtype=float)
-    bracket = qm_C is not None and qm_k is not None and qm_C > 0 and n > qm_k
-    lengths = {n, *([n - qm_k] if bracket else []), *([n - 2] if n > 2 else [])}
-    logs = log_sums(c, grid, lengths, budget)
+    bracket = qm_C is not None and qm_k is not None and 0 < qm_C < np.inf and n > qm_k
+    logs = log_sums(c, grid, table_lengths(n, qm_k if bracket else None), budget)
     value = logs[n] / n
     lower = ((bracket_constants(c, grid, qm_C, qm_k) + logs[n - qm_k]) / n if bracket
              else np.full_like(value, np.nan))

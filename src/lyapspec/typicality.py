@@ -62,9 +62,12 @@ class TypicalityReport:
 class QMReport:
     """Empirical simultaneous quasi-multiplicativity constants.
 
-    ``C`` and ``k`` are the first connecting length with a positive
-    constant over all tested word pairs; ``constants_by_k`` records the
-    search, and ``worst_pair`` the minimizing (I, J) at the chosen k.
+    ``C`` and ``k`` are the first connecting length with a constant
+    above 1e-12 over all tested word pairs; ``worst_pair`` is the
+    minimizing (I, J) at that k, or, when no k passes, the first pair
+    with no connector at the last k without one.  ``constants_by_k``
+    records the search up to where it stopped: None below k = mixing
+    rate - 1 and wherever some pair has no connector.
     """
 
     n_max: int
@@ -188,6 +191,39 @@ def _ranks(tables: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _first_connector(Q: sft.TransitionMatrix) -> int:
+    """The least connector length k at which every symbol pair (i, j)
+    has a connector, Q^(k+1) > 0: the mixing rate minus one.  The QM
+    search starts there, since every shorter k leaves some pair with
+    no connector."""
+    return max(Q.mixing_rate - 1, 0)
+
+
+def _reads(n_max: int, k: int) -> range:
+    """The word lengths a connector length k reads: |I| + k + |J| up to
+    2 n_max + k, and the lengths of I and J below them."""
+    return range(1, 2 * n_max + k + 1)
+
+
+def qm_lengths(Q: sft.TransitionMatrix, n_max: int, k_max: int) -> tuple[int | None, range]:
+    """The first connector length that :func:`qm_search` evaluates and
+    the word lengths it reads when it stops there; (None, an empty
+    range) when it evaluates none."""
+    k = _first_connector(Q)
+    return (k, _reads(n_max, k)) if n_max and k <= k_max else (None, range(0))
+
+
+def _no_connector(Q: sft.TransitionMatrix, k: int) -> tuple[Word, Word]:
+    """The first pair (I, J), in the order of the search, with no
+    connector of length k < :func:`_first_connector`: the one-symbol
+    words at the first zero of Q^(k+1), row by row."""
+    P = Q.entries > 0
+    for _ in range(k):
+        P = (P.astype(np.int64) @ Q.entries) > 0
+    i, j = np.argwhere(~P)[0].tolist()
+    return (i + 1,), (j + 1,)
+
+
 def qm_search(
     c: OneStepCocycle,
     n_max: int,
@@ -203,72 +239,77 @@ def qm_search(
     Returns the smallest k with C(k) > 1e-12; failure, including an empty
     search, is a report state.
 
-    Every norm is read from one profile sweep
-    (:func:`log_wedge_norm_matrices`) of the lengths 1..2 n_max + k_max,
-    and every word from one :func:`sft.word_arrays` pass: the rows at
+    Every k below :func:`_first_connector` (the mixing rate - 1)
+    leaves a pair with no connector, so C(k) is None there without a
+    sweep.  From it, the connector lengths are evaluated one at a time,
+    and the search stops at the first that passes.  Length k reads the
+    norms of the lengths 1..2 n_max + k (:func:`log_wedge_norm_matrices`,
+    so each failing k sweeps one more length) and the words of one
+    level-synchronous pass (:func:`sft.word_arrays`).  The rows at
     length L = |I| + k + |J| are exactly the admissible words IKJ, and
     each maps to its (I, J) by the ranks of its prefix (one walk per L)
-    and suffix.  Each k takes one scatter-max over all its splits.  A
-    length of more than ``budget`` words raises BudgetError before the
-    sweep.
+    and suffix; k then takes one scatter-max over all its splits.  Only
+    the lengths a k reads count against ``budget``: one of more than
+    ``budget`` words raises BudgetError before its sweep.
     """
-    top = 2 * n_max + k_max if n_max and k_max >= 0 else n_max
-    norms = {n: logs[:, :-1]
-             for n, logs in log_wedge_norm_matrices(c, range(1, top + 1), budget).items()}
-    arrays = sft.word_arrays(c.Q, top)
-    # offset[a - 1]: row of the first length-a word in the pair table
-    offset = np.cumsum([0] + [len(arrays[a]) for a in range(n_max)])
-    size = int(offset[-1])
-    tables = sft.child_tables(c.Q, n_max)
-
-    # per k, the flat (I, J) pair indices and the ratios of every split
-    scatter = {k: ([], []) for k in range(k_max + 1)}
-    for L in range(2, top + 1):
-        W = arrays[L - 1]
-        # the lengths a of I (and b of J) that some k = L - a - b admits
-        splits = range(max(1, L - k_max - n_max), min(n_max, L - 1) + 1)
-        # the prefix ranks of every length, from one :func:`_ranks` walk
-        prefix = [W[:, 0] - 1]
-        for m in range(1, max(splits, default=1)):
-            prefix.append(tables[m - 1][prefix[-1], W[:, m] - 1])
-        for b in splits:
-            J = _ranks(tables, W[:, -b:])
-            for a in splits:
-                k, I = L - a - b, prefix[a - 1]
-                if 0 <= k <= k_max:
-                    scatter[k][0].append((offset[a - 1] + I) * size + offset[b - 1] + J)
-                    # d = 1: no exterior degrees to check, norms multiply exactly
-                    scatter[k][1].append((norms[L] - norms[a][I] - norms[b][J]).min(
-                        axis=1, initial=np.inf if c.d > 1 else 0.0))
-
-    def pair(ij: int) -> tuple[Word, Word]:
-        rows = divmod(ij, size)
-        lens = np.searchsorted(offset, rows, side="right")
-        return tuple(tuple(arrays[a - 1][r - offset[a - 1]].tolist()) for a, r in zip(lens, rows))
-
-    constants: dict[int, float | None] = {}
+    if not n_max:
+        # no words, no pairs: an empty search bounds nothing
+        return QMReport(n_max=n_max, k_max=k_max, k=None, C=None,
+                        constants_by_k=dict.fromkeys(range(k_max + 1)), worst_pair=None)
+    k_first = _first_connector(c.Q)
+    constants: dict[int, float | None] = dict.fromkeys(range(min(k_first, k_max + 1)))
     chosen_k = chosen_C = worst_pair = None
-    for k in range(0, k_max + 1):
-        if not size:
-            # no words, no pairs: an empty search bounds nothing
-            constants[k] = None
-            continue
+    for k in range(k_first, k_max + 1):
+        lengths = _reads(n_max, k)
+        norms = {n: logs[:, :-1]
+                 for n, logs in log_wedge_norm_matrices(c, lengths, budget).items()}
+        arrays = sft.word_arrays(c.Q, lengths[-1])
+        # built after the budget check; offset[a - 1]: row of the first
+        # length-a word in the pair table
+        offset = np.cumsum([0] + [len(arrays[a]) for a in range(n_max)])
+        size = int(offset[-1])
+        tables = sft.child_tables(c.Q, n_max)
+
+        # the flat (I, J) pair indices and the ratios of every split
+        index, ratio = [], []
+        for L in range(k + 2, lengths[-1] + 1):
+            W = arrays[L - 1]
+            # the lengths a of I whose J has length b = L - k - a in 1..n_max
+            splits = range(max(1, L - k - n_max), min(n_max, L - k - 1) + 1)
+            # the prefix ranks of every length, from one :func:`_ranks` walk
+            prefix = [W[:, 0] - 1]
+            for m in range(1, splits[-1]):
+                prefix.append(tables[m - 1][prefix[-1], W[:, m] - 1])
+            for a in splits:
+                b, I = L - k - a, prefix[a - 1]
+                J = _ranks(tables, W[:, -b:])
+                index.append((offset[a - 1] + I) * size + offset[b - 1] + J)
+                # d = 1: no exterior degrees to check, norms multiply exactly
+                ratio.append((norms[L] - norms[a][I] - norms[b][J]).min(
+                    axis=1, initial=np.inf if c.d > 1 else 0.0))
+
         # best[I, J] = max over K of the ratio; -inf: no K makes IKJ admissible
         best = np.full(size * size, -np.inf)
-        np.maximum.at(best, *map(np.concatenate, scatter[k]))
+        np.maximum.at(best, np.concatenate(index), np.concatenate(ratio))
         # the first minimal pair in (I, J) order
         ij = int(np.argmin(best))
+        rows = divmod(ij, size)
+        lens = np.searchsorted(offset, rows, side="right")
+        pair = tuple(tuple(arrays[a - 1][r - offset[a - 1]].tolist())
+                     for a, r in zip(lens, rows))
         log_c = best[ij]
         if log_c == -np.inf:
-            constants[k] = None
-            worst_pair = pair(ij)
+            constants[k], worst_pair = None, pair
             continue
         # a ratio past the float range keeps C = inf
         with np.errstate(over="ignore"):
-            C_k = float(np.exp(log_c))
-        constants[k] = C_k
-        if chosen_k is None and C_k > 1e-12:
-            chosen_k, chosen_C, worst_pair = k, C_k, pair(ij)
+            constants[k] = float(np.exp(log_c))
+        if constants[k] > 1e-12:
+            chosen_k, chosen_C, worst_pair = k, constants[k], pair
+            break
+    last_skipped = min(k_first, k_max + 1) - 1
+    if worst_pair is None and chosen_k is None and last_skipped >= 0:
+        worst_pair = _no_connector(c.Q, last_skipped)
     return QMReport(
         n_max=n_max, k_max=k_max, k=chosen_k, C=chosen_C,
         constants_by_k=constants, worst_pair=worst_pair,

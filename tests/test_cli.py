@@ -35,6 +35,35 @@ matrix 2
 1 2
 """
 
+# a 3-symbol Wielandt shift (mixing rate 5) with generators near 1e103:
+# at the first connector length k = 4, every ratio of the QM search
+# (depth 1) is near 1e412, past the float range
+WIELANDT = """\
+dim 2
+alphabet 3
+transition
+0 1 0
+0 0 1
+1 1 0
+matrix 1
+1e103 .5e103
+.2e103 1e103
+matrix 2
+1e103 .3e103
+.4e103 .9e103
+matrix 3
+.8e103 .1e103
+.3e103 1e103
+"""
+
+
+def _run_quiet(argv):
+    """Run the CLI in a fresh interpreter, as a user would: its stderr
+    shows every warning."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, "-m", "lyapspec.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+
 
 @pytest.fixture
 def diag_file(tmp_path):
@@ -252,14 +281,37 @@ class TestCommands:
         path = tmp_path / "big.cocycle"
         path.write_text("dim 3\nalphabet 2\ntransition full\nmatrix 1\n"
                         + "\n".join(big[:3]) + "\nmatrix 2\n" + "\n".join(big[3:]) + "\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        run = subprocess.run([sys.executable, "-m", "lyapspec.cli", "pressure", str(path),
-                              "--q=0:1:1", "--n", "6", "--out", str(tmp_path / "p.csv")],
-                             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
-                             text=True)
+        run = _run_quiet(["pressure", str(path), "--q=0:1:1", "--n", "6",
+                          "--out", str(tmp_path / "p.csv")])
         assert (run.returncode, run.stderr) == (0, "")
-        qm = typicality.qm_search(cli.load_cocycle(str(path)), 4, 4)
-        assert np.inf in qm.constants_by_k.values()
+        # the first connector length of a Wielandt shift already overflows
+        wielandt = tmp_path / "wielandt.cocycle"
+        wielandt.write_text(WIELANDT)
+        qm = typicality.qm_search(cli.load_cocycle(str(wielandt)), 1, 4)
+        assert (qm.k, qm.C) == (4, np.inf)
+        assert qm.constants_by_k == {0: None, 1: None, 2: None, 3: None, 4: np.inf}
+
+    def test_pressure_infinite_qm_constant_leaves_lower_blank(self, tmp_path):
+        """A QM constant past the float range brackets nothing: every
+        lower cell is empty, and the run warns nothing."""
+        path = tmp_path / "wielandt.cocycle"
+        path.write_text(WIELANDT)
+        out = tmp_path / "p.csv"
+        run = _run_quiet(["pressure", str(path), "--q=0:1:1", "--n", "8", "--qm-depth", "1",
+                          "--qm-connect", "4", "--out", str(out)])
+        assert (run.returncode, run.stderr) == (0, "")
+        lines = [line.split(",") for line in out.read_text().splitlines()
+                 if not line.startswith("#")]
+        lower = lines[0].index("lower")
+        assert len(lines) == 5 and all(row[lower] == "" for row in lines[1:])
+
+    def test_pressure_budget_covers_only_the_qm_lengths_read(self, diag_file, capsys):
+        """The QM search stops at k = 0 on a full shift and reads the
+        lengths 1..4, so a budget that the lengths of connector length 12
+        (up to 2 * 2 + 12 = 16) would exceed does not stop the run."""
+        code = cli.main(["pressure", diag_file, "--n", "3", "--qm-depth", "2",
+                         "--qm-connect", "12", "--budget", "100", "--q=0:0:1"])
+        assert (code, capsys.readouterr().err) == (0, "")
 
     def test_spectrum_csv(self, pos_file, tmp_path):
         out = tmp_path / "s.csv"

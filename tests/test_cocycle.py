@@ -187,8 +187,36 @@ class TestOneSweepPerRequest:
         return OneStepCocycle(Q=c.Q, generators=c.generators)
 
     def test_qm_search_sweeps_once(self, pos_cocycle, sweeps):
+        """The search stops at k = 0, so it sweeps 1..6, not 1..9."""
         typicality.qm_search(self._fresh(pos_cocycle), 3, 3)
-        assert sweeps == [list(range(1, 10))]
+        assert sweeps == [list(range(1, 7))]
+
+    def test_default_depth_qm_search_sweeps_to_8(self, sweeps):
+        """At the default depth (4, 4) the search on a full shift reads
+        the lengths of k = 0 alone."""
+        gens = list(np.random.default_rng(0).standard_normal((3, 3, 3)))
+        qm = typicality.qm_search(OneStepCocycle(Q=sft.full_shift(3), generators=gens), 4, 4)
+        assert qm.k == 0 and list(qm.constants_by_k) == [0]
+        assert sweeps == [list(range(1, 9))]
+
+    def test_qm_search_starts_at_the_first_connector(self, golden_identity, sweeps):
+        """Below the mixing rate some pair has no connector: the search
+        records None there and sweeps only for k = 1 on the golden mean
+        shift."""
+        qm = typicality.qm_search(self._fresh(golden_identity), 2, 3)
+        assert qm.constants_by_k == {0: None, 1: 1.0}
+        assert sweeps == [list(range(1, 6))]
+
+    def test_failing_connector_length_sweeps_one_more_length(self, sweeps):
+        """Opposite hyperbolic generators: the pair I = (1, 1), J = (2, 2)
+        gives C(k) about 1e-20, 1e-15 and 1e-10 at k = 0, 1, 2, so the
+        search extends its sweep by one length per failing k."""
+        c = OneStepCocycle(Q=sft.full_shift(2),
+                           generators=[np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])])
+        qm = typicality.qm_search(c, 2, 4)
+        assert qm.k == 2 and list(qm.constants_by_k) == [0, 1, 2]
+        assert [round(np.log10(C)) for C in qm.constants_by_k.values()] == [-20, -15, -10]
+        assert sweeps == [[1, 2, 3, 4], [5], [6]]
 
     def test_empty_qm_search_sweeps_nothing(self, pos_cocycle, sweeps):
         assert not typicality.qm_search(self._fresh(pos_cocycle), 0, 3).found
@@ -204,15 +232,13 @@ class TestOneSweepPerRequest:
         assert sweeps == []
 
     def test_pressure_sweeps_once_beyond_the_qm_search(self, pos_cocycle, tmp_path, sweeps):
-        """pressure reads n, n - k and n - 2 from one sweep after the
-        QM search's sweep of 1..6."""
+        """pressure reads the QM search's lengths 1..4 (it stops at
+        k = 0) and the table's n, n - k and n - 2 from one sweep."""
         path = tmp_path / "pos.cocycle"
         cli.write_cocycle(str(path), pos_cocycle)
         assert cli.main(["pressure", str(path), "--q=-1:1:1", "--n", "10", "--qm-depth", "2",
                          "--qm-connect", "2", "--out", str(tmp_path / "p.csv")]) == 0
-        assert len(sweeps) == 2
-        assert sweeps[0] == list(range(1, 7))
-        assert sweeps[1][-1] == 10 and 8 in sweeps[1]
+        assert sweeps == [[1, 2, 3, 4, 8, 10]]
 
     def test_pressure_budget_message_names_n(self, diag_cocycle, tmp_path, capsys, sweeps):
         """A budget below #L_{n-2} names #L_n, as a sweep of n alone did."""

@@ -145,12 +145,17 @@ def cocycles(draw):
                     n_max=2, k_max=0)
 @hypothesis.example(c=OneStepCocycle(Q=sft.full_shift(2), generators=[
     np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])]), n_max=3, k_max=1)
+# C(0) and C(1) are positive but below 1e-12: the search goes on to k = 2
+@hypothesis.example(c=OneStepCocycle(Q=sft.full_shift(2), generators=[
+    np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])]), n_max=2, k_max=3)
 def test_qm_search_matches_triple_loop(c, n_max, k_max):
-    """Same k and None pattern, constants within 1e-12 in log; the
-    worst pair is the reference's or ties its minimum within 1e-12."""
+    """Same k, and the reference's None pattern up to that k, where the
+    search stops; constants within 1e-12 in log; the worst pair is the
+    reference's or ties its minimum within 1e-12."""
     ref_k, ref_C, ref_constants, ref_worst, ref_logs = _qm_search(c, n_max, k_max)
     qm = typicality.qm_search(c, n_max, k_max)
     assert qm.k == ref_k
+    ref_constants = {k: C for k, C in ref_constants.items() if ref_k is None or k <= ref_k}
     assert [C is None for C in qm.constants_by_k.values()] == \
         [C is None for C in ref_constants.values()]
     assert list(qm.constants_by_k) == list(ref_constants)
