@@ -158,9 +158,14 @@ def _canon_rows(V: np.ndarray) -> np.ndarray:
 
 def _proj_dist(V: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Angular distance from each row of V to its nearest center: the
-    arccos of the largest |cosine|, since arccos is decreasing."""
-    cos = np.abs(centers @ V[:, :, None])[..., 0].max(axis=1)
-    return np.arccos(cos.clip(-1.0, 1.0))
+    arccos of the largest |cosine|, since arccos is decreasing.  One
+    gemv per center and a running maximum; with two or more rows and
+    centers its dots are bit-identical to the stacked
+    ``centers @ V[:, :, None]``."""
+    cos = np.abs(V @ centers[0])
+    for c in centers[1:]:
+        np.maximum(cos, np.abs(V @ c), out=cos)
+    return np.arccos(np.minimum(cos, 1.0, out=cos))
 
 
 def _ball_frames(centers: np.ndarray, radius: float) -> np.ndarray:
@@ -176,6 +181,20 @@ def _ball_frames(centers: np.ndarray, radius: float) -> np.ndarray:
     return H * scale
 
 
+def _boundary_radius(g: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Per pair, the farthest distance from c' of the images of the
+    ball's 2(D - 1) axis points y = e_0 +- e_i of the frame of
+    :func:`_ball_frames`: the arccos of the least cos^2 =
+    (g_0 +- g_i)^2 / (G_00 + G_ii +- 2 G_0i), with g = c'^T B T and
+    G = (B T)^T B T.  Those points lie on the ball's boundary, so no
+    rho at or below this radius can pass."""
+    g0, gi = g[:, :1], g[:, 1:]
+    G00, Gii, G0i = G[:, :1, 0], np.diagonal(G, axis1=1, axis2=2)[:, 1:], G[:, 0, 1:]
+    cos2 = np.minimum((g0 + gi) ** 2 / (G00 + Gii + 2 * G0i),
+                      (g0 - gi) ** 2 / (G00 + Gii - 2 * G0i)).min(axis=1)
+    return np.arccos(np.sqrt(np.minimum(cos2, 1.0)))
+
+
 def _pair_margins(
     reps: np.ndarray, centers: np.ndarray, radius: float, floor: float,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +208,16 @@ def _pair_margins(
     A - lam J definite form the open interval between the top two real
     eigenvalues of the pencil (A, J); it holds a lam >= 0 iff the top
     one is positive.  One stacked ``eigvals`` proposes the midpoint and
-    one stacked ``eigvalsh`` decides.  A bisection on rho, which keeps the
-    end that passed, finds the least passing rho* to RHO_TOL.
+    one stacked ``eigvalsh`` decides.
+
+    A pair passes at rho = r - floor or gets no margin.  The images of
+    the ball's axis points bound its least passing rho* from below
+    (:func:`_boundary_radius`, rho_est), so a bisection on rho over
+    [rho_est - 1e-12, r - floor], which keeps the end that passed,
+    finds rho* to RHO_TOL.  At D = 2 those points are the whole
+    boundary of the arc and rho_est is the image radius itself: one
+    test at rho_est + RHO_TOL/2 settles every pair it passes.  A pair's
+    rho is only ever one that passed, whatever rho_est says.
 
     Returns the margins r - rho*, shape (balls, generators), -inf where
     rho = r - floor fails, and the index of each pair's c'."""
@@ -216,13 +243,19 @@ def _pair_margins(
         return (mu[:, -1] > 0) & (least > DEFINITE_TOL * scale)
 
     top = radius - floor
+    margins = np.full(len(g), -np.inf)
     ok = np.flatnonzero(passes(np.arange(len(g)), np.full(len(g), top)))
-    lo, hi = np.zeros(len(ok)), np.full(len(ok), top)
-    for _ in range(int(np.ceil(np.log2(max(top, RHO_TOL) / RHO_TOL)))):
+    est = _boundary_radius(g[ok], G[ok])
+    lo, hi = np.clip(est - 1e-12, 0.0, top), np.full(len(ok), top)
+    if D == 2:
+        guess = np.minimum(est + RHO_TOL / 2, top)
+        p = passes(ok, guess)
+        margins[ok[p]] = radius - guess[p]
+        ok, lo, hi = ok[~p], guess[~p], hi[~p]
+    for _ in range(int(np.ceil(np.log2(max((hi - lo).max(initial=0.0), RHO_TOL) / RHO_TOL)))):
         mid = (lo + hi) / 2
         p = passes(ok, mid)
         lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
-    margins = np.full(len(g), -np.inf)
     margins[ok] = radius - hi
     return margins.reshape(nb, -1), nearest
 
@@ -253,7 +286,7 @@ def _sampled_margin(
     for j in balls:
         pts = _ball_samples(centers[j], radius, count, rng)
         for B in reps:
-            dist = _proj_dist(_canon_rows(pts @ B.T), centers).max()
+            dist = _proj_dist(_unit_rows(pts @ B.T), centers).max()
             margin = min(margin, radius - float(dist))
     return margin
 
@@ -290,8 +323,8 @@ def multicone_search(
              for _ in range(n_starts)]
     # B(-v) = -(B v) exactly: steps only normalise, and the collected ones are signed once
     v, orbit = _unit_rows(np.array([u for u, _ in draws])), []
-    for step in np.array([s for _, s in draws]).T:
-        v = _unit_rows((reps[step] @ v[:, :, None])[..., 0])
+    for steps in reps[np.array([s for _, s in draws]).T]:
+        v = _unit_rows((steps @ v[:, :, None])[..., 0])
         orbit.append(v)
     visited = _signed_rows(np.stack(orbit[burn_in:], axis=1).reshape(-1, D))
     # close the sample under one application of every generator
@@ -309,7 +342,7 @@ def multicone_search(
     centers = np.array(centers)
 
     # the multicone must be a proper subset of projective space
-    probes = _canon_rows(rng.standard_normal((512, D)))
+    probes = _unit_rows(rng.standard_normal((512, D)))
     if not (_proj_dist(probes, centers) > radius + margin_tol).any():
         return None
 

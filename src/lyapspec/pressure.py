@@ -24,7 +24,8 @@ class PressureEstimate:
 
     ``lower`` comes from the supermultiplicativity constant supplied by
     a quasi-multiplicativity report (empirical-constant bracket);
-    ``upper`` is the Fekete bound, present only when all t_i >= 0.
+    ``upper`` is the Fekete bound, present only when t_1..t_{d-1} >= 0
+    (t_d may have either sign).
     ``cauchy`` is |P_n - P_{n-2}| when n > 2: a difference of two
     finite-n values, not a bound on the error of P_n.  At one q the
     fields are floats and an absent bracket is None; over a (G, d) grid
@@ -145,8 +146,9 @@ def pressure_table(
     Lower bracket (needs quasi-multiplicativity constants): the
     sequence s_{n-k}(q)/C_1 is supermultiplicative, so
     (log C_1 + log s_{n-k}(q))/n <= P; a constant C past the float
-    range gives no bracket.  Upper bracket (all t_i >= 0): psi^q is
-    then submultiplicative and Fekete gives P <= P_n.
+    range gives no bracket.  Upper bracket (t_1..t_{d-1} >= 0): psi^q
+    is then submultiplicative, since t_d only weighs |det|, which is
+    exactly multiplicative, and Fekete gives P <= P_n.
     """
     grid = np.asarray(grid, dtype=float)
     bracket = qm_C is not None and qm_k is not None and 0 < qm_C < np.inf and n > qm_k
@@ -154,7 +156,7 @@ def pressure_table(
     value = logs[n] / n
     lower = ((bracket_constants(c, grid, qm_C, qm_k) + logs[n - qm_k]) / n if bracket
              else np.full_like(value, np.nan))
-    upper = np.where((weight_differences(grid) >= 0).all(axis=1), value, np.nan)
+    upper = np.where((weight_differences(grid)[:, :-1] >= 0).all(axis=1), value, np.nan)
     cauchy = np.abs(value - logs[n - 2] / (n - 2)) if n > 2 else np.full_like(value, np.nan)
     return PressureEstimate(q=grid, n=n, value=value, lower=lower, upper=upper, cauchy=cauchy)
 

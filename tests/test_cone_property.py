@@ -193,6 +193,86 @@ def test_pair_margins_scale_free(reps, seed, scales):
     assert np.abs(m1[ok] - m2[ok]).max(initial=0.0) <= domination.RHO_TOL + 1e-12
 
 
+def _plain_pair_margins(reps, centers, radius, floor):
+    """The S-lemma margins by a plain bisection over [0, r - floor]: the
+    same tests as :func:`domination._pair_margins`, with no floor from
+    the boundary images and no first guess."""
+    nb, D = centers.shape
+    BT = reps[None] @ domination._ball_frames(centers, radius)[:, None]
+    images = (reps[None] @ centers[:, None, :, None])[..., 0]
+    nearest = np.abs(images @ centers.T).argmax(axis=-1)
+    g = (centers[nearest][..., None, :] @ BT).reshape(-1, D)
+    G = (BT.swapaxes(-1, -2) @ BT).reshape(-1, D, D)
+    J = np.diag(np.r_[1.0, -np.ones(D - 1)])
+
+    def passes(idx, rho):
+        s = np.cos(rho) ** 2
+        A = g[idx, :, None] * g[idx, None, :] - s[:, None, None] * G[idx]
+        mu = np.sort(np.linalg.eigvals(J @ A).real, axis=-1)
+        lam = (mu[:, -2] + mu[:, -1]) / 2
+        least = np.linalg.eigvalsh(A - lam[:, None, None] * J)[:, 0]
+        scale = (g[idx] ** 2).sum(axis=1) + s * np.trace(G[idx], axis1=1, axis2=2) + abs(lam)
+        return (mu[:, -1] > 0) & (least > domination.DEFINITE_TOL * scale)
+
+    top = radius - floor
+    ok = np.flatnonzero(passes(np.arange(len(g)), np.full(len(g), top)))
+    lo, hi = np.zeros(len(ok)), np.full(len(ok), top)
+    for _ in range(int(np.ceil(np.log2(top / domination.RHO_TOL)))):
+        mid = (lo + hi) / 2
+        p = passes(ok, mid)
+        lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
+    margins = np.full(len(g), -np.inf)
+    margins[ok] = radius - hi
+    return margins.reshape(nb, -1), nearest
+
+
+def _counted_margins(margins_fn, reps, centers, radius):
+    """The margins, and how many stacked eigen-tests they took."""
+    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
+        margins, nearest = margins_fn(reps, centers, radius, TOL)
+    return margins, nearest, eigvals.call_count
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(k=st.integers(1, 3), seed=st.integers(0, 50),
+                  radius=st.sampled_from([0.1, 0.2, 0.3]),
+                  family=st.sampled_from(["positive2", "positive3", "wedge4"]))
+def test_seeded_bisection_matches_plain_bisection(k, seed, radius, family):
+    """Bisecting from the boundary images' radius certifies the same
+    pairs against the same centers as a bisection from 0, each margin
+    within the bisection resolution, and never makes more tests: at
+    most two at D = 2, where a bisection from 0 makes 22 or 23."""
+    reps = np.array(_wedge_family(k, seed) if family == "wedge4"
+                    else _family(k, int(family[-1]), seed))
+    centers = _centers(reps, seed)
+    m, nearest, calls = _counted_margins(domination._pair_margins, reps, centers, radius)
+    ref, ref_nearest, ref_calls = _counted_margins(_plain_pair_margins, reps, centers, radius)
+    assert np.array_equal(nearest, ref_nearest)
+    assert np.array_equal(np.isfinite(m), np.isfinite(ref))
+    ok = np.isfinite(ref)
+    assert np.abs(m[ok] - ref[ok]).max(initial=0.0) <= domination.RHO_TOL
+    assert calls <= (2 if reps.shape[1] == 2 else ref_calls)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(reps=positive_reps(dims=(2,)), seed=st.integers(0, 50),
+                  radius=st.sampled_from([0.1, 0.2, 0.3]), tamper=st.sampled_from(["0", "top"]))
+def test_wrong_boundary_radius_never_certifies_more(reps, seed, radius, tamper):
+    """A floor of 0 or of r - floor in place of the boundary images'
+    radius may cost tests, but every margin stays at most the exact
+    arc-endpoint margin: a pair's rho is always one that passed."""
+    centers = _centers(reps, seed)
+
+    def wrong(g, G):
+        return np.full(len(g), 0.0 if tamper == "0" else radius - TOL)
+
+    with mock.patch.object(domination, "_boundary_radius", wrong):
+        margins, nearest = domination._pair_margins(np.array(reps), centers, radius, TOL)
+    for j, c in enumerate(centers):
+        for i, B in enumerate(reps):
+            assert margins[j, i] <= _arc_margin(B, c, centers[nearest[j, i]], radius) + 1e-12
+
+
 def _canon_every_step(V):
     """The per-step canonical rows of the orbit: unit rows, each signed
     so that its largest-|entry| is positive."""

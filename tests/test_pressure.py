@@ -184,7 +184,8 @@ class TestPressureTable:
             want = {"value": value,
                     "lower": ((_log_c1(c, q, 0.5, qm_k) + _log_s(c, q, n - qm_k)) / n
                               if n > qm_k else np.nan),
-                    "upper": value if min(q - np.append(q[1:], 0)) >= 0 else np.nan,
+                    # t_d = q_d weighs only |det|, so its sign does not matter
+                    "upper": value if min(q[:-1] - q[1:], default=0.0) >= 0 else np.nan,
                     "cauchy": abs(value - _log_s(c, q, n - 2) / (n - 2)) if n > 2 else np.nan}
             for field, ref in want.items():
                 np.testing.assert_allclose(getattr(est, field)[i], ref, rtol=1e-13, atol=1e-13,
@@ -218,12 +219,49 @@ class TestPressureTable:
         assert pressure.pressure_estimate(pos_cocycle, grid[0], n, qm_C, qm_k).lower is None
 
     def test_upper_absent_where_a_weight_difference_is_negative(self, pos_cocycle):
-        """t = (1, 0), (-1, 1), (1, 1), (-1, 0): only the first and
-        third rows have every t_i >= 0."""
-        grid = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [-1.0, 0.0]])
+        """t = (1, 0), (-1, 1), (1, 1), (-1, 0), (2, -1): every row but
+        the second and fourth has t_1 >= 0, whatever the sign of t_2."""
+        grid = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [-1.0, 0.0], [1.0, -1.0]])
         est = pressure.pressure_table(pos_cocycle, grid, 5)
-        np.testing.assert_array_equal(np.isnan(est.upper), [False, True, False, True])
-        np.testing.assert_array_equal(est.upper[[0, 2]], est.value[[0, 2]])
+        np.testing.assert_array_equal(np.isnan(est.upper), [False, True, False, True, False])
+        np.testing.assert_array_equal(est.upper[[0, 2, 4]], est.value[[0, 2, 4]])
+
+    @pytest.mark.parametrize("source", ["pos", "gauss2", "gauss3"])
+    def test_upper_holds_when_only_the_last_weight_difference_is_negative(
+            self, pos_cocycle, source):
+        """With t_1..t_{d-1} >= 0 > t_d, psi^q is still submultiplicative
+        (|det| is exactly multiplicative), so the cell is filled and
+        s_2n <= s_n^2 gives P_2n <= P_n."""
+        if source == "pos":
+            c = pos_cocycle
+        else:
+            d = int(source[-1])
+            gen = np.random.default_rng(5 + d)
+            c = OneStepCocycle(Q=sft.full_shift(2),
+                               generators=list(gen.standard_normal((2, d, d))))
+        grid = {2: [[1.0, -1.0], [0.0, -2.0], [-0.5, -1.0], [2.0, -0.5]],
+                3: [[1.0, 0.0, -1.0], [0.0, -1.0, -2.0], [2.0, 1.0, -0.5],
+                    [-1.0, -1.0, -3.0]]}[c.d]
+        grid = np.array(grid)
+        t = pressure.weight_differences(grid)
+        assert (t[:, :-1] >= 0).all() and (t[:, -1] < 0).all()
+        for n in (3, 4):
+            short = pressure.pressure_table(c, grid, n)
+            long = pressure.pressure_table(c, grid, 2 * n)
+            np.testing.assert_array_equal(short.upper, short.value)
+            assert (long.value <= short.upper + 1e-12).all()
+
+    def test_upper_is_the_closed_form_on_the_diagonal_anchor(self, diag_cocycle):
+        """Filled exactly where t_1 >= 0, including t_2 < 0, and there
+        the closed form P(q)."""
+        axis = np.arange(-2.0, 2.0 + 1e-9, 0.5)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        est = pressure.pressure_table(diag_cocycle, grid, 6)
+        filled = grid[:, 0] >= grid[:, 1]
+        np.testing.assert_array_equal(~np.isnan(est.upper), filled)
+        assert (grid[filled, 1] < 0).any()
+        for q, upper in zip(grid[filled], est.upper[filled]):
+            assert upper == pytest.approx(diag_closed_form(q), abs=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_cauchy_absent_at_short_lengths(self, pos_cocycle, n):
