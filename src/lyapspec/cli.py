@@ -323,6 +323,7 @@ def cmd_pressure(args) -> int:
     started = time.time()
     c = _load(args)
     _at_least("--n", args.n, 1)
+    _at_least("--budget", args.budget, 1)
     _at_least("--qm-depth", args.qm_depth, 0)
     _at_least("--qm-connect", args.qm_connect, 0)
     grid = parse_grid(args.q, c.d)
@@ -357,6 +358,7 @@ def cmd_spectrum(args) -> int:
     started = time.time()
     c = _load(args)
     _at_least("--n", args.n, 1)
+    _at_least("--budget", args.budget, 1)
     _at_least("--auto-grid", args.auto_grid, 1)
     if args.oracle and not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")

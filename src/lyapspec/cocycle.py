@@ -46,15 +46,15 @@ class OneStepCocycle:
     Wedge representatives of every generator are cached for t = 1..d
     at construction (``wedges[t][s - 1]``, stacked per t), and so is
     ``log_det[s - 1]`` = log|det A_s|, the log-norm of the top degree; a
-    generator with a non-finite wedge or log|det| is refused.  Per-length
-    sweeps (log wedge norms, profiles) are cached on demand.
+    generator with a non-finite wedge or log|det| is refused.  One cache
+    holds the log wedge norms of every swept length; profiles are their
+    differences, derived on each call.
     """
 
     Q: TransitionMatrix
     generators: list[np.ndarray]
     wedges: dict[int, np.ndarray] = field(init=False, repr=False)
     log_det: np.ndarray = field(init=False, repr=False)
-    _profile_cache: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
     _norm_cache: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -247,57 +247,24 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
     return out
 
 
-def _check_budget(c: OneStepCocycle, n: int, cached: np.ndarray | None, budget: int):
-    total = sft.count_words(c.Q, n) if cached is None else len(cached)
+def _check_budget(c: OneStepCocycle, n: int, budget: int):
+    total = sft.count_words(c.Q, n)
     if total > budget:
         raise BudgetError(
             f"#L_{n} = {total} words exceeds the budget of {budget}; reduce n"
         )
 
 
-def _missing(c: OneStepCocycle, cache: dict, lengths, budget: int) -> list[int]:
-    """The lengths, given in increasing order, that ``cache`` lacks.
-    Every length is checked against the budget first, in that order, so
-    a BudgetError names the shortest length over it."""
-    for n in lengths:
-        _check_budget(c, n, cache.get(n), budget)
-    return [n for n in lengths if n not in cache]
-
-
-def profile_matrices(c: OneStepCocycle, lengths,
-                     budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
-    """:func:`profile_matrix` at every length in ``lengths``, as
-    {n: array}.  The missing lengths come from one sweep, except those
-    that :func:`log_wedge_norms` has swept, which are not swept again.
-    """
-    lengths = sorted(set(lengths))
-    missing = _missing(c, c._profile_cache, lengths, budget)
-    unswept = [n for n in missing if n not in c._norm_cache]
-    swept = _sweep(c, unswept) if unswept else {}
-    for n in missing:
-        logs = swept[n] if n in swept else c._norm_cache[n]
-        c._profile_cache[n] = _profiles(logs, n)
-    return {n: c._profile_cache[n] for n in lengths}
-
-
-def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
-    """Profiles of all admissible words of length n, in lexicographic
-    word order, as a (#L_n, d) array.  Cached per length; a hit returns
-    the cached array itself, and the budget still applies to it.
-    """
-    out = c._profile_cache.get(n)
-    if out is None:
-        return profile_matrices(c, (n,), budget)[n]
-    _check_budget(c, n, out, budget)
-    return out
-
-
 def log_wedge_norm_matrices(c: OneStepCocycle, lengths,
                             budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
     """:func:`log_wedge_norms` at every length in ``lengths``, as
-    {n: array}; the missing lengths come from one sweep."""
+    {n: array}.  Every length is checked against the budget first, in
+    increasing order, so a BudgetError names the shortest length over
+    it; the lengths the cache lacks then come from one sweep."""
     lengths = sorted(set(lengths))
-    missing = _missing(c, c._norm_cache, lengths, budget)
+    for n in lengths:
+        _check_budget(c, n, budget)
+    missing = [n for n in lengths if n not in c._norm_cache]
     if missing:
         c._norm_cache.update(_sweep(c, missing))
     return {n: c._norm_cache[n] for n in lengths}
@@ -307,8 +274,23 @@ def log_wedge_norms(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET
     """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of length
     n in sweep order, as a (#L_n, d) array; column d is the word-ordered
     sum of log|det A_s|.  Cached per length; a hit returns the cached
-    array itself."""
+    array itself, and the budget still applies to it."""
     return log_wedge_norm_matrices(c, (n,), budget)[n]
+
+
+def profile_matrices(c: OneStepCocycle, lengths,
+                     budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
+    """:func:`profile_matrix` at every length in ``lengths``, as
+    {n: array}, from one :func:`log_wedge_norm_matrices` call."""
+    return {n: _profiles(logs, n)
+            for n, logs in log_wedge_norm_matrices(c, lengths, budget).items()}
+
+
+def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+    """Profiles of all admissible words of length n, in lexicographic
+    word order, as a (#L_n, d) array: the differences of the cached
+    :func:`log_wedge_norms`, derived afresh on each call."""
+    return profile_matrices(c, (n,), budget)[n]
 
 
 def eigen_exponents(c: OneStepCocycle, word: Word) -> np.ndarray:

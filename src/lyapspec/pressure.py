@@ -87,14 +87,14 @@ def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
              budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
     """log s_m(q) for every row q of the (G, d) array ``Q`` at every
     length m in ``lengths``, as {m: (G,) array}: the profiles of every
-    length come from one :func:`profile_matrices` call, and each length
+    length come from one :func:`profile_matrices` call, which sweeps
+    only the lengths whose log-norms are not cached, and each length
     takes one Gibbs pass over the whole of ``Q``.
 
     The longest length is checked against the budget first: #L_m grows
     with m, so a BudgetError names it, as a sweep of it alone would.
     """
-    top = max(lengths)
-    _check_budget(c, top, c._profile_cache.get(top), budget)
+    _check_budget(c, max(lengths), budget)
     profs = profile_matrices(c, lengths, budget)
     return {m: _gibbs(P, Q, m)[0] for m, P in profs.items()}
 

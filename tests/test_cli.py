@@ -456,6 +456,8 @@ class TestCommands:
     (["pressure", "{pos160}", "--q=0:0:1", "--n", "4"], cli.EXIT_VALIDATE),
     (["spectrum", "{pos160}", "--n", "4", "--auto-grid", "3"], cli.EXIT_VALIDATE),
     (["dominate", "{pos160}"], cli.EXIT_VALIDATE),
+    (["pressure", "{diag}", "--q=0:0:1", "--budget", "0"], cli.EXIT_PARSE),
+    (["spectrum", "{diag}", "--auto-grid", "3", "--budget", "-5"], cli.EXIT_PARSE),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
@@ -466,7 +468,8 @@ class TestCommands:
         "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n",
         "typical-search-dim-7", "subsystem-search-dim-7", "typical-search-budget",
         "subsystem-product-overflow", "typical-product-overflow", "validate-wedge-overflow",
-        "pressure-wedge-overflow", "spectrum-wedge-overflow", "dominate-wedge-overflow"])
+        "pressure-wedge-overflow", "spectrum-wedge-overflow", "dominate-wedge-overflow",
+        "pressure-budget-0", "spectrum-budget-negative"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
                                       dim7_file, pos110_file, pos160_file, tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line

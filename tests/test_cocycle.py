@@ -1,11 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from lyapspec import cli, cocycle, domination, matalg, sft, typicality
+from lyapspec import cli, cocycle, domination, matalg, pressure, sft, typicality
 from lyapspec.cocycle import (
     BudgetError, OneStepCocycle, eigen_exponents, log_wedge_norms,
     product, profile, profile_matrix,
 )
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The lengths of every sweep, one sorted list per call."""
+    calls = []
+    sweep = cocycle._sweep
+
+    def counted(c, lengths):
+        calls.append(sorted(lengths))
+        return sweep(c, lengths)
+
+    monkeypatch.setattr(cocycle, "_sweep", counted)
+    return calls
 
 
 class TestConstruction:
@@ -115,24 +131,53 @@ class TestSweepEngine:
         assert profs.shape == (1, 2)
         assert np.allclose(profs[0], [np.log(2.0), np.log(0.5)], atol=1e-3)
 
-    def test_cache_hit_keeps_budget(self, pos_cocycle):
-        """A hit returns the cached array itself, and the budget still
-        applies to it."""
-        first = profile_matrix(pos_cocycle, 6)
-        assert profile_matrix(pos_cocycle, 6) is first
+    def test_cache_hit_keeps_budget(self, pos_cocycle, sweeps):
+        """A log-norm hit returns the cached array itself; a repeated
+        profile_matrix call sweeps nothing and derives the same bits
+        from it; and the budget still applies on a hit."""
+        c = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
+        logs = log_wedge_norms(c, 6)
+        assert log_wedge_norms(c, 6) is logs
+        first = profile_matrix(c, 6)
+        again = profile_matrix(c, 6)
+        assert sweeps == [[6]]
+        assert np.array_equal(again, first)
+        assert np.array_equal(again, np.diff(logs, axis=1, prepend=0.0) / 6)
         with pytest.raises(BudgetError):
-            profile_matrix(pos_cocycle, 6, budget=63)
+            profile_matrix(c, 6, budget=63)
+        with pytest.raises(BudgetError):
+            log_wedge_norms(c, 6, budget=63)
 
     def test_log_wedge_norms_cache(self, pos_cocycle):
-        """log_wedge_norms caches its own sweep, with the same hit and
-        budget rules, and profile_matrix reads a length it has swept
-        with the same bits as a sweep of its own."""
+        """log_wedge_norms caches its sweep: a hit returns the cached
+        array itself and still checks the budget, and profile_matrix
+        derives from it the same bits as a fresh sweep gives."""
         first = log_wedge_norms(pos_cocycle, 6)
         assert log_wedge_norms(pos_cocycle, 6) is first
         with pytest.raises(BudgetError):
             log_wedge_norms(pos_cocycle, 6, budget=63)
         fresh = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
         assert np.array_equal(profile_matrix(pos_cocycle, 6), profile_matrix(fresh, 6))
+
+    def test_pressure_keeps_each_length_once(self):
+        """The pressure command's sequence, a log-norm sweep of the
+        table's lengths (with its QM search) and then the table, retains
+        each length once: less than 1.5 times #L_m d floats over those
+        lengths."""
+        rng = np.random.default_rng(5)
+        c = OneStepCocycle(Q=sft.full_shift(2), generators=list(rng.standard_normal((2, 3, 3))))
+        lengths = pressure.table_lengths(14)
+        cached = sum(sft.count_words(c.Q, m) for m in lengths) * c.d * 8
+        grid = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, -1.0]])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cocycle.log_wedge_norm_matrices(c, lengths)
+            pressure.pressure_table(c, grid, 14)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cached <= retained < 1.5 * cached
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sweep_runs_no_svd(self, d, monkeypatch):
@@ -168,18 +213,6 @@ class TestOneSweepPerRequest:
     """A QM search, a domination test and a pressure grid read every
     length they need from one sweep, after checking every length
     against the budget."""
-
-    @pytest.fixture
-    def sweeps(self, monkeypatch):
-        calls = []
-        sweep = cocycle._sweep
-
-        def counted(c, lengths):
-            calls.append(sorted(lengths))
-            return sweep(c, lengths)
-
-        monkeypatch.setattr(cocycle, "_sweep", counted)
-        return calls
 
     @staticmethod
     def _fresh(c):
@@ -225,6 +258,15 @@ class TestOneSweepPerRequest:
     def test_domination_test_sweeps_once(self, pos_cocycle, sweeps):
         domination.domination_test(self._fresh(pos_cocycle), 1, range(2, 9))
         assert sweeps == [list(range(2, 9))]
+
+    def test_subsystem_sweeps_the_tuple_once(self, pos_cocycle, sweeps):
+        """The domination test of the tuple cocycle sweeps the lengths
+        1..6, and the kappa line reads its lengths 1 and 2 from that
+        sweep."""
+        sub = domination.build_dominated_subsystem(self._fresh(pos_cocycle), 2, 1, (2,))
+        assert sweeps == [[1, 2, 3, 4, 5, 6]]
+        # kappa = exp(log_kappa) = [0.56733265, 1.0], the bits of a sweep of 1 and 2 alone
+        assert sub.log_kappa.tolist() == [-0.5668094569859319, -2.220446049250313e-16]
 
     def test_domination_budget_checked_before_the_sweep(self, diag_cocycle, sweeps):
         with pytest.raises(BudgetError, match=r"^#L_10 = 1024 words exceeds the budget of 1000;"):
