@@ -345,13 +345,14 @@ def cmd_pressure(args) -> int:
     return EXIT_OK
 
 
-def _beyond_profiles(c: OneStepCocycle, pt: spectrum.SpectrumPoint, n: int, budget: int) -> bool:
+def _beyond_profiles(profs: np.ndarray, pt: spectrum.SpectrumPoint) -> bool:
     """Whether a boundary-suspect alpha lies more than GRAD_TOL past every
-    length-n profile along u = q*/|q*|, so that its level set is empty."""
+    profile row of ``profs`` along u = q*/|q*|, so that its level set is
+    empty."""
     if pt.status != "boundary-suspect":  # then |q*| > Q_MAX/2
         return False
     u = pt.q_star / np.linalg.norm(pt.q_star)
-    return float(u @ pt.alpha) > float((profile_matrix(c, n, budget) @ u).max()) + spectrum.GRAD_TOL
+    return float(u @ pt.alpha) > float((profs @ u).max()) + spectrum.GRAD_TOL
 
 
 def cmd_spectrum(args) -> int:
@@ -370,10 +371,12 @@ def cmd_spectrum(args) -> int:
     points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget)
     header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
               + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])
+    profs = (profile_matrix(c, args.n, args.budget)
+             if any(pt.status == "boundary-suspect" for pt in points) else None)
     rows = []
     for pt in points:
         band = 0.0 if pt.status == "interior-converged" else np.nan
-        h = "" if _beyond_profiles(c, pt, args.n, args.budget) else pt.h
+        h = "" if _beyond_profiles(profs, pt) else pt.h
         rows.append([*pt.alpha, h, *pt.q_star, pt.status, band])
     if args.oracle:
         header += ["epsilon", "count", "h_count", "gap"]

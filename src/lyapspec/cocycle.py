@@ -47,8 +47,10 @@ class OneStepCocycle:
     at construction (``wedges[t][s - 1]``, stacked per t), and so is
     ``log_det[s - 1]`` = log|det A_s|, the log-norm of the top degree; a
     generator with a non-finite wedge or log|det| is refused.  One cache
-    holds the log wedge norms of every swept length; profiles are their
-    differences, derived on each call.
+    holds the log wedge norms of every swept length; pressure, domination
+    and the QM search read them as they are, and the profiles that the
+    Legendre solver and the oracle need are their differences, derived
+    on each call.
     """
 
     Q: TransitionMatrix
@@ -257,10 +259,13 @@ def _check_budget(c: OneStepCocycle, n: int, budget: int):
 
 def log_wedge_norm_matrices(c: OneStepCocycle, lengths,
                             budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
-    """:func:`log_wedge_norms` at every length in ``lengths``, as
-    {n: array}.  Every length is checked against the budget first, in
-    increasing order, so a BudgetError names the shortest length over
-    it; the lengths the cache lacks then come from one sweep."""
+    """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of each
+    length n in ``lengths``, in sweep order, as {n: (#L_n, d) array};
+    column d is the word-ordered sum of log|det A_s|.  Every length is
+    checked against the budget first, in increasing order, so a
+    BudgetError names the shortest length over it; the lengths the cache
+    lacks then come from one sweep.  A hit returns the cached array
+    itself."""
     lengths = sorted(set(lengths))
     for n in lengths:
         _check_budget(c, n, budget)
@@ -270,27 +275,11 @@ def log_wedge_norm_matrices(c: OneStepCocycle, lengths,
     return {n: c._norm_cache[n] for n in lengths}
 
 
-def log_wedge_norms(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
-    """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of length
-    n in sweep order, as a (#L_n, d) array; column d is the word-ordered
-    sum of log|det A_s|.  Cached per length; a hit returns the cached
-    array itself, and the budget still applies to it."""
-    return log_wedge_norm_matrices(c, (n,), budget)[n]
-
-
-def profile_matrices(c: OneStepCocycle, lengths,
-                     budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
-    """:func:`profile_matrix` at every length in ``lengths``, as
-    {n: array}, from one :func:`log_wedge_norm_matrices` call."""
-    return {n: _profiles(logs, n)
-            for n, logs in log_wedge_norm_matrices(c, lengths, budget).items()}
-
-
 def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Profiles of all admissible words of length n, in lexicographic
     word order, as a (#L_n, d) array: the differences of the cached
-    :func:`log_wedge_norms`, derived afresh on each call."""
-    return profile_matrices(c, (n,), budget)[n]
+    :func:`log_wedge_norm_matrices`, derived afresh on each call."""
+    return _profiles(log_wedge_norm_matrices(c, (n,), budget)[n], n)
 
 
 def eigen_exponents(c: OneStepCocycle, word: Word) -> np.ndarray:

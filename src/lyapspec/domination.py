@@ -10,10 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import (
-    BudgetError, OneStepCocycle, log_wedge_norm_matrices, profile_matrices, profile_matrix,
-    word_products,
-)
+from .cocycle import BudgetError, OneStepCocycle, log_wedge_norm_matrices, word_products
 from .pressure import log_sums
 from .sft import Word, full_shift
 
@@ -72,16 +69,18 @@ def domination_test(
     Pass: fitted slope < -1e-3 and ratios strictly decreasing from
     ``monotone_from`` on.  Fail: no decay over the tested range.
     Anything else is inconclusive (a plateau near ratio 1 proves
-    nothing either way).  Every length comes from one profile sweep;
-    a length of more than ``budget`` words raises BudgetError before it.
+    nothing either way).  Every length comes from one log-norm sweep;
+    log(sigma_{i+1}/sigma_i) is the second difference at i of the log
+    wedge norms (log ||A^{wedge 0}|| = 0).  A length of more than
+    ``budget`` words raises BudgetError before it.
     """
     if not 1 <= i <= c.d - 1:
         raise ValueError(f"index {i} outside 1..{c.d - 1}")
     lengths = sorted(n_range)
     if len(lengths) < 2:
         raise ValueError(f"need at least 2 word lengths, got {len(lengths)}")
-    profs = profile_matrices(c, lengths, budget=budget)
-    log_ratios = np.array([n * float((profs[n][:, i] - profs[n][:, i - 1]).max())
+    logs = log_wedge_norm_matrices(c, lengths, budget=budget)
+    log_ratios = np.array([float(np.diff(logs[n], n=2, axis=1, prepend=0.0)[:, i - 1].max())
                            for n in lengths])
     slope = float(np.polyfit(lengths, log_ratios, 1)[0])
 
@@ -471,9 +470,9 @@ def build_dominated_subsystem(
 
 
 def _worst_word_index(c_ext: OneStepCocycle) -> int:
-    profs = profile_matrix(c_ext, 1)
-    gaps = profs[:, 1:] - profs[:, :-1] if c_ext.d > 1 else -profs
-    return int(gaps.max(axis=1).argmax())
+    """The word with the largest log(sigma_{i+1}/sigma_i) over i (d >= 2)."""
+    logs = log_wedge_norm_matrices(c_ext, (1,))[1]
+    return int(np.diff(logs, n=2, axis=1, prepend=0.0).max(axis=1).argmax())
 
 
 def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> np.ndarray:

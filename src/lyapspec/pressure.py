@@ -1,6 +1,9 @@
 """Word-sum pressure of the generalized singular value potential:
 point estimates, empirical-constant brackets from quasi-multiplicativity,
 Gibbs weights, and the exact pressure gradient and Hessian.
+
+psi^q(A) = prod_i ||A^{wedge i}||^{t_i} with t = :func:`weight_differences` (q),
+so word sums weigh the cached log wedge norms by t directly.
 """
 
 from __future__ import annotations
@@ -9,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_budget, log_wedge_norms,
-                      profile_matrices, profile_matrix)
+from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_budget,
+                      log_wedge_norm_matrices, profile_matrix)
 
 
 def weight_differences(q: np.ndarray) -> np.ndarray:
@@ -53,22 +56,24 @@ def _products(profs: np.ndarray) -> np.ndarray:
     return (profs[:, :, None] * profs[:, None, :]).reshape(N, d * d)
 
 
-def _gibbs(profs: np.ndarray, Q: np.ndarray, n: int, *fields: np.ndarray) -> list[np.ndarray]:
-    """One Gibbs pass for every row q of the (G, d) array ``Q`` over the
-    length-n profiles ``profs``: log s_n(q), then the Gibbs average
-    E_w[F] of each (N, m) per-word array F of ``fields`` as a (G, m)
-    array (``profs`` gives the mean, the gradient of P_n;
-    :func:`_products` the second moment).
+def _gibbs(X: np.ndarray, W: np.ndarray, *fields: np.ndarray) -> list[np.ndarray]:
+    """One Gibbs pass for every row y of the (G, d) array ``W`` over the
+    (N, d) per-word rows ``X``: the log-sum-exp of X y, then the Gibbs
+    average E_w[F] of each (N, m) per-word array F of ``fields`` as a
+    (G, m) array.  Over the log wedge norms of length n with y = t the
+    first is log s_n(q); over the length-n profiles with y = n q it is
+    too, and the profiles as a field give the mean, the gradient of P_n
+    (:func:`_products` the second moment).
 
-    V = (n Q) profs^T is formed row-major, in blocks of rows of at most
+    V = W X^T is formed row-major, in blocks of rows of at most
     GIBBS_BLOCK elements; each row is shifted by its max, exponentiated
     in place and summed, and E_w[F] is V F over the row sums.
     """
-    rows = max(1, GIBBS_BLOCK // len(profs))
-    if len(Q) > rows:
-        blocks = [_gibbs(profs, Q[lo:lo + rows], n, *fields) for lo in range(0, len(Q), rows)]
+    rows = max(1, GIBBS_BLOCK // len(X))
+    if len(W) > rows:
+        blocks = [_gibbs(X, W[lo:lo + rows], *fields) for lo in range(0, len(W), rows)]
         return [np.concatenate(parts) for parts in zip(*blocks)]
-    V = (n * Q) @ profs.T
+    V = W @ X.T
     m = V.max(axis=1)
     V -= m[:, None]
     np.exp(V, out=V)
@@ -86,17 +91,18 @@ def _hessians(mean: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
 def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
              budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
     """log s_m(q) for every row q of the (G, d) array ``Q`` at every
-    length m in ``lengths``, as {m: (G,) array}: the profiles of every
-    length come from one :func:`profile_matrices` call, which sweeps
-    only the lengths whose log-norms are not cached, and each length
-    takes one Gibbs pass over the whole of ``Q``.
+    length m in ``lengths``, as {m: (G,) array}: the log wedge norms of
+    every length come from one :func:`log_wedge_norm_matrices` call,
+    which sweeps only the lengths it has not cached, and each length
+    takes one Gibbs pass that weighs them by the rows t of
+    :func:`weight_differences` (Q).
 
     The longest length is checked against the budget first: #L_m grows
     with m, so a BudgetError names it, as a sweep of it alone would.
     """
     _check_budget(c, max(lengths), budget)
-    profs = profile_matrices(c, lengths, budget)
-    return {m: _gibbs(P, Q, m)[0] for m, P in profs.items()}
+    W = weight_differences(Q)
+    return {m: _gibbs(L, W)[0] for m, L in log_wedge_norm_matrices(c, lengths, budget).items()}
 
 
 def log_sn(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> float:
@@ -116,7 +122,7 @@ def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int):
     (max over generators of ||A^{wedge i}||, to the power k).
     """
     t = weight_differences(q)
-    log_c0 = qm_k * log_wedge_norms(c, 1).max(axis=0)
+    log_c0 = qm_k * log_wedge_norm_matrices(c, (1,))[1].max(axis=0)
     terms = np.where(t >= 0, t * np.log(qm_C), t * log_c0)
     # summed over i in order, as a scalar loop would
     return sum(terms[..., i] for i in range(c.d))
@@ -185,13 +191,13 @@ def gibbs_gradient(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDG
     equals the exact derivative of (1/n) log s_n.
     """
     profs = profile_matrix(c, n, budget=budget)
-    return _gibbs(profs, np.asarray(q, dtype=float)[None], n, profs)[1][0]
+    return _gibbs(profs, n * np.asarray(q, dtype=float)[None], profs)[1][0]
 
 
 def gibbs_hessian(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
     """Hessian of P_n at q: n times the Gibbs covariance of the profiles."""
     profs = profile_matrix(c, n, budget=budget)
-    _, mean, second = _gibbs(profs, np.asarray(q, dtype=float)[None], n, profs, _products(profs))
+    _, mean, second = _gibbs(profs, n * np.asarray(q, dtype=float)[None], profs, _products(profs))
     return _hessians(mean, second, n)[0]
 
 

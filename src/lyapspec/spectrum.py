@@ -34,7 +34,7 @@ def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET
     axes = [np.linspace(-10.0, 10.0, 5)] * c.d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, c.d)
     profs = profile_matrix(c, n, budget=budget)
-    return pressure._gibbs(profs, mesh, n, profs)[1]
+    return pressure._gibbs(profs, n * mesh, profs)[1]
 
 
 def interior_alpha_grid(grads: np.ndarray, m: int) -> np.ndarray:
@@ -83,7 +83,7 @@ def _newton(c: OneStepCocycle, alphas: np.ndarray, n: int, q0: np.ndarray | None
     def objective(rows, qv):
         """P_n(qv) - <qv, alpha> at the rows ``rows``, and the moments of
         the Gibbs pass it came from."""
-        log_s, mean, second = pressure._gibbs(profs, qv, n, profs, P2)
+        log_s, mean, second = pressure._gibbs(profs, n * qv, profs, P2)
         return log_s / n - np.einsum("ij,ij->i", qv, alphas[rows]), mean, second
 
     f, mean, second = objective(slice(None), q)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from lyapspec import cli, sft, spectrum, typicality
+from lyapspec import cli, cocycle, sft, spectrum, typicality
 from lyapspec.cocycle import OneStepCocycle
 
 DIAG = """\
@@ -610,6 +610,28 @@ def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, status, h, tol,
         assert row["h"] == ""
     else:
         assert float(row["h"]) == pytest.approx(h, abs=tol)
+
+
+def test_spectrum_derives_the_profiles_at_most_three_times(diag_file, tmp_path, monkeypatch):
+    """A 5 x 5 grid beyond the largest exponent log 3 of the diagonal
+    cocycle, every point boundary-suspect, with the oracle: the solver,
+    the empty-level-set check and the oracle derive the length-n
+    profiles once each, not once per boundary-suspect point."""
+    calls = []
+    profiles = cocycle._profiles
+
+    def counted(logs, n):
+        calls.append(n)
+        return profiles(logs, n)
+
+    monkeypatch.setattr(cocycle, "_profiles", counted)
+    out = tmp_path / "s.csv"
+    assert cli.main(["spectrum", diag_file, "--alpha=1.2:2.0:0.2;-2.0:-1.2:0.2", "--n", "8",
+                     "--oracle", "--eps", "0.05", "--out", str(out)]) == 0
+    rows = _spectrum_rows(out)
+    assert len(rows) == 25
+    assert all(row["status"] == "boundary-suspect" for row in rows)
+    assert len(calls) <= 3
 
 
 #: runs the CLI on sys.argv[1:] with every scipy import failing, prints

@@ -5,7 +5,7 @@ import pytest
 
 from lyapspec import cli, cocycle, domination, matalg, pressure, sft, typicality
 from lyapspec.cocycle import (
-    BudgetError, OneStepCocycle, eigen_exponents, log_wedge_norms,
+    BudgetError, OneStepCocycle, eigen_exponents, log_wedge_norm_matrices,
     product, profile, profile_matrix,
 )
 
@@ -136,8 +136,8 @@ class TestSweepEngine:
         profile_matrix call sweeps nothing and derives the same bits
         from it; and the budget still applies on a hit."""
         c = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
-        logs = log_wedge_norms(c, 6)
-        assert log_wedge_norms(c, 6) is logs
+        logs = log_wedge_norm_matrices(c, (6,))[6]
+        assert log_wedge_norm_matrices(c, (6,))[6] is logs
         first = profile_matrix(c, 6)
         again = profile_matrix(c, 6)
         assert sweeps == [[6]]
@@ -146,16 +146,16 @@ class TestSweepEngine:
         with pytest.raises(BudgetError):
             profile_matrix(c, 6, budget=63)
         with pytest.raises(BudgetError):
-            log_wedge_norms(c, 6, budget=63)
+            log_wedge_norm_matrices(c, (6,), budget=63)
 
     def test_log_wedge_norms_cache(self, pos_cocycle):
-        """log_wedge_norms caches its sweep: a hit returns the cached
-        array itself and still checks the budget, and profile_matrix
+        """log_wedge_norm_matrices caches its sweep: a hit returns the
+        cached array itself and still checks the budget, and profile_matrix
         derives from it the same bits as a fresh sweep gives."""
-        first = log_wedge_norms(pos_cocycle, 6)
-        assert log_wedge_norms(pos_cocycle, 6) is first
+        first = log_wedge_norm_matrices(pos_cocycle, (6,))[6]
+        assert log_wedge_norm_matrices(pos_cocycle, (6,))[6] is first
         with pytest.raises(BudgetError):
-            log_wedge_norms(pos_cocycle, 6, budget=63)
+            log_wedge_norm_matrices(pos_cocycle, (6,), budget=63)
         fresh = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
         assert np.array_equal(profile_matrix(pos_cocycle, 6), profile_matrix(fresh, 6))
 
@@ -179,6 +179,25 @@ class TestSweepEngine:
             tracemalloc.stop()
         assert cached <= retained < 1.5 * cached
 
+    def test_pressure_table_peak_stays_below_its_cache(self):
+        """Once its lengths are swept, the table weighs the cached
+        log-norms in place: its tracemalloc peak stays below half of
+        their bytes, with no full-size temporary per length."""
+        rng = np.random.default_rng(5)
+        c = OneStepCocycle(Q=sft.full_shift(2), generators=list(rng.standard_normal((2, 3, 3))))
+        lengths = pressure.table_lengths(14)
+        cached = sum(sft.count_words(c.Q, m) for m in lengths) * c.d * 8
+        grid = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, -1.0]])
+        cocycle.log_wedge_norm_matrices(c, lengths)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pressure.pressure_table(c, grid, 14)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * cached
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sweep_runs_no_svd(self, d, monkeypatch):
         """The finish takes the top degree from log|det| and the others
@@ -192,7 +211,7 @@ class TestSweepEngine:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         assert profile_matrix(c, 5).shape == (32, d)
-        assert log_wedge_norms(c, 4).shape == (16, d)
+        assert log_wedge_norm_matrices(c, (4,))[4].shape == (16, d)
         assert profile(c, (1, 2, 2)).shape == (d,)
 
     def test_sweep_certifies_most_rows(self, monkeypatch):

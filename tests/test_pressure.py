@@ -1,10 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapspec import matalg, pressure, sft, typicality
-from lyapspec.cocycle import OneStepCocycle, profile_matrix
+from lyapspec.cocycle import OneStepCocycle, log_wedge_norm_matrices, profile_matrix
 
 rng = np.random.default_rng(11)
 
@@ -268,3 +269,52 @@ class TestPressureTable:
         grid = np.array([[1.0, 0.0], [0.5, 0.5]])
         assert np.isnan(pressure.pressure_table(pos_cocycle, grid, n).cauchy).all()
         assert pressure.pressure_estimate(pos_cocycle, grid[0], n).cauchy is None
+
+
+def _gaussian_cocycle(k, d, seed):
+    gen = np.random.default_rng(seed)
+    return OneStepCocycle(Q=sft.full_shift(k), generators=list(gen.standard_normal((k, d, d))))
+
+
+def _log_sum_exp(x):
+    m = x.max()
+    return m + np.log(np.exp(x - m).sum())
+
+
+class TestLogSums:
+    """log s_n(q) weighs the log wedge norms by t: against the exact
+    facts of the lattice and a 40-digit reference."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_lattice_facts_hold_bit_for_bit(self, k, d):
+        """t = (0, ..., 0, 1) at q = (1, ..., 1), t = e_1 at q = e_1 and
+        t = 0 at q = 0 pick one column of the log-norms, or none, without
+        rounding: log s_n is then the log-sum-exp of the top degree
+        (log|det|), of the log spectral norms, and log #L_n."""
+        n = 6
+        for seed in range(5):
+            c = _gaussian_cocycle(k, d, seed)
+            logs = log_wedge_norm_matrices(c, (n,))[n]
+            grid = np.array([np.ones(d), np.eye(d)[0], np.zeros(d)])
+            top, first, zero = pressure.log_sums(c, grid, (n,))[n]
+            assert top == _log_sum_exp(logs[:, -1])
+            assert first == _log_sum_exp(logs[:, 0])
+            assert zero == np.log(sft.count_words(c.Q, n))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_40_digit_reference(self, d):
+        """20 grid rows at n = 8 against the log-sum-exp of <t, L_I>
+        over the same log-norms L, in 40-digit arithmetic with t taken
+        from q exactly."""
+        n = 8
+        c = _gaussian_cocycle(2, d, d)
+        grid = np.random.default_rng(d).uniform(-4, 4, (20, d))
+        got = pressure.log_sums(c, grid, (n,))[n]
+        logs = [[mpmath.mpf(x) for x in row] for row in log_wedge_norm_matrices(c, (n,))[n]]
+        with mpmath.workdps(40):
+            for q, value in zip(grid, got):
+                t = [mpmath.mpf(q[i]) - (mpmath.mpf(q[i + 1]) if i + 1 < d else 0)
+                     for i in range(d)]
+                ref = mpmath.log(mpmath.fsum(mpmath.exp(mpmath.fdot(t, row)) for row in logs))
+                assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref))

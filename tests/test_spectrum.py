@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lyapspec import cli, pressure, sft, spectrum
-from lyapspec.cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
+from lyapspec.cocycle import OneStepCocycle, profile_matrix
 
 
 def binary_entropy(t):
@@ -132,9 +132,9 @@ class TestNewtonSolver:
         rows = []
         gibbs = pressure._gibbs
 
-        def counted(profs, Q, n, *fields):
-            rows.extend(float(q[0]) for q in Q)
-            return gibbs(profs, Q, n, *fields)
+        def counted(X, W, *fields):
+            rows.extend(float(w[0]) for w in W)
+            return gibbs(X, W, *fields)
 
         def view(*args, **kwargs):
             raise AssertionError("a Gibbs view called by the solver")
@@ -193,7 +193,7 @@ def test_boundary_status_agrees_with_profile_hull_lp(case):
     pt = spectrum.legendre_entropy(c, alpha, n)
     if pt.status == "interior-converged":
         assert _in_hull(profs, alpha, tol=spectrum.GRAD_TOL)
-    if cli._beyond_profiles(c, pt, n, DEFAULT_WORD_BUDGET):
+    if cli._beyond_profiles(profs, pt):
         assert not _in_hull(profs, alpha)
 
 
