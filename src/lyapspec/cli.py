@@ -1,13 +1,17 @@
 """Command-line interface, the .cocycle file format, and reproducible
 run manifests.
 
+Run as `lyapspec` or `python -m lyapspec`.  `main` builds only the
+parser of the command it runs (all six for help or an unknown command).
+
 Exit codes: 0 success, 1 domination fail, 2 parse or usage error or an
-unreadable input or unwritable output path, 3 validation failure (also
-an alphabet above MAX_ALPHABET symbols, generators whose exterior powers
-overflow, and in `typical`/`subsystem` a word product past 1e300 or a
-dim above 6), 4 budget exceeded (also a `typical`/`subsystem` pair
-search past typicality.MAX_TYPICAL_CHECKS checks), 5 missing typicality
-precondition, 6 domination inconclusive, 7 subsystem search exhaustion.
+unreadable input or unwritable output path (refused before any work),
+3 validation failure (also an alphabet above MAX_ALPHABET symbols,
+generators whose exterior powers overflow, and in `typical`/`subsystem`
+a word product past 1e300 or a dim above 6), 4 budget exceeded (also a
+`typical`/`subsystem` pair search past typicality.MAX_TYPICAL_CHECKS
+checks), 5 missing typicality precondition, 6 domination inconclusive,
+7 subsystem search exhaustion.
 Commands raise CliError; `main` alone prints the one stderr line and
 returns the code.
 """
@@ -234,9 +238,11 @@ def open_out(path: str | None):
     return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
 
 
-def _check_writable(path: str) -> None:
+def _check_writable(path: str | None) -> None:
     """Raise the OSError that opening path for writing would raise,
-    without creating or truncating the file."""
+    without creating or truncating the file; None is stdout."""
+    if path is None:
+        return
     try:
         os.close(os.open(path, os.O_WRONLY))
     except FileNotFoundError:
@@ -327,6 +333,7 @@ def cmd_pressure(args) -> int:
     _at_least("--qm-depth", args.qm_depth, 0)
     _at_least("--qm-connect", args.qm_connect, 0)
     grid = parse_grid(args.q, c.d)
+    _check_writable(args.out)
     # one sweep for the QM search and the table, when the search stops at
     # its first connector length k; past the budget, the search and the
     # table check their own lengths and name the first one over it
@@ -363,9 +370,9 @@ def cmd_spectrum(args) -> int:
     _at_least("--auto-grid", args.auto_grid, 1)
     if args.oracle and not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")
-    if args.alpha:
-        grid = parse_grid(args.alpha, c.d)
-    else:
+    grid = parse_grid(args.alpha, c.d) if args.alpha else None
+    _check_writable(args.out)
+    if grid is None:
         grads = spectrum.domain_estimate(c, args.n, budget=args.budget)
         grid = spectrum.interior_alpha_grid(grads, args.auto_grid)
     points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget)
@@ -473,6 +480,10 @@ def cmd_subsystem(args) -> int:
         _at_least("--" + flag.replace("_", "-"), getattr(args, flag), 1)
     _at_least("--pad-bound", args.pad_bound, 0)
     grid = parse_grid(args.q, c.d)
+    # both destinations checked before any work: an unwritable one must
+    # leave the other untouched
+    _check_writable(args.out)
+    _check_writable(args.subsystem_out)
     typ = _typicality(c, args)
     if typ is None or not typ.passed:
         raise CliError(EXIT_NO_FIXED, "error: typicality precondition not met")
@@ -489,13 +500,12 @@ def cmd_subsystem(args) -> int:
     comment = (f"dominated subsystem: base_n={sub.base_n} ell={sub.ell} "
                f"pads={sub.pad_left}|{sub.pad_right}")
     header = [f"q_{i + 1}" for i in range(c.d)] + ["ell", "P_ell_D_per_symbol", "P_n", "gap"]
-    # both destinations checked before either is written: an unwritable
-    # one must leave the other untouched
-    _check_writable(args.subsystem_out)
     with open_out(args.out) as out:
         write_cocycle(args.subsystem_out, sub.tuple_cocycle, comment=comment)
-        print(f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "
-              f"of length {sub.ell}, kappa = {sub.kappa}")
+        note = (f"subsystem written to {args.subsystem_out}: {len(sub.words)} words "
+                f"of length {sub.ell}, kappa = {sub.kappa}")
+        # comment lines when the CSV follows on stdout (numpy may wrap kappa)
+        print(note if args.out is not None else "# " + note.replace("\n", "\n# "))
         write_csv(out, header, rows, manifest_lines(args, started))
     return EXIT_OK
 
@@ -509,42 +519,33 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lyapspec",
-        description="Pressure and Lyapunov entropy spectra of one-step matrix "
-                    "cocycles over mixing subshifts of finite type.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _budget(p):
+    p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
 
-    # options shared by several commands, each declared once
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    qm = argparse.ArgumentParser(add_help=False)
-    qm.add_argument("--qm-depth", type=int, default=4,
-                    help="longest word of the QM search (read by pressure only)")
-    qm.add_argument("--qm-connect", type=int, default=4,
-                    help="longest connector of the QM search (read by pressure only)")
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--fixed-symbol", type=int, default=None)
-    pair.add_argument("--homoclinic", default=None, help="comma-separated core word w")
-    pair.add_argument("--search-depth", type=int, default=3)
 
-    def command(name, func, help, parents=()):
-        p = sub.add_parser(name, help=help, parents=list(parents))
-        p.add_argument("file")
-        p.set_defaults(func=func)
-        return p
+def _out(p):
+    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
-    command("validate", cmd_validate, "parse and validate a .cocycle file")
 
-    p = command("pressure", cmd_pressure, "pressure table over a q grid", (qm, budget, out))
+def _qm(p):
+    p.add_argument("--qm-depth", type=int, default=4,
+                   help="longest word of the QM search (read by pressure only)")
+    p.add_argument("--qm-connect", type=int, default=4,
+                   help="longest connector of the QM search (read by pressure only)")
+
+
+def _pair(p):
+    p.add_argument("--fixed-symbol", type=int, default=None)
+    p.add_argument("--homoclinic", default=None, help="comma-separated core word w")
+    p.add_argument("--search-depth", type=int, default=3)
+
+
+def _pressure(p):
     p.add_argument("--q", default="-3:3:0.25", help="grid spec lo:hi:step[;...]")
     p.add_argument("--n", type=int, default=10)
 
-    p = command("spectrum", cmd_spectrum, "Legendre entropy spectrum", (qm, budget, out))
+
+def _spectrum(p):
     p.add_argument("--alpha", default=None, help="explicit alpha grid spec")
     p.add_argument("--auto-grid", type=int, default=11)
     p.add_argument("--n", type=int, default=12)
@@ -552,9 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="add cylinder-count oracle columns")
 
-    command("typical", cmd_typical, "typicality check", (pair,))
 
-    p = command("dominate", cmd_dominate, "domination test")
+def _dominate(p):
     p.add_argument("--index", type=int, default=None, help="single index i")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=12)
@@ -564,22 +564,53 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed of the multicone search: it picks the balls of the "
                    "cover and the directions of the sampled fallback only")
 
-    p = command("subsystem", cmd_subsystem, "build a dominated subsystem and compare "
-                "its pressure to the base pressure", (pair, qm, out))
+
+def _subsystem(p):
     p.add_argument("--base-n", type=int, default=3)
     p.add_argument("--pad-bound", type=int, default=8)
     p.add_argument("--block-depth", type=int, default=3)
     p.add_argument("--q", default="-1:1:1")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--subsystem-out", default="subsystem.cocycle")
+
+
+#: name: (function, help, option adders in --help order); every command
+#: also takes the positional file
+COMMANDS = {
+    "validate": (cmd_validate, "parse and validate a .cocycle file", ()),
+    "pressure": (cmd_pressure, "pressure table over a q grid", (_qm, _budget, _out, _pressure)),
+    "spectrum": (cmd_spectrum, "Legendre entropy spectrum", (_qm, _budget, _out, _spectrum)),
+    "typical": (cmd_typical, "typicality check", (_pair,)),
+    "dominate": (cmd_dominate, "domination test", (_dominate,)),
+    "subsystem": (cmd_subsystem, "build a dominated subsystem and compare its pressure "
+                  "to the base pressure", (_pair, _qm, _out, _subsystem)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named one only."""
+    parser = _Parser(
+        prog="lyapspec",
+        description="Pressure and Lyapunov entropy spectra of one-step matrix "
+                    "cocycles over mixing subshifts of finite type.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS if command is None else [command]:
+        func, help, adders = COMMANDS[name]
+        p = sub.add_parser(name, help=help)
+        for add in adders:
+            add(p)
+        p.add_argument("file")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command.  The only place that reports an error: one
     stderr line and the exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         return args.func(args)
     except CliError as exc:
         code, line = exc.code, str(exc)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import os
 import subprocess
 import sys
@@ -513,11 +515,16 @@ def test_pair_search_cap_exit_4(command, diag_file, monkeypatch, capsys):
      "--subsystem-out", "{missing}/s.cocycle", "--out", "{csv}"],
 ], ids=["pressure-out", "spectrum-out", "subsystem-out", "subsystem-csv-out",
         "subsystem-out-keeps-csv"])
-def test_unwritable_output_path_is_exit_2(argv, diag_file, pos_file, tmp_path, capsys):
+def test_unwritable_output_path_is_exit_2(argv, diag_file, pos_file, tmp_path, capsys,
+                                         monkeypatch):
     """An output path in a missing directory is a usage error: exit 2
-    and one line, not a traceback after the computation, and no other
+    and one line, before any sweep or typicality check, and no other
     output is left behind: an unwritable --out writes no subsystem, and
     an unwritable --subsystem-out leaves an existing --out as it was."""
+    calls = []
+    for module, name in [(cocycle, "_sweep"), (typicality, "check_typical")]:
+        monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), n=name, **kw:
+                            calls.append(n) or f(*a, **kw))
     missing = tmp_path / "missing"
     sub = tmp_path / "x.cocycle"
     csv = tmp_path / "kept.csv"
@@ -532,6 +539,80 @@ def test_unwritable_output_path_is_exit_2(argv, diag_file, pos_file, tmp_path, c
     assert not missing.exists()
     assert not sub.exists()
     assert csv.read_text() == "# earlier run\n"
+    assert calls == []
+
+
+def test_subsystem_csv_on_stdout_parses(pos_file, tmp_path, capsys):
+    """Without --out, the subsystem note is a comment line, so the first
+    line not starting with # is the CSV header."""
+    assert cli.main(["subsystem", pos_file, "--base-n", "2", "--q=0:1:1", "--n", "4",
+                     "--subsystem-out", str(tmp_path / "s.cocycle")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("q_1,q_2,ell,P_ell_D_per_symbol,P_n,gap")
+    assert lines[0].startswith("# subsystem written to ")
+    assert all(line.startswith("#") for line in lines[:header])
+
+
+COMMAND_NAMES = ["validate", "pressure", "spectrum", "typical", "dominate", "subsystem"]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["pressure", "{diag}", "--q=0:0:1", "--n", "2"], 1),
+    (["presure", "{diag}"], 6),
+    (["--help"], 6),
+], ids=["command", "misspelled", "help"])
+def test_main_builds_only_the_named_command(argv, builds, diag_file, monkeypatch, capsys):
+    """A run that names a command builds that command's parser alone;
+    help and a misspelled command build all six."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: names.append(name) or add_parser(self, name, **kw))
+    with pytest.raises(SystemExit) if argv == ["--help"] else contextlib.nullcontext():
+        cli.main([a.format(diag=diag_file) for a in argv])
+    assert len(names) == builds
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{diag}"],
+    ["pressure", "{diag}", "--q=0:1:0.5", "--n", "4", "--qm-depth", "2", "--budget", "99",
+     "--out", "p.csv"],
+    ["spectrum", "{diag}", "--alpha=1:1:1", "--oracle", "--eps", "0.1", "--qm-connect", "1"],
+    ["typical", "{diag}", "--fixed-symbol", "1", "--homoclinic", "2,1"],
+    ["dominate", "{diag}", "--index", "1", "--cone", "--seed", "3", "--n-max", "5"],
+    ["subsystem", "{diag}", "--base-n", "2", "--search-depth", "2", "--subsystem-out", "s"],
+], ids=COMMAND_NAMES)
+def test_one_command_parser_matches_the_full_one(argv, diag_file, capsys):
+    """The parser built for one command has the --help text and gives
+    the namespace (so the manifest) of the parser of all six."""
+    argv = [a.format(diag=diag_file) for a in argv]
+    one, full = cli.build_parser(argv[0]), cli.build_parser()
+    assert vars(one.parse_args(argv)) == vars(full.parse_args(argv))
+    helps = []
+    for parser in (one, full):
+        with pytest.raises(SystemExit):
+            parser.parse_args([argv[0], "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: lyapspec {argv[0]} ")
+
+
+def test_misspelled_command_names_every_command(diag_file, capsys):
+    assert cli.main(["presure", diag_file]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert all(f"'{name}'" in err for name in COMMAND_NAMES)
+
+
+def test_runs_as_module(diag_file):
+    """python -m lyapspec runs the CLI from a source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, first in [(["--help"], "usage: lyapspec "), (["validate", diag_file], "alphabet k")]:
+        run = subprocess.run([sys.executable, "-m", "lyapspec", *argv], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith(first)
 
 
 @pytest.mark.parametrize("argv", [
