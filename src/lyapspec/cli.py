@@ -4,11 +4,12 @@ run manifests.
 Run as `lyapspec` or `python -m lyapspec`.  `main` builds only the
 parser of the command it runs (all six for help or an unknown command).
 
-Exit codes: 0 success, 1 domination fail, 2 parse or usage error or an
-unreadable input or unwritable output path (refused before any work),
-3 validation failure (also an alphabet above MAX_ALPHABET symbols,
-generators whose exterior powers overflow, and in `typical`/`subsystem`
-a word product past 1e300 or a dim above 6), 4 budget exceeded (also a
+Exit codes: 0 success, 1 domination fail, typicality "no" or an
+exhausted pair search, 2 parse or usage error or an unreadable input
+or unwritable output path (refused before any work), 3 validation
+failure (also an alphabet above MAX_ALPHABET symbols, generators whose
+exterior powers overflow, and in `typical`/`subsystem` a word product
+past 1e300 or a dim above 6), 4 budget exceeded (also a
 `typical`/`subsystem` pair search past typicality.MAX_TYPICAL_CHECKS
 checks), 5 missing typicality precondition, 6 domination inconclusive,
 7 subsystem search exhaustion.
@@ -31,8 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, domination, matalg, pressure, sft, spectrum, typicality
-from .cocycle import (DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, log_wedge_norm_matrices,
-                      profile_matrix)
+from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, log_wedge_norm_matrices
 from .sft import NotPrimitiveError
 
 EXIT_OK = 0
@@ -174,8 +174,16 @@ def parse_cocycle_text(text: str) -> OneStepCocycle:
 
 
 def load_cocycle(path: str) -> OneStepCocycle:
-    with open(path) as fh:
-        return parse_cocycle_text(fh.read())
+    """Parse the file at path as UTF-8, whatever the locale."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; "x" stands in for the bad byte's line
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"byte {data[exc.start]:#04x} is not UTF-8 ({exc.reason})", line) from None
+    return parse_cocycle_text(text)
 
 
 def format_cocycle(c: OneStepCocycle, comment: str | None = None) -> str:
@@ -215,16 +223,9 @@ def file_digest(path: str) -> str:
 
 def manifest_lines(args: argparse.Namespace, started: float) -> list[str]:
     """Run manifest rendered as CSV comment header lines."""
-    flags = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None
-    }
-    lines = [
-        f"# tool lyapspec {__version__}",
-        f"# command {args.command}",
-    ]
-    for key, val in flags.items():
-        lines.append(f"# flag {key}={val}")
+    lines = [f"# tool lyapspec {__version__}", f"# command {args.command}"]
+    lines += [f"# flag {key}={val}" for key, val in sorted(vars(args).items())
+              if key != "func" and val is not None]
     if getattr(args, "file", None):
         lines.append(f"# input_sha256 {file_digest(args.file)}")
     lines.append(f"# seed {getattr(args, 'seed', 0)}")
@@ -262,9 +263,7 @@ def write_csv(out, header: list[str], rows: list[list], manifest: list[str]):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) or isinstance(x, np.floating):
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, (float, np.floating)) else str(x)
 
 
 def parse_grid(spec: str, d: int) -> np.ndarray:
@@ -352,16 +351,6 @@ def cmd_pressure(args) -> int:
     return EXIT_OK
 
 
-def _beyond_profiles(profs: np.ndarray, pt: spectrum.SpectrumPoint) -> bool:
-    """Whether a boundary-suspect alpha lies more than GRAD_TOL past every
-    profile row of ``profs`` along u = q*/|q*|, so that its level set is
-    empty."""
-    if pt.status != "boundary-suspect":  # then |q*| > Q_MAX/2
-        return False
-    u = pt.q_star / np.linalg.norm(pt.q_star)
-    return float(u @ pt.alpha) > float((profs @ u).max()) + spectrum.GRAD_TOL
-
-
 def cmd_spectrum(args) -> int:
     started = time.time()
     c = _load(args)
@@ -378,19 +367,14 @@ def cmd_spectrum(args) -> int:
     points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget)
     header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
               + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])
-    profs = (profile_matrix(c, args.n, args.budget)
-             if any(pt.status == "boundary-suspect" for pt in points) else None)
-    rows = []
-    for pt in points:
-        band = 0.0 if pt.status == "interior-converged" else np.nan
-        h = "" if _beyond_profiles(profs, pt) else pt.h
-        rows.append([*pt.alpha, h, *pt.q_star, pt.status, band])
+    rows = [[*pt.alpha, "" if pt.empty else pt.h, *pt.q_star, pt.status,
+             0.0 if pt.status == "interior-converged" else np.nan] for pt in points]
     if args.oracle:
         header += ["epsilon", "count", "h_count", "gap"]
         counts, h_counts = spectrum.oracle_count(c, grid, args.eps, args.n, budget=args.budget)
         for row, pt, count, h_count in zip(rows, points, counts.tolist(), h_counts.tolist()):
             # an empty level set has h = -inf
-            gap = abs(h_count - pt.h) if count and row[c.d] != "" else np.inf
+            gap = abs(h_count - pt.h) if count and not pt.empty else np.inf
             row.extend([args.eps, count, h_count, gap])
     with open_out(args.out) as out:
         write_csv(out, header, rows, manifest_lines(args, started))

@@ -24,6 +24,7 @@ class SpectrumPoint:
     status: str  # interior-converged | boundary-suspect | diverged
     clamped: bool = False
     grad_residual: float = np.nan
+    empty: bool = False  # alpha lies off the profile hull: h = -inf
 
 
 def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
@@ -53,11 +54,11 @@ def interior_alpha_grid(grads: np.ndarray, m: int) -> np.ndarray:
     return lo + np.linspace(0.0, 1.0, m)[:, None] * (hi - lo)
 
 
-def _newton(c: OneStepCocycle, alphas: np.ndarray, n: int, q0: np.ndarray | None,
-            budget: int) -> list[SpectrumPoint]:
-    """h(alpha) = inf_q {P_n(q) - <q, alpha>} for every row of the (G, d)
-    array ``alphas`` by damped Newton on the convex finite-n objective,
-    all rows in lockstep from the rows of ``q0`` (default q = 0).
+def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
+            q0: np.ndarray | None) -> list[SpectrumPoint]:
+    """h(alpha) = inf_q {P_n(q) - <q, alpha>} over the (N, d) length-n
+    profiles ``profs`` for every row of the (G, d) array ``alphas``, by
+    damped Newton, all rows in lockstep from the rows of ``q0`` (or 0).
 
     One Gibbs pass per trial point gives the value, and, once the point
     is accepted, the gradient g = E_w[profile] - alpha and the Hessian
@@ -72,10 +73,11 @@ def _newton(c: OneStepCocycle, alphas: np.ndarray, n: int, q0: np.ndarray | None
     grad P_n maps R^d onto the relative interior of the hull of the
     length-n profiles, so the solver alone decides the boundary: status
     is boundary-suspect when the minimizer escapes past Q_MAX (or past
-    Q_MAX/2 at convergence), and h is then the objective at the last
-    iterate.  Negative finite-n values are clamped to zero with a flag.
+    Q_MAX/2 at convergence), h is then the objective at the last iterate,
+    and the point is ``empty`` (alpha is off the profile hull) when alpha
+    lies GRAD_TOL past every profile along u = q*/|q*|.  Negative
+    finite-n values are clamped to zero with a flag.
     """
-    profs = profile_matrix(c, n, budget=budget)
     P2 = pressure._products(profs)
     G, d = alphas.shape
     q = np.zeros((G, d)) if q0 is None else np.array(q0, dtype=float)
@@ -127,10 +129,15 @@ def _newton(c: OneStepCocycle, alphas: np.ndarray, n: int, q0: np.ndarray | None
     # when the finite-n gradient still closes
     far = np.linalg.norm(q, axis=1) > Q_MAX / 2
     status[far & (status == "interior-converged")] = "boundary-suspect"
+    empty = np.zeros(G, dtype=bool)
+    for i in np.flatnonzero(status == "boundary-suspect"):  # then |q*| > Q_MAX/2
+        u = q[i] / np.linalg.norm(q[i])
+        empty[i] = float(u @ alphas[i]) > float((profs @ u).max()) + GRAD_TOL
     clamped = f < 0
     h = np.where(clamped, 0.0, f)
     return [SpectrumPoint(alpha=alphas[i], h=float(h[i]), q_star=q[i], status=status[i],
-                          clamped=bool(clamped[i]), grad_residual=float(grad_res[i]))
+                          clamped=bool(clamped[i]), grad_residual=float(grad_res[i]),
+                          empty=bool(empty[i]))
             for i in range(G)]
 
 
@@ -139,14 +146,16 @@ def legendre_entropy(c: OneStepCocycle, alpha, n: int, q0=None,
     """h(alpha) at one exponent vector: :func:`_newton` on one row, from
     ``q0`` (default q = 0)."""
     q0 = None if q0 is None else np.asarray(q0, dtype=float)[None]
-    return _newton(c, np.asarray(alpha, dtype=float)[None], n, q0, budget)[0]
+    profs = profile_matrix(c, n, budget=budget)
+    return _newton(profs, n, np.asarray(alpha, dtype=float)[None], q0)[0]
 
 
 def spectrum_curve(c: OneStepCocycle, alpha_grid: np.ndarray, n: int,
                    budget: int = DEFAULT_WORD_BUDGET) -> list[SpectrumPoint]:
     """Legendre entropy along a grid, every point solved together from
     q = 0 by :func:`_newton`."""
-    return _newton(c, np.atleast_2d(np.asarray(alpha_grid, dtype=float)), n, None, budget)
+    profs = profile_matrix(c, n, budget=budget)
+    return _newton(profs, n, np.atleast_2d(np.asarray(alpha_grid, dtype=float)), None)
 
 
 def concavity_slacks(points: list[SpectrumPoint]) -> np.ndarray:

@@ -100,10 +100,13 @@ def holonomy_loop(c: OneStepCocycle, a: int, w: Word) -> HolonomyLoop:
     return HolonomyLoop(a=a, w=w, W=W)
 
 
-def _sorted_eigensystem(M: np.ndarray):
-    lam, vec = np.linalg.eig(M)
-    order = np.argsort(-np.abs(lam))
-    return lam[order], vec[:, order]
+def _gap_margins(c: OneStepCocycle, a: int) -> list[float]:
+    """Pinching margins of the symbol a: the least gap of the sorted
+    eigenvalue log-moduli of A_a^{wedge t}, t = 1..d-1; refuses dim > MAX_DIM."""
+    if c.d > MAX_DIM:
+        raise ValueError(f"dim {c.d} > {MAX_DIM}: twisting check refused")
+    return [float(np.diff(np.sort(np.log(np.abs(np.linalg.eigvals(c.wedges[t][a - 1]))))).min())
+            for t in range(1, c.d)]
 
 
 def _orth(M: np.ndarray, m: int) -> np.ndarray:
@@ -140,13 +143,8 @@ def check_typical(c: OneStepCocycle, a: int, w: Word) -> TypicalityReport:
     whenever |I| + |J| = d; its margin is :func:`_twist_margin`, set to
     0 when pinching fails.
     """
-    if c.d > MAX_DIM:
-        raise ValueError(f"dim {c.d} > {MAX_DIM}: twisting check refused")
     loop = holonomy_loop(c, a, w)
-    gaps = []
-    for t in range(1, c.d):
-        lam, _ = _sorted_eigensystem(c.wedges[t][a - 1])
-        gaps.append(float(np.diff(np.log(np.abs(lam))[::-1]).min()))
+    gaps = _gap_margins(c, a)
     twist = 0.0
     if min(gaps, default=np.inf) > TOL_GAP:
         # a spectrum with distinct moduli is real: drop rounding imaginaries
@@ -156,17 +154,19 @@ def check_typical(c: OneStepCocycle, a: int, w: Word) -> TypicalityReport:
 
 def search_typical_pair(c: OneStepCocycle, depth: int) -> TypicalityReport | None:
     """Try every fixed symbol a and core word w up to the given length;
-    return the first passing report, or None on exhaustion.
+    return the first passing report, or None on exhaustion.  A symbol
+    whose pinching fails is skipped without a check: no w passes there.
 
     Raises ValueError when no symbol has a self-transition, and
-    BudgetError when a pass would need more than MAX_TYPICAL_CHECKS
-    checks.
+    BudgetError when a pass would need more than MAX_TYPICAL_CHECKS checks.
     """
     fixed = [a for a in range(1, c.k + 1) if c.Q.allows(a, a)]
     if not fixed:
         raise ValueError("no symbol a with Q[a,a] = 1: no fixed point available")
     checks = 0
     for a in fixed:
+        if not min(_gap_margins(c, a), default=np.inf) > TOL_GAP:
+            continue
         for n in range(1, depth + 1):
             for w in sft.enumerate_words(c.Q, n):
                 if not (c.Q.allows(a, w[0]) and c.Q.allows(w[-1], a)):

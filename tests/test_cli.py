@@ -99,6 +99,14 @@ def dim4_file(tmp_path, twisted4_cocycle):
 
 
 @pytest.fixture
+def latin1_file(tmp_path):
+    """The diagonal cocycle with a Latin-1 comment on line 3: not UTF-8."""
+    path = tmp_path / "latin1.cocycle"
+    path.write_bytes(DIAG.replace("alphabet 2", "alphabet 2  # caf\xe9").encode("latin-1"))
+    return str(path)
+
+
+@pytest.fixture
 def pos_file(tmp_path):
     path = tmp_path / "pos.cocycle"
     path.write_text(DIAG.replace("3 0\n0 0.33333333333333331",
@@ -231,6 +239,18 @@ class TestCommands:
         path = tmp_path / "bad.cocycle"
         path.write_text("dim oops\n")
         assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_validate_non_utf8_names_the_line(self, newline, tmp_path, capsys):
+        """The file is UTF-8 whatever the locale; a bad byte is a parse
+        error on the line it sits on, counted as the parser counts."""
+        path = tmp_path / "latin1.cocycle"
+        path.write_bytes(DIAG.replace("alphabet 2", "alphabet 2  # caf\xe9")
+                         .replace("\n", newline).encode("latin-1"))
+        assert cli.main(["validate", str(path)]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("parse error: line 3: byte 0xe9 is not UTF-8 (")
 
     def test_validate_missing_file_exit_2(self):
         assert cli.main(["validate", "/nonexistent.cocycle"]) == cli.EXIT_PARSE
@@ -460,6 +480,7 @@ class TestCommands:
     (["dominate", "{pos160}"], cli.EXIT_VALIDATE),
     (["pressure", "{diag}", "--q=0:0:1", "--budget", "0"], cli.EXIT_PARSE),
     (["spectrum", "{diag}", "--auto-grid", "3", "--budget", "-5"], cli.EXIT_PARSE),
+    (["spectrum", "{latin1}", "--auto-grid", "3"], cli.EXIT_PARSE),
 ], ids=["pressure-n", "pressure-grid", "spectrum-n", "dominate-range",
         "dominate-single-length", "dominate-index", "dominate-dim-1",
         "dominate-dim-1-cone", "dominate-seed", "pressure-grid-nan",
@@ -471,23 +492,26 @@ class TestCommands:
         "typical-search-dim-7", "subsystem-search-dim-7", "typical-search-budget",
         "subsystem-product-overflow", "typical-product-overflow", "validate-wedge-overflow",
         "pressure-wedge-overflow", "spectrum-wedge-overflow", "dominate-wedge-overflow",
-        "pressure-budget-0", "spectrum-budget-negative"])
+        "pressure-budget-0", "spectrum-budget-negative", "spectrum-not-utf8"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
-                                      dim7_file, pos110_file, pos160_file, tmp_path, capsys):
+                                      dim7_file, pos110_file, pos160_file, latin1_file,
+                                      tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
     message, never a traceback (exit 1 means a negative verdict), and
     leave no output behind: no stdout line and no subsystem file.  A
-    file the loader refuses reports a validation error."""
-    refused = argv[1] == "{pos160}"
+    file the loader refuses reports a validation error, one it cannot
+    decode a parse error."""
+    prefix = {"{pos160}": "validation error: ",
+              "{latin1}": "parse error: "}.get(argv[1], "error: ")
     argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file, dim7=dim7_file,
-                     pos110=pos110_file, pos160=pos160_file) for a in argv]
+                     pos110=pos110_file, pos160=pos160_file, latin1=latin1_file)
+            for a in argv]
     sub_out = tmp_path / "x.cocycle"
     argv += ["--subsystem-out", str(sub_out)] if argv[0] == "subsystem" else []
     assert cli.main(argv) == code
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1
-    assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET
-                          else "validation error: " if refused else "error: ")
+    assert err.startswith("budget exceeded: " if code == cli.EXIT_BUDGET else prefix)
     assert out == ""
     assert not sub_out.exists()
 
@@ -693,11 +717,11 @@ def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, status, h, tol,
         assert float(row["h"]) == pytest.approx(h, abs=tol)
 
 
-def test_spectrum_derives_the_profiles_at_most_three_times(diag_file, tmp_path, monkeypatch):
+def test_spectrum_derives_the_profiles_at_most_twice(diag_file, tmp_path, monkeypatch):
     """A 5 x 5 grid beyond the largest exponent log 3 of the diagonal
     cocycle, every point boundary-suspect, with the oracle: the solver,
-    the empty-level-set check and the oracle derive the length-n
-    profiles once each, not once per boundary-suspect point."""
+    which also decides the empty level sets, and the oracle derive the
+    length-n profiles once each, not once per boundary-suspect point."""
     calls = []
     profiles = cocycle._profiles
 
@@ -712,7 +736,7 @@ def test_spectrum_derives_the_profiles_at_most_three_times(diag_file, tmp_path, 
     rows = _spectrum_rows(out)
     assert len(rows) == 25
     assert all(row["status"] == "boundary-suspect" for row in rows)
-    assert len(calls) <= 3
+    assert len(calls) <= 2
 
 
 #: runs the CLI on sys.argv[1:] with every scipy import failing, prints

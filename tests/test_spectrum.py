@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lyapspec import cli, pressure, sft, spectrum
+from lyapspec import pressure, sft, spectrum
 from lyapspec.cocycle import OneStepCocycle, profile_matrix
 
 
@@ -149,6 +149,30 @@ class TestNewtonSolver:
         assert rows[0] == 8.0
         assert rows[1] == pytest.approx(-91.554, abs=1e-3)
 
+    def test_two_profiles_closed_form(self):
+        """Profiles -1 and +1 at n = 1, no cocycle: P(q) = log(2 cosh q),
+        so h(alpha) = H((1 + alpha)/2) in nats for |alpha| < 1.  alpha = 1
+        is the profile +1, whose level set is not empty; 1.5 lies past
+        it, and its level set is empty."""
+        a = np.array([-0.9, -0.3, 0.0, 0.5, 0.95, 1.0, 1.5])
+        pts = spectrum._newton(np.array([[-1.0], [1.0]]), 1, a[:, None], None)
+        for x, pt in zip(a[:5], pts):
+            assert pt.status == "interior-converged" and not pt.empty
+            assert pt.h == pytest.approx(binary_entropy((1 + x) / 2), abs=1e-9)
+        assert not pts[5].empty and pts[5].h == pytest.approx(0.0, abs=1e-6)
+        assert pts[6].status == "boundary-suspect" and pts[6].empty
+
+    def test_off_the_affine_hull_is_empty(self):
+        """Profiles (+-1, 0) at n = 1: alpha_2 = 0.5 is off their affine
+        hull, the objective falls linearly in q_2 and the level set is
+        empty; alpha_2 = 0 stays on the log(2 cosh q_1) closed form."""
+        pts = spectrum._newton(np.array([[-1.0, 0.0], [1.0, 0.0]]), 1,
+                               np.array([[0.3, 0.5], [0.3, 0.0]]), None)
+        assert pts[0].status == "boundary-suspect" and pts[0].empty
+        assert pts[0].q_star[1] > 0
+        assert pts[1].status == "interior-converged" and not pts[1].empty
+        assert pts[1].h == pytest.approx(binary_entropy(0.65), abs=1e-9)
+
     @pytest.mark.parametrize("name, alpha", [
         ("golden_identity", [0.1, 0.1]),
         ("diag_cocycle", [np.log(2.5), 0.0]),
@@ -193,7 +217,7 @@ def test_boundary_status_agrees_with_profile_hull_lp(case):
     pt = spectrum.legendre_entropy(c, alpha, n)
     if pt.status == "interior-converged":
         assert _in_hull(profs, alpha, tol=spectrum.GRAD_TOL)
-    if cli._beyond_profiles(profs, pt):
+    if pt.empty:
         assert not _in_hull(profs, alpha)
 
 

@@ -97,6 +97,30 @@ class TestSearch:
         with pytest.raises(BudgetError):
             typicality.search_typical_pair(pos_cocycle, 3)
 
+    def test_symbols_without_pinching_cost_no_checks(self, monkeypatch):
+        """Symbols 1-3 are scaled rotations, whose equal-modulus
+        eigenvalues fail pinching whatever w is: the search skips them
+        without a check, so 200 checks reach the pair (4, (1,)), 253rd
+        in the order of a search that checks every word of 1-3."""
+        def rot(scale, theta):
+            return scale * np.array([[np.cos(theta), -np.sin(theta)],
+                                     [np.sin(theta), np.cos(theta)]])
+
+        c = OneStepCocycle(Q=sft.full_shift(4), generators=[
+            rot(1.5, 0.7), rot(0.8, 1.9), rot(1.2, 2.3), np.diag([2.0, 0.5])])
+        monkeypatch.setattr(typicality, "MAX_TYPICAL_CHECKS", 200)
+        checked = []
+        check = typicality.check_typical
+
+        def counted(cocycle, a, w):
+            checked.append((a, w))
+            return check(cocycle, a, w)
+
+        monkeypatch.setattr(typicality, "check_typical", counted)
+        report = typicality.search_typical_pair(c, 3)
+        assert (report.a, report.w) == (4, (1,))
+        assert checked == [(4, (1,))]
+
     def test_no_fixed_symbol_raises(self):
         # 1 -> 2 -> 3 -> 1 plus chords, primitive, but no self-loop
         Q = sft.validate([[0, 1, 1], [1, 0, 1], [1, 1, 0]])

@@ -17,8 +17,8 @@ from lyapspec.cocycle import OneStepCocycle  # noqa: E402
 def _columns(c, t, loop):
     """Unit eigenvectors V of A_a^{wedge t}, by decreasing modulus, and
     their unit images WV under the degree-t wedge of the loop matrix."""
-    _, vecs = typicality._sorted_eigensystem(c.wedges[t][loop.a - 1])
-    V = np.real(vecs)
+    lam, vecs = np.linalg.eig(c.wedges[t][loop.a - 1])
+    V = np.real(vecs[:, np.argsort(-np.abs(lam))])
     V /= np.linalg.norm(V, axis=0)
     WV = matalg.wedge(loop.W, t) @ V
     WV /= np.linalg.norm(WV, axis=0)
