@@ -446,7 +446,7 @@ def cmd_dominate(args) -> int:
     if args.cone:
         for t in indices:
             reps = [c.wedges[t][s] for s in range(c.k)]
-            cert = domination.multicone_search(reps, t=t, seed=args.seed)
+            cert = domination.multicone_search(reps, seed=args.seed)
             if cert is None:
                 print(f"multicone t={t}: no certificate (inconclusive)")
             else:

@@ -257,6 +257,15 @@ def _check_budget(c: OneStepCocycle, n: int, budget: int):
         )
 
 
+def _check_grid(grid, d: int, name: str) -> np.ndarray:
+    """``grid`` as a float array of G rows of d coordinates; any other
+    shape raises ValueError, so a d = 1 grid is never read as one point."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != d:
+        raise ValueError(f"{name} must be a (G, {d}) array, got shape {grid.shape}")
+    return grid
+
+
 def log_wedge_norm_matrices(c: OneStepCocycle, lengths,
                             budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
     """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of each

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import BudgetError, OneStepCocycle, log_wedge_norm_matrices, word_products
+from .cocycle import (BudgetError, OneStepCocycle, _check_grid, log_wedge_norm_matrices,
+                      word_products)
 from .pressure import log_sums
 from .sft import Word, full_shift
 
@@ -122,7 +123,6 @@ class MulticoneCertificate:
     its margin is an estimate, not a proof.  ``margin`` is the least
     over the certified pairs and the sampled balls."""
 
-    t: int
     centers: np.ndarray = field(repr=False)
     radius: float
     margin: float
@@ -292,7 +292,6 @@ def _sampled_margin(
 
 def multicone_search(
     reps: list[np.ndarray],
-    t: int = 1,
     seed: int = 0,
     radius: float = 0.2,
     margin_tol: float = CONE_MARGIN,
@@ -357,7 +356,7 @@ def multicone_search(
         margin = min(margin, _sampled_margin(reps, centers, radius, samples, rng, sampled))
     if margin <= margin_tol:
         return None
-    return MulticoneCertificate(t=t, centers=centers, radius=radius, margin=margin,
+    return MulticoneCertificate(centers=centers, radius=radius, margin=margin,
                                 kind="empirical" if sampled.size else "certified",
                                 samples_per_ball=samples)
 
@@ -475,12 +474,13 @@ def _worst_word_index(c_ext: OneStepCocycle) -> int:
     return int(np.diff(logs, n=2, axis=1, prepend=0.0).max(axis=1).argmax())
 
 
-def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> np.ndarray:
+def subsystem_pressure(sub: DominatedSubsystem, grid: np.ndarray, block_depth: int) -> np.ndarray:
     """Block pressure (1/m) log s_m(q), m = block_depth, of the dominated
-    subsystem at weight q or at every row of a (G, d) grid, as an array of
-    shape q.shape[:-1], from one sweep and one Gibbs pass.  Divide by the
-    word length to compare with the base pressure.  More than
-    30 * BLOCK_BUDGET blocks raise BudgetError."""
+    subsystem at every row q of the (G, d) ``grid``, as a (G,) array,
+    from one sweep and one Gibbs pass.  Divide by the word length to
+    compare with the base pressure.  More than 30 * BLOCK_BUDGET blocks
+    raise BudgetError."""
+    grid = _check_grid(grid, sub.tuple_cocycle.d, "grid")
     if block_depth < 1:
         raise ValueError("block_depth must be >= 1")
     budget = BLOCK_BUDGET * 30
@@ -489,6 +489,4 @@ def subsystem_pressure(sub: DominatedSubsystem, q, block_depth: int) -> np.ndarr
         raise BudgetError(
             f"{n_blocks} blocks exceed the budget of {budget}; lower block_depth"
         )
-    q = np.asarray(q, dtype=float)
-    logs = log_sums(sub.tuple_cocycle, q.reshape(-1, q.shape[-1]), (block_depth,), budget)
-    return (logs[block_depth] / block_depth).reshape(q.shape[:-1])
+    return log_sums(sub.tuple_cocycle, grid, (block_depth,), budget)[block_depth] / block_depth

@@ -1,6 +1,7 @@
-"""Word-sum pressure of the generalized singular value potential:
-point estimates, empirical-constant brackets from quasi-multiplicativity,
-Gibbs weights, and the exact pressure gradient and Hessian.
+"""Word-sum pressure of the generalized singular value potential over a
+grid of weights: values, empirical-constant brackets from
+quasi-multiplicativity, and the batched Gibbs pass whose moments give
+the exact pressure gradient and Hessian.
 
 psi^q(A) = prod_i ||A^{wedge i}||^{t_i} with t = :func:`weight_differences` (q),
 so word sums weigh the cached log wedge norms by t directly.
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_budget,
-                      log_wedge_norm_matrices, profile_matrix)
+from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_budget, _check_grid,
+                      log_wedge_norm_matrices)
 
 
 def weight_differences(q: np.ndarray) -> np.ndarray:
@@ -30,18 +31,17 @@ class PressureEstimate:
     ``upper`` is the Fekete bound, present only when t_1..t_{d-1} >= 0
     (t_d may have either sign).
     ``cauchy`` is |P_n - P_{n-2}| when n > 2: a difference of two
-    finite-n values, not a bound on the error of P_n.  At one q the
-    fields are floats and an absent bracket is None; over a (G, d) grid
-    of q (:func:`pressure_table`) they are (G,) arrays with NaN in its
-    place.
+    finite-n values, not a bound on the error of P_n.  Over the (G, d)
+    grid ``q`` every field is a (G,) array, with NaN for an absent
+    bracket.
     """
 
     q: np.ndarray
     n: int
-    value: float | np.ndarray
-    lower: float | np.ndarray | None
-    upper: float | np.ndarray | None
-    cauchy: float | np.ndarray | None
+    value: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    cauchy: np.ndarray
 
 
 #: float64 elements in one block of a batched Gibbs pass (rows of q
@@ -105,13 +105,6 @@ def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
     return {m: _gibbs(L, W)[0] for m, L in log_wedge_norm_matrices(c, lengths, budget).items()}
 
 
-def log_sn(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> float:
-    """log s_n(q) = log sum over words I of length n of psi^q(A_I)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return float(log_sums(c, np.asarray(q, dtype=float)[None], (n,), budget)[n][0])
-
-
 def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int):
     """log C_1 for the supermultiplicative bracket, at one q or at every
     row of a (G, d) grid.
@@ -156,7 +149,7 @@ def pressure_table(
     is then submultiplicative, since t_d only weighs |det|, which is
     exactly multiplicative, and Fekete gives P <= P_n.
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = _check_grid(grid, c.d, "grid")
     bracket = qm_C is not None and qm_k is not None and 0 < qm_C < np.inf and n > qm_k
     logs = log_sums(c, grid, table_lengths(n, qm_k if bracket else None), budget)
     value = logs[n] / n
@@ -167,45 +160,11 @@ def pressure_table(
     return PressureEstimate(q=grid, n=n, value=value, lower=lower, upper=upper, cauchy=cauchy)
 
 
-def pressure_estimate(
-    c: OneStepCocycle,
-    q,
-    n: int,
-    qm_C: float | None = None,
-    qm_k: int | None = None,
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> PressureEstimate:
-    """:func:`pressure_table` at the one weight vector q."""
-    q = np.asarray(q, dtype=float)
-    est = pressure_table(c, q[None], n, qm_C, qm_k, budget)
-    lower, upper, cauchy = (None if np.isnan(a[0]) else float(a[0])
-                            for a in (est.lower, est.upper, est.cauchy))
-    return PressureEstimate(q=q, n=n, value=float(est.value[0]), lower=lower, upper=upper,
-                            cauchy=cauchy)
-
-
-def gibbs_gradient(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
-    """Gradient of P_n at q: the Gibbs-weighted mean singular profile.
-
-    Weights are w_I proportional to exp(n <q, profile(I)>); the result
-    equals the exact derivative of (1/n) log s_n.
-    """
-    profs = profile_matrix(c, n, budget=budget)
-    return _gibbs(profs, n * np.asarray(q, dtype=float)[None], profs)[1][0]
-
-
-def gibbs_hessian(c: OneStepCocycle, q, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
-    """Hessian of P_n at q: n times the Gibbs covariance of the profiles."""
-    profs = profile_matrix(c, n, budget=budget)
-    _, mean, second = _gibbs(profs, n * np.asarray(q, dtype=float)[None], profs, _products(profs))
-    return _hessians(mean, second, n)[0]
-
-
 def convexity_probe(c: OneStepCocycle, q_a, q_b, n: int) -> float:
     """Midpoint convexity slack of P_n; <= 0 up to rounding because P_n
     is a log-sum-exp of linear forms in q.
     """
     q_a = np.asarray(q_a, dtype=float)
     q_b = np.asarray(q_b, dtype=float)
-    mid = log_sn(c, (q_a + q_b) / 2, n) / n
-    return mid - (log_sn(c, q_a, n) + log_sn(c, q_b, n)) / (2 * n)
+    log_a, log_b, log_mid = log_sums(c, np.array([q_a, q_b, (q_a + q_b) / 2]), (n,))[n]
+    return float(log_mid / n - (log_a + log_b) / (2 * n))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pressure
-from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, profile_matrix
+from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, _check_grid, profile_matrix
 
 Q_MAX = 40.0
 GRAD_TOL = 1e-6
@@ -141,21 +141,12 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
             for i in range(G)]
 
 
-def legendre_entropy(c: OneStepCocycle, alpha, n: int, q0=None,
-                     budget: int = DEFAULT_WORD_BUDGET) -> SpectrumPoint:
-    """h(alpha) at one exponent vector: :func:`_newton` on one row, from
-    ``q0`` (default q = 0)."""
-    q0 = None if q0 is None else np.asarray(q0, dtype=float)[None]
-    profs = profile_matrix(c, n, budget=budget)
-    return _newton(profs, n, np.asarray(alpha, dtype=float)[None], q0)[0]
-
-
 def spectrum_curve(c: OneStepCocycle, alpha_grid: np.ndarray, n: int,
                    budget: int = DEFAULT_WORD_BUDGET) -> list[SpectrumPoint]:
-    """Legendre entropy along a grid, every point solved together from
-    q = 0 by :func:`_newton`."""
-    profs = profile_matrix(c, n, budget=budget)
-    return _newton(profs, n, np.atleast_2d(np.asarray(alpha_grid, dtype=float)), None)
+    """Legendre entropy at every row of the (G, d) ``alpha_grid``, every
+    point solved together from q = 0 by :func:`_newton`."""
+    alpha_grid = _check_grid(alpha_grid, c.d, "alpha_grid")
+    return _newton(profile_matrix(c, n, budget=budget), n, alpha_grid, None)
 
 
 def concavity_slacks(points: list[SpectrumPoint]) -> np.ndarray:
@@ -169,24 +160,21 @@ def concavity_slacks(points: list[SpectrumPoint]) -> np.ndarray:
 
 def oracle_count(
     c: OneStepCocycle,
-    alpha,
+    alpha_grid: np.ndarray,
     epsilon: float,
     n: int,
     budget: int = DEFAULT_WORD_BUDGET,
-):
-    """Count length-n cylinders whose singular profile lies in the
-    epsilon max-norm box around alpha; h_count = (1/n) log count
-    (-inf when the count is zero).
-
-    ``alpha`` is one exponent vector, which gives (count, h_count), or a
-    (G, d) grid, which gives arrays of both.  The grid is tested one
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count, for every row alpha of the (G, d) ``alpha_grid``, the
+    length-n cylinders whose singular profile lies in the epsilon
+    max-norm box around alpha; h_count = (1/n) log count (-inf when the
+    count is zero).  Both come as (G,) arrays.  The grid is tested one
     axis at a time on row blocks of at most pressure.GIBBS_BLOCK
     (alpha, word) pairs.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    alpha = np.asarray(alpha, dtype=float)
-    grid = np.atleast_2d(alpha)
+    grid = _check_grid(alpha_grid, c.d, "alpha_grid")
     profs = profile_matrix(c, n, budget=budget)
     hits = np.empty(len(grid), dtype=int)
     rows = max(1, pressure.GIBBS_BLOCK // len(profs))
@@ -198,6 +186,4 @@ def oracle_count(
         hits[lo:lo + rows] = inside.sum(axis=1)
     with np.errstate(divide="ignore"):
         h_count = np.log(hits) / n
-    if alpha.ndim == 1:
-        return int(hits[0]), float(h_count[0])
     return hits, h_count

@@ -11,7 +11,7 @@ import pytest
 from lyapspec import (
     domination, matalg, pressure, sft, spectrum, typicality,
 )
-from lyapspec.cocycle import OneStepCocycle
+from lyapspec.cocycle import OneStepCocycle, profile_matrix
 
 rng = np.random.default_rng(2024)
 
@@ -55,20 +55,14 @@ def test_01_wedge_identity():
 def test_02_closed_form_pressure(diag_cocycle):
     """Diagonal oracle: P_n(q) = log(2^(q1-q2) + 3^(q1-q2)) exactly,
     with all three bracket columns coinciding."""
-    grid = np.arange(-3.0, 3.0 + 1e-9, 0.25)
+    axis = np.arange(-3.0, 3.0 + 1e-9, 0.25)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     worst_val = worst_bracket = 0.0
     for n in (4, 8, 12):
-        for q1 in grid:
-            for q2 in grid:
-                q = np.array([q1, q2])
-                est = pressure.pressure_estimate(diag_cocycle, q, n,
-                                                 qm_C=1.0, qm_k=0)
-                worst_val = max(worst_val,
-                                abs(est.value - diag_closed_form(q)))
-                worst_bracket = max(worst_bracket, abs(est.lower - est.value))
-                if est.upper is not None:
-                    worst_bracket = max(worst_bracket,
-                                        abs(est.upper - est.value))
+        est = pressure.pressure_table(diag_cocycle, grid, n, qm_C=1.0, qm_k=0)
+        worst_val = max(worst_val, np.abs(est.value - diag_closed_form(grid.T)).max())
+        worst_bracket = max(worst_bracket, np.abs(est.lower - est.value).max(),
+                            np.nanmax(np.abs(est.upper - est.value)))
     ok = worst_val <= 1e-10 and worst_bracket <= 1e-10
     report(f"criterion 2: closed-form pressure (value err {worst_val:.2e}, "
            f"bracket err {worst_bracket:.2e})", ok)
@@ -77,13 +71,12 @@ def test_02_closed_form_pressure(diag_cocycle):
 def test_03_closed_form_spectrum(diag_cocycle):
     """Legendre h matches the binary-entropy curve on an interior grid;
     the endpoint comes back near zero with boundary-suspect status."""
-    worst = 0.0
-    for t in np.linspace(0.08, 0.92, 11):
-        a = (1 - t) * np.log(2) + t * np.log(3)
-        pt = spectrum.legendre_entropy(diag_cocycle, np.array([a, -a]), 12)
-        worst = max(worst, abs(pt.h - binary_entropy(t)))
-    end = spectrum.legendre_entropy(
-        diag_cocycle, np.array([np.log(2), -np.log(2)]), 12)
+    ts = np.linspace(0.08, 0.92, 11)
+    a = (1 - ts) * np.log(2) + ts * np.log(3)
+    points = spectrum.spectrum_curve(diag_cocycle, np.column_stack([a, -a]), 12)
+    worst = max(abs(pt.h - binary_entropy(t)) for t, pt in zip(ts, points))
+    end = spectrum.spectrum_curve(
+        diag_cocycle, np.array([[np.log(2), -np.log(2)]]), 12)[0]
     ok = (worst <= 1e-3 and end.h <= 1e-3
           and end.status == "boundary-suspect")
     report(f"criterion 3: closed-form spectrum (worst h err {worst:.2e}, "
@@ -94,8 +87,8 @@ def test_04_shift_entropy(golden_identity):
     """Identity generators over the golden-mean shift: pressure at 0
     and spectrum at alpha = 0 both recover log((1+sqrt 5)/2)."""
     h_ref = np.log((1 + np.sqrt(5)) / 2)
-    p = pressure.pressure_estimate(golden_identity, np.zeros(2), 12).value
-    h = spectrum.legendre_entropy(golden_identity, np.zeros(2), 12).h
+    p = pressure.pressure_table(golden_identity, np.zeros((1, 2)), 12).value[0]
+    h = spectrum.spectrum_curve(golden_identity, np.zeros((1, 2)), 12)[0].h
     ok = abs(p - h_ref) <= 0.05 and abs(h - h_ref) <= 0.05
     report(f"criterion 4: shift entropy (pressure err {abs(p - h_ref):.3f}, "
            f"spectrum err {abs(h - h_ref):.3f})", ok)
@@ -120,12 +113,12 @@ def test_06_quasi_multiplicativity(pos_cocycle):
     """qm_search finds constants; the resulting pressure brackets
     sandwich P_n with strictly shrinking widths."""
     qm = typicality.qm_search(pos_cocycle, 5, 4)
-    q = np.array([1.0, 0.0])
+    q = np.array([[1.0, 0.0]])
     widths, sandwiched = [], True
     for n in (8, 10, 12):
-        est = pressure.pressure_estimate(pos_cocycle, q, n, qm_C=qm.C, qm_k=qm.k)
-        sandwiched &= est.lower <= est.value <= est.upper
-        widths.append(est.upper - est.lower)
+        est = pressure.pressure_table(pos_cocycle, q, n, qm_C=qm.C, qm_k=qm.k)
+        sandwiched &= est.lower[0] <= est.value[0] <= est.upper[0]
+        widths.append(est.upper[0] - est.lower[0])
     ok = (qm.found and qm.C > 0 and sandwiched
           and widths[0] > widths[1] > widths[2])
     report(f"criterion 6: quasi-multiplicativity (k={qm.k}, C={qm.C:.4f}, "
@@ -136,17 +129,13 @@ def test_07_gradient_exactness(pos_cocycle):
     """Gibbs-weighted mean profile equals the finite-difference
     gradient of P_n at 20 random weights."""
     n, h = 10, 1e-5
-    worst = 0.0
-    for _ in range(20):
-        q = rng.uniform(-2, 2, size=2)
-        grad = pressure.gibbs_gradient(pos_cocycle, q, n)
-        fd = np.empty(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            fd[i] = (pressure.log_sn(pos_cocycle, q + e, n)
-                     - pressure.log_sn(pos_cocycle, q - e, n)) / (2 * h * n)
-        worst = max(worst, float(np.abs(grad - fd).max()))
+    grid = rng.uniform(-2, 2, size=(20, 2))
+    profs = profile_matrix(pos_cocycle, n)
+    grads = pressure._gibbs(profs, n * grid, profs)[1]
+    steps = np.vstack([h * np.eye(2), -h * np.eye(2)])
+    logs = pressure.log_sums(pos_cocycle, (grid[:, None] + steps).reshape(-1, 2), (n,))[n]
+    up, down = logs.reshape(-1, 2, 2).transpose(1, 0, 2)
+    worst = float(np.abs(grads - (up - down) / (2 * h * n)).max())
     report(f"criterion 7: gradient exactness (worst error {worst:.2e})",
            worst <= 1e-6)
 
@@ -180,11 +169,13 @@ def test_09_oracle_vs_legendre(pos_cocycle):
     grid = spectrum.interior_alpha_grid(est, 5)
     ok = True
     worst_gap = 0.0
-    for alpha in grid:
+    curves = {n: spectrum.spectrum_curve(pos_cocycle, grid, n) for n in (10, 13, 16)}
+    oracles = {n: spectrum.oracle_count(pos_cocycle, grid, 0.08, n) for n in (10, 13, 16)}
+    for i in range(len(grid)):
         gaps = []
         for n in (10, 13, 16):
-            pt = spectrum.legendre_entropy(pos_cocycle, alpha, n)
-            count, h_count = spectrum.oracle_count(pos_cocycle, alpha, 0.08, n)
+            pt = curves[n][i]
+            count, h_count = oracles[n][0][i], oracles[n][1][i]
             slack = float(np.abs(pt.q_star).sum()) * 0.08 + 1.0 / n
             ok &= count > 0 and h_count <= pt.h + slack
             gaps.append(abs(h_count - pt.h))
@@ -206,10 +197,9 @@ def test_10_domination_and_subsystems(diag_cocycle, rotation_cocycle,
           and abs(diag.slope + np.log(4)) <= 0.1
           and rot.verdict == "fail")
 
-    q_list = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0])]
-    base = {tuple(q): pressure.pressure_estimate(pos_cocycle, q, 12).value
-            for q in q_list}
-    gaps = {}
+    q_list = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    base = pressure.pressure_table(pos_cocycle, q_list, 12).value
+    gaps = []
     kappa_ok = True
     for base_n in (2, 4):
         sub = domination.build_dominated_subsystem(pos_cocycle, base_n, 1, (2,))
@@ -227,12 +217,10 @@ def test_10_domination_and_subsystems(diag_cocycle, rotation_cocycle,
                     kappa_ok &= lhs >= rhs - 1e-9
 
         depth = 5 if base_n == 2 else 3
-        for q in q_list:
-            value = domination.subsystem_pressure(sub, q, depth)
-            gaps.setdefault(tuple(q), []).append(
-                abs(value / sub.ell - base[tuple(q)]))
-    shrinking = all(g[1] < g[0] for g in gaps.values())
+        values = domination.subsystem_pressure(sub, q_list, depth)
+        gaps.append(np.abs(values / sub.ell - base))
+    shrinking = (gaps[1] < gaps[0]).all()
     ok &= kappa_ok and shrinking
-    gap_text = ", ".join(f"{k}: {v[0]:.4f}->{v[1]:.4f}"
-                         for k, v in gaps.items())
+    gap_text = ", ".join(f"{tuple(q)}: {g0:.4f}->{g1:.4f}"
+                         for q, g0, g1 in zip(q_list.tolist(), *gaps))
     report(f"criterion 10: domination + subsystems (gaps {gap_text})", ok)

@@ -289,9 +289,9 @@ def test_orbit_signed_once_matches_every_step(name, request):
     c = request.getfixturevalue(name)
     for t in range(1, c.d):
         reps = list(c.wedges[t])
-        cert = domination.multicone_search(reps, t=t)
+        cert = domination.multicone_search(reps)
         with mock.patch.object(domination, "_unit_rows", _canon_every_step):
-            ref = domination.multicone_search(reps, t=t)
+            ref = domination.multicone_search(reps)
         assert (cert is None) == (ref is None)
         if cert is not None:
             assert np.array_equal(cert.centers, ref.centers)

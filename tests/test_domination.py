@@ -179,9 +179,12 @@ class TestDominatedSubsystem:
         table = domination.subsystem_pressure(sub, grid, 4)
         assert table.shape == (3,)
         for i, q in enumerate(grid):
-            one = domination.subsystem_pressure(sub, q, 4)
-            assert one.shape == ()
-            np.testing.assert_allclose(table[i], one, rtol=1e-13, atol=1e-13)
+            one = domination.subsystem_pressure(sub, q[None], 4)
+            assert one.shape == (1,)
+            np.testing.assert_allclose(table[i], one[0], rtol=1e-13, atol=1e-13)
+        # a single weight vector is refused, not read as a grid of one
+        with pytest.raises(ValueError, match=r"\(G, 2\) array, got shape \(2,\)"):
+            domination.subsystem_pressure(sub, grid[0], 4)
 
     def test_rotations_exhaust(self, rotation_cocycle):
         with pytest.raises(domination.SubsystemSearchError):

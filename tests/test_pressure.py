@@ -35,52 +35,51 @@ class TestDiagonalOracle:
     def test_exact_at_every_length(self, diag_cocycle, n):
         """The factorized sum makes P_n independent of n and exactly
         the closed form."""
-        for q in ([0.0, 0.0], [1.0, 0.0], [2.0, -1.0], [-1.5, 0.5]):
-            q = np.array(q)
-            est = pressure.pressure_estimate(diag_cocycle, q, n)
-            assert est.value == pytest.approx(diag_closed_form(q), abs=1e-10)
+        grid = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, -1.0], [-1.5, 0.5]])
+        est = pressure.pressure_table(diag_cocycle, grid, n)
+        for q, value in zip(grid, est.value):
+            assert value == pytest.approx(diag_closed_form(q), abs=1e-10)
 
     def test_brackets_collapse(self, diag_cocycle):
         """Diagonal generators are exactly multiplicative (C=1, k=0),
         so both brackets pin the value."""
-        for q in ([1.0, 0.0], [2.0, 1.0]):
-            q = np.array(q)
-            est = pressure.pressure_estimate(diag_cocycle, q, 10, qm_C=1.0, qm_k=0)
-            assert est.lower == pytest.approx(est.value, abs=1e-10)
-            assert est.upper == pytest.approx(est.value, abs=1e-10)
+        est = pressure.pressure_table(diag_cocycle, np.array([[1.0, 0.0], [2.0, 1.0]]), 10,
+                                      qm_C=1.0, qm_k=0)
+        for value, lower, upper in zip(est.value, est.lower, est.upper):
+            assert lower == pytest.approx(value, abs=1e-10)
+            assert upper == pytest.approx(value, abs=1e-10)
 
     def test_upper_absent_when_weights_unsorted(self, diag_cocycle):
-        est = pressure.pressure_estimate(diag_cocycle, np.array([0.0, 1.0]), 8,
-                                         qm_C=1.0, qm_k=0)
-        assert est.upper is None
-        assert est.lower is not None
+        est = pressure.pressure_table(diag_cocycle, np.array([[0.0, 1.0]]), 8,
+                                      qm_C=1.0, qm_k=0)
+        assert np.isnan(est.upper[0])
+        assert not np.isnan(est.lower[0])
 
 
 class TestEntropyAtZero:
     def test_full_shift(self, pos_cocycle):
-        est = pressure.pressure_estimate(pos_cocycle, np.zeros(2), 10)
-        assert est.value == pytest.approx(np.log(2), abs=1e-12)
+        est = pressure.pressure_table(pos_cocycle, np.zeros((1, 2)), 10)
+        assert est.value[0] == pytest.approx(np.log(2), abs=1e-12)
 
     def test_golden_mean(self, golden_identity):
         """With identity generators the pressure is the shift entropy."""
         phi = (1 + np.sqrt(5)) / 2
-        est = pressure.pressure_estimate(golden_identity, np.zeros(2), 12)
-        assert est.value == pytest.approx(np.log(phi), abs=0.05)
+        value = pressure.pressure_table(golden_identity, np.zeros((1, 2)), 12).value[0]
+        assert value == pytest.approx(np.log(phi), abs=0.05)
         # identity profile is exactly zero, so P_n = (1/n) log #L_n > h
-        assert est.value > np.log(phi)
+        assert value > np.log(phi)
 
 
 class TestBrackets:
     def test_sandwich_and_shrinking(self, pos_cocycle):
         qm = typicality.qm_search(pos_cocycle, 5, 4)
         assert qm.found
-        q = np.array([1.0, 0.0])
+        q = np.array([[1.0, 0.0]])
         widths = []
         for n in (8, 10, 12):
-            est = pressure.pressure_estimate(pos_cocycle, q, n,
-                                             qm_C=qm.C, qm_k=qm.k)
-            assert est.lower <= est.value <= est.upper
-            widths.append(est.upper - est.lower)
+            est = pressure.pressure_table(pos_cocycle, q, n, qm_C=qm.C, qm_k=qm.k)
+            assert est.lower[0] <= est.value[0] <= est.upper[0]
+            widths.append(est.upper[0] - est.lower[0])
         assert widths[0] > widths[1] > widths[2]
 
     def test_constants_for_negative_weight_differences(self):
@@ -97,24 +96,25 @@ class TestBrackets:
 
     def test_upper_is_monotone_in_n(self, pos_cocycle):
         """Fekete: with sorted weights, P_n decreases along doubling."""
-        q = np.array([2.0, 0.5])
-        values = [pressure.pressure_estimate(pos_cocycle, q, n).value
+        q = np.array([[2.0, 0.5]])
+        values = [pressure.pressure_table(pos_cocycle, q, n).value[0]
                   for n in (3, 6, 12)]
         assert values[0] >= values[1] >= values[2]
 
 
 class TestGradient:
+    """The Gibbs mean of the profiles is the gradient of P_n."""
+
     def test_matches_finite_differences(self, pos_cocycle):
         n, h = 8, 1e-5
-        for _ in range(10):
-            q = rng.uniform(-2, 2, size=2)
-            grad = pressure.gibbs_gradient(pos_cocycle, q, n)
-            fd = np.empty(2)
-            for i in range(2):
-                e = np.zeros(2)
-                e[i] = h
-                fd[i] = (pressure.log_sn(pos_cocycle, q + e, n)
-                         - pressure.log_sn(pos_cocycle, q - e, n)) / (2 * h * n)
+        profs = profile_matrix(pos_cocycle, n)
+        grid = rng.uniform(-2, 2, size=(10, 2))
+        grads = pressure._gibbs(profs, n * grid, profs)[1]
+        # rows q + h e_i and q - h e_i for i = 1, 2, per q
+        steps = np.vstack([h * np.eye(2), -h * np.eye(2)])
+        logs = pressure.log_sums(pos_cocycle, (grid[:, None] + steps).reshape(-1, 2), (n,))[n]
+        for grad, (up, down) in zip(grads, logs.reshape(-1, 2, 2)):
+            fd = (up - down) / (2 * h * n)
             assert np.allclose(grad, fd, atol=1e-6)
 
     def test_diagonal_gradient(self, diag_cocycle):
@@ -122,7 +122,8 @@ class TestGradient:
         q = np.array([1.0, 0.0])
         t = q[0] - q[1]
         slope = (np.log(2) * 2**t + np.log(3) * 3**t) / (2**t + 3**t)
-        grad = pressure.gibbs_gradient(diag_cocycle, q, 10)
+        profs = profile_matrix(diag_cocycle, 10)
+        grad = pressure._gibbs(profs, 10 * q[None], profs)[1][0]
         assert np.allclose(grad, [slope, -slope], atol=1e-10)
 
 
@@ -141,13 +142,14 @@ class TestLogSumExp:
         n = 6
         q = np.array([600.0, -400.0])
         expected = n * (1000 * np.log(3.0) + np.log1p((2.0 / 3.0) ** 1000))
-        assert pressure.log_sn(diag_cocycle, q, n) == pytest.approx(expected, rel=1e-14)
+        assert pressure.log_sums(diag_cocycle, q[None], (n,))[n][0] == pytest.approx(expected,
+                                                                                 rel=1e-14)
 
     def test_deterministic(self, pos_cocycle):
         """Repeated evaluation is bit-identical."""
-        q = rng.normal(size=2) * 30
-        a = pressure.log_sn(pos_cocycle, q, 10)
-        assert a == pressure.log_sn(pos_cocycle, q, 10)
+        q = rng.normal(size=(1, 2)) * 30
+        a = pressure.log_sums(pos_cocycle, q, (10,))[10][0]
+        assert a == pressure.log_sums(pos_cocycle, q, (10,))[10][0]
 
 
 def _log_s(c, q, m):
@@ -165,8 +167,8 @@ def _log_c1(c, q, qm_C, qm_k):
 
 
 class TestPressureTable:
-    """The grid form against an independent per-row reference and the
-    one-q form, and its absent brackets."""
+    """The grid form against an independent per-row reference and
+    one-row grids, and its absent brackets."""
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(1, 3), d=st.integers(1, 3), n=st.integers(1, 6),
@@ -196,19 +198,17 @@ class TestPressureTable:
     def test_grid_of_many_blocks_matches_one_row_estimates(self, pos_cocycle, block,
                                                            monkeypatch):
         """1,024 words at n = 10 and 49 rows: several Gibbs blocks at
-        every block size; each row matches its one-q estimate up to the
+        every block size; each row matches its one-row grid up to the
         summation order of a batched product."""
         monkeypatch.setattr(pressure, "GIBBS_BLOCK", block)
         axis = np.linspace(-3, 3, 7)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         est = pressure.pressure_table(pos_cocycle, grid, 10, qm_C=0.3, qm_k=1)
         for i, q in enumerate(grid):
-            one = pressure.pressure_estimate(pos_cocycle, q, 10, qm_C=0.3, qm_k=1)
-            assert (one.upper is None) == np.isnan(est.upper[i])
+            one = pressure.pressure_table(pos_cocycle, q[None], 10, qm_C=0.3, qm_k=1)
+            assert np.isnan(one.upper[0]) == np.isnan(est.upper[i])
             for field in ("value", "lower", "upper", "cauchy"):
-                want = getattr(one, field)
-                np.testing.assert_allclose(getattr(est, field)[i],
-                                           np.nan if want is None else want,
+                np.testing.assert_allclose(getattr(est, field)[i], getattr(one, field)[0],
                                            rtol=1e-13, atol=1e-13, err_msg=field)
             assert est.value[i] == pytest.approx(_log_s(pos_cocycle, q, 10) / 10, rel=1e-13)
 
@@ -217,7 +217,6 @@ class TestPressureTable:
     def test_lower_absent_without_usable_constants(self, pos_cocycle, qm_C, qm_k, n):
         grid = np.array([[1.0, 0.0], [0.0, 1.0]])
         assert np.isnan(pressure.pressure_table(pos_cocycle, grid, n, qm_C, qm_k).lower).all()
-        assert pressure.pressure_estimate(pos_cocycle, grid[0], n, qm_C, qm_k).lower is None
 
     def test_upper_absent_where_a_weight_difference_is_negative(self, pos_cocycle):
         """t = (1, 0), (-1, 1), (1, 1), (-1, 0), (2, -1): every row but
@@ -268,7 +267,6 @@ class TestPressureTable:
     def test_cauchy_absent_at_short_lengths(self, pos_cocycle, n):
         grid = np.array([[1.0, 0.0], [0.5, 0.5]])
         assert np.isnan(pressure.pressure_table(pos_cocycle, grid, n).cauchy).all()
-        assert pressure.pressure_estimate(pos_cocycle, grid[0], n).cauchy is None
 
 
 def _gaussian_cocycle(k, d, seed):

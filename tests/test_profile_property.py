@@ -247,15 +247,17 @@ def _point(draw, d: int) -> np.ndarray:
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(c=cocycles(), n=st.integers(1, 7), data=st.data())
 def test_hessian_is_gradient_derivative(c, n, data):
-    """gibbs_hessian is the Jacobian of gibbs_gradient (central
-    differences) and is symmetric positive semidefinite."""
+    """The Hessian n Cov_w from the moments of a Gibbs pass is the
+    Jacobian of its mean, the gradient (central differences), and is
+    symmetric positive semidefinite."""
     q = _point(data.draw, c.d)
-    H = pressure.gibbs_hessian(c, q, n)
+    profs = profile_matrix(c, n)
+    _, mean, second = pressure._gibbs(profs, n * q[None], profs, pressure._products(profs))
+    H = pressure._hessians(mean, second, n)[0]
     step = 1e-4
-    fd = np.column_stack([
-        (pressure.gibbs_gradient(c, q + step * e, n)
-         - pressure.gibbs_gradient(c, q - step * e, n)) / (2 * step)
-        for e in np.eye(c.d)])
+    steps = np.vstack([step * np.eye(c.d), -step * np.eye(c.d)])
+    up, down = np.split(pressure._gibbs(profs, n * (q + steps), profs)[1], 2)
+    fd = ((up - down) / (2 * step)).T
     assert np.abs(H - fd).max() <= 1e-5
     assert np.abs(H - H.T).max() <= 1e-14
     assert np.linalg.eigvalsh(H).min() >= -1e-12
@@ -272,32 +274,37 @@ def test_solver_at_a_gradient(c, n, data, seed):
     infimum check allows that first-order term, because on a nearly
     flat P_n a gradient of size GRAD_TOL can leave h ~1e-7 above the
     infimum (two generators with |det| 1.2050 and 1.2042, d = 1)."""
-    q0 = _point(data.draw, c.d)
-    alpha = pressure.gibbs_gradient(c, q0, n)
-    pt = spectrum.legendre_entropy(c, alpha, n)
+    profs = profile_matrix(c, n)
+    alpha = pressure._gibbs(profs, n * _point(data.draw, c.d)[None], profs)[1][0]
+    pt = spectrum.spectrum_curve(c, alpha[None], n)[0]
     assert pt.status == "interior-converged"
-    g = pressure.gibbs_gradient(c, pt.q_star, n) - alpha
+    g = pressure._gibbs(profs, n * pt.q_star[None], profs)[1][0] - alpha
     assert np.abs(g).max() <= spectrum.GRAD_TOL
-    for q in np.random.default_rng(seed).uniform(-5, 5, size=(20, c.d)):
-        f = pressure.log_sn(c, q, n) / n - q @ alpha
+    grid = np.random.default_rng(seed).uniform(-5, 5, size=(20, c.d))
+    for q, log_s in zip(grid, pressure.log_sums(c, grid, (n,))[n]):
+        f = log_s / n - q @ alpha
         assert pt.h <= f - g @ (q - pt.q_star) + 1e-9
 
 
 def _three_pass_legendre(c, alpha, n, q0=None):
     """The reference solver: the damped Newton loop of
-    :func:`spectrum.legendre_entropy` with a separate Gibbs pass for the
-    value (log_sn), the gradient and the Hessian, as it was written
-    before one pass served all three."""
+    :func:`spectrum._newton` on one alpha, with a separate Gibbs pass
+    over the profiles for the value, the gradient and the Hessian, as
+    it was written before one pass served all three."""
+    profs = profile_matrix(c, n)
     q = np.zeros(c.d) if q0 is None else np.asarray(q0, dtype=float).copy()
 
+    def gibbs(qv, *fields):
+        return [m[0] for m in pressure._gibbs(profs, n * qv[None], *fields)]
+
     def objective(qv):
-        return pressure.log_sn(c, qv, n) / n - float(qv @ alpha)
+        return gibbs(qv)[0] / n - float(qv @ alpha)
 
     f = objective(q)
     status = "diverged"
     grad_res = np.inf
     for _ in range(2000):
-        g = pressure.gibbs_gradient(c, q, n) - alpha
+        g = gibbs(q, profs)[1] - alpha
         grad_res = float(np.abs(g).max())
         if grad_res <= spectrum.GRAD_TOL:
             status = "interior-converged"
@@ -305,7 +312,8 @@ def _three_pass_legendre(c, alpha, n, q0=None):
         if np.linalg.norm(q) > spectrum.Q_MAX:
             status = "boundary-suspect"
             break
-        H = pressure.gibbs_hessian(c, q, n)
+        _, mean, second = gibbs(q, profs, pressure._products(profs))
+        H = n * (second.reshape(c.d, c.d) - np.outer(mean, mean))
         p = np.linalg.solve(H + float(g @ g) * np.eye(c.d), -g)
         slope = float(g @ p)
         if not slope < 0:
@@ -337,10 +345,10 @@ def test_one_pass_solver_matches_three_pass_loop(c, n, case, data):
     escapes), and at a gradient alpha from a warm start.  The batched
     Gibbs pass sums in BLAS order, so h agrees to rounding, and the
     clamp flag wherever h is not itself at rounding level."""
-    alpha = pressure.gibbs_gradient(c, _point(data.draw, c.d), n)
+    profs = profile_matrix(c, n)
+    alpha = pressure._gibbs(profs, n * _point(data.draw, c.d)[None], profs)[1][0]
     q0 = None
     if case == "outside":
-        profs = profile_matrix(c, n)
         u = _point(data.draw, c.d)
         hypothesis.assume(np.linalg.norm(u) > 0.1)
         u /= np.linalg.norm(u)
@@ -348,7 +356,7 @@ def test_one_pass_solver_matches_three_pass_loop(c, n, case, data):
         alpha = alpha + push * u
     elif case == "warm":
         q0 = 4 * _point(data.draw, c.d)
-    pt = spectrum.legendre_entropy(c, alpha, n, q0=q0)
+    pt = spectrum._newton(profs, n, alpha[None], None if q0 is None else q0[None])[0]
     h, q_star, status, clamped, grad_res = _three_pass_legendre(c, alpha, n, q0=q0)
     assert pt.status == status
     assert abs(pt.h - h) <= 1e-12 * max(1.0, abs(h))

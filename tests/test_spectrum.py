@@ -63,30 +63,31 @@ class TestLegendreClosedForm:
     def test_interior_matches_binary_entropy(self, diag_cocycle):
         """On the diagonal pair h(alpha(t)) = H(t), the entropy of the
         Bernoulli measure with weight t on the second generator."""
-        for t in np.linspace(0.08, 0.92, 11):
-            pt = spectrum.legendre_entropy(diag_cocycle, diag_alpha(t), 12)
+        ts = np.linspace(0.08, 0.92, 11)
+        points = spectrum.spectrum_curve(diag_cocycle, np.array([diag_alpha(t) for t in ts]), 12)
+        for t, pt in zip(ts, points, strict=True):
             assert pt.status == "interior-converged"
             assert pt.h == pytest.approx(binary_entropy(t), abs=1e-3)
 
     def test_endpoint_boundary_suspect(self, diag_cocycle):
-        pt = spectrum.legendre_entropy(
-            diag_cocycle, np.array([np.log(2), -np.log(2)]), 12)
+        pt = spectrum.spectrum_curve(
+            diag_cocycle, np.array([[np.log(2), -np.log(2)]]), 12)[0]
         assert pt.status == "boundary-suspect"
         assert pt.h <= 1e-3
 
     def test_outside_domain_flagged(self, diag_cocycle):
-        pt = spectrum.legendre_entropy(
-            diag_cocycle, np.array([np.log(5), -np.log(5)]), 10)
+        pt = spectrum.spectrum_curve(
+            diag_cocycle, np.array([[np.log(5), -np.log(5)]]), 10)[0]
         assert pt.status == "boundary-suspect"
 
     def test_midpoint_exact(self, diag_cocycle):
-        pt = spectrum.legendre_entropy(diag_cocycle, diag_alpha(0.5), 12)
+        pt = spectrum.spectrum_curve(diag_cocycle, diag_alpha(0.5)[None], 12)[0]
         assert pt.h == pytest.approx(np.log(2), abs=1e-9)
 
     def test_negative_clamped(self, diag_cocycle):
         """Just past the boundary the finite-n infimum can dip below
         zero; it must come back clamped and flagged."""
-        pt = spectrum.legendre_entropy(diag_cocycle, 1.02 * diag_alpha(0.0), 10)
+        pt = spectrum.spectrum_curve(diag_cocycle, 1.02 * diag_alpha(0.0)[None], 10)[0]
         assert pt.h >= 0.0
         assert pt.clamped or pt.h > 0.0
 
@@ -100,8 +101,9 @@ class TestNewtonSolver:
             Q=sft.validate([[0, 1], [1, 1]]),
             generators=[np.array([[0.63247623, -0.81007471], [0.98682057, -0.13036787]]),
                         np.array([[0.10425712, 0.88724071], [-0.79903758, 0.10040631]])])
-        alpha = pressure.gibbs_gradient(c, np.array([0.0, 1.0]), 2)
-        pt = spectrum.legendre_entropy(c, alpha, 2)
+        profs = profile_matrix(c, 2)
+        alpha = pressure._gibbs(profs, 2 * np.array([[0.0, 1.0]]), profs)[1]
+        pt = spectrum.spectrum_curve(c, alpha, 2)[0]
         assert pt.status == "interior-converged"
         assert pt.grad_residual <= spectrum.GRAD_TOL
         assert np.linalg.norm(pt.q_star) < spectrum.Q_MAX / 2
@@ -113,7 +115,7 @@ class TestNewtonSolver:
         c = OneStepCocycle(Q=sft.full_shift(2),
                            generators=[np.array([[np.exp(-1.0)]]), np.array([[np.exp(1.0)]])])
         a = 0.99
-        pt = spectrum.legendre_entropy(c, np.array([a]), 1, q0=np.array([8.0]))
+        pt = spectrum._newton(profile_matrix(c, 1), 1, np.array([[a]]), np.array([[8.0]]))[0]
         assert pt.status == "interior-converged"
         assert pt.q_star[0] == pytest.approx(np.arctanh(a), abs=1e-5)
         h = np.log(2) - ((1 + a) / 2 * np.log(1 + a) + (1 - a) / 2 * np.log(1 - a))
@@ -125,8 +127,7 @@ class TestNewtonSolver:
         objective is evaluated at q0 = 8, at the four rejected trial
         points of the first backtrack (the full step lands at -91.5) and
         at six accepted points: 11 rows through the batched Gibbs pass,
-        each at a new q, and no call of the gradient or Hessian views,
-        each of which is a pass of its own."""
+        each at a new q, so no other pass runs."""
         c = OneStepCocycle(Q=sft.full_shift(2),
                            generators=[np.array([[np.exp(-1.0)]]), np.array([[np.exp(1.0)]])])
         rows = []
@@ -136,13 +137,8 @@ class TestNewtonSolver:
             rows.extend(float(w[0]) for w in W)
             return gibbs(X, W, *fields)
 
-        def view(*args, **kwargs):
-            raise AssertionError("a Gibbs view called by the solver")
-
         monkeypatch.setattr(pressure, "_gibbs", counted)
-        monkeypatch.setattr(pressure, "gibbs_gradient", view)
-        monkeypatch.setattr(pressure, "gibbs_hessian", view)
-        pt = spectrum.legendre_entropy(c, np.array([0.99]), 1, q0=np.array([8.0]))
+        pt = spectrum._newton(profile_matrix(c, 1), 1, np.array([[0.99]]), np.array([[8.0]]))[0]
         assert pt.status == "interior-converged"
         assert len(rows) == 1 + 4 + 6
         assert len(set(rows)) == len(rows)
@@ -183,7 +179,7 @@ class TestNewtonSolver:
         the objective is linear along a null direction of the Hessian,
         and the minimizer escapes past q_max."""
         c = request.getfixturevalue(name)
-        pt = spectrum.legendre_entropy(c, np.array(alpha), 10)
+        pt = spectrum.spectrum_curve(c, np.array([alpha]), 10)[0]
         assert pt.status == "boundary-suspect"
         assert np.linalg.norm(pt.q_star) > spectrum.Q_MAX
 
@@ -214,7 +210,7 @@ def test_boundary_status_agrees_with_profile_hull_lp(case):
     prints with an empty h lies outside it."""
     c, n, alpha = case
     profs = profile_matrix(c, n)
-    pt = spectrum.legendre_entropy(c, alpha, n)
+    pt = spectrum.spectrum_curve(c, alpha[None], n)[0]
     if pt.status == "interior-converged":
         assert _in_hull(profs, alpha, tol=spectrum.GRAD_TOL)
     if pt.empty:
@@ -236,9 +232,9 @@ def _grid_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=_grid_cases())
 def test_row_result_does_not_depend_on_the_batch(case):
-    """Each point of a spectrum_curve grid is the point the one-row
-    solver finds, and again with Gibbs blocks of one row, up to the
-    rounding of the batched pass (BLAS sums in another order).
+    """Each point of a spectrum_curve grid is the point of its one-row
+    grid, and again with Gibbs blocks of one row, up to the rounding of
+    the batched pass (BLAS sums in another order).
 
     q* itself is determined only to the conditioning of the Hessian: at
     an alpha on or near a vertex of the profile hull, which the strategy
@@ -249,7 +245,8 @@ def test_row_result_does_not_depend_on_the_batch(case):
     objective at its last, escaping iterate (5.7e-11 apart at worst);
     interior h agrees to rounding."""
     c, n, grid = case
-    single = [spectrum.legendre_entropy(c, alpha, n) for alpha in grid]
+    profs = profile_matrix(c, n)
+    single = [spectrum.spectrum_curve(c, alpha[None], n)[0] for alpha in grid]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pressure, "GIBBS_BLOCK", 1)
         one_row = spectrum.spectrum_curve(c, grid, n)
@@ -258,21 +255,27 @@ def test_row_result_does_not_depend_on_the_batch(case):
             assert pt.status == ref.status
             h_tol = 1e-12 if ref.status == "interior-converged" else 1e-9
             assert abs(pt.h - ref.h) <= h_tol * max(1.0, abs(ref.h))
-            dgrad = (pressure.gibbs_gradient(c, pt.q_star, n)
-                     - pressure.gibbs_gradient(c, ref.q_star, n))
-            assert np.abs(dgrad).max() <= 1e-9
+            grads = pressure._gibbs(profs, n * np.array([pt.q_star, ref.q_star]), profs)[1]
+            assert np.abs(grads[0] - grads[1]).max() <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["pos_cocycle", "golden_identity", "twisted4_cocycle"])
 def test_batched_domain_estimate_matches_gradients(name, request):
+    """Each row is the Gibbs mean of its one-row pass, and the central
+    difference of log s_n along every axis."""
     c = request.getfixturevalue(name)
-    n = 4 if c.d == 4 else 8
+    n, h = (4 if c.d == 4 else 8), 1e-5
     grads = spectrum.domain_estimate(c, n)
     axes = [np.linspace(-10.0, 10.0, 5)] * c.d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, c.d)
-    ref = np.array([pressure.gibbs_gradient(c, q, n) for q in mesh])
+    profs = profile_matrix(c, n)
+    ref = np.vstack([pressure._gibbs(profs, n * q[None], profs)[1] for q in mesh])
     assert grads.shape == (5**c.d, c.d)
     assert np.abs(grads - ref).max() <= 1e-13
+    steps = np.vstack([h * np.eye(c.d), -h * np.eye(c.d)])
+    logs = pressure.log_sums(c, (mesh[:, None] + steps).reshape(-1, c.d), (n,))[n]
+    up, down = logs.reshape(-1, 2, c.d).transpose(1, 0, 2)
+    assert np.abs(grads - (up - down) / (2 * h * n)).max() <= 1e-6
 
 
 class TestEntropyAtZeroGradient:
@@ -280,7 +283,7 @@ class TestEntropyAtZeroGradient:
         """At alpha = 0 (identity generators) h equals the shift
         entropy up to the finite-n defect."""
         phi = (1 + np.sqrt(5)) / 2
-        pt = spectrum.legendre_entropy(golden_identity, np.zeros(2), 12)
+        pt = spectrum.spectrum_curve(golden_identity, np.zeros((1, 2)), 12)[0]
         assert pt.h == pytest.approx(np.log(phi), abs=0.05)
 
 
@@ -306,7 +309,8 @@ class TestOracle:
         occurrences of generator 2, so box counts are binomial sums."""
         n, eps = 10, 0.02
         alpha = diag_alpha(0.5)
-        count, h_count = spectrum.oracle_count(diag_cocycle, alpha, eps, n)
+        counts, h_counts = spectrum.oracle_count(diag_cocycle, alpha[None], eps, n)
+        count, h_count = counts[0], h_counts[0]
         # j occurrences of symbol 2 give alpha_1 = ((n-j) log2 + j log3)/n
         expected = 0
         for j in range(n + 1):
@@ -324,7 +328,7 @@ class TestOracle:
     def test_grid_counts_match_per_alpha_counts(self, name, n, eps, request):
         """One grid pass gives, in row blocks of any size, exactly the
         count of the per-alpha box test |profile - alpha| <= eps, as
-        does a single alpha; on the diagonal cocycle the grid hits every
+        does a one-row grid; on the diagonal cocycle the grid hits every
         binomial level (j occurrences of symbol 2, C(n, j) words)."""
         c = request.getfixturevalue(name)
         profs = profile_matrix(c, n)
@@ -332,7 +336,7 @@ class TestOracle:
         if name == "diag_cocycle":
             grid = np.vstack([grid, [diag_alpha(j / n) for j in range(n + 1)]])
         ref = [int((np.abs(profs - alpha) <= eps).all(axis=1).sum()) for alpha in grid]
-        assert [spectrum.oracle_count(c, alpha, eps, n)[0] for alpha in grid] == ref
+        assert [spectrum.oracle_count(c, alpha[None], eps, n)[0][0] for alpha in grid] == ref
         for block in (pressure.GIBBS_BLOCK, 1, len(profs) * 3 + 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(pressure, "GIBBS_BLOCK", block)
@@ -344,6 +348,24 @@ class TestOracle:
             assert ref[-(n + 1):] == [comb(n, j) for j in range(n + 1)]
 
     def test_empty_box(self, diag_cocycle):
-        count, h_count = spectrum.oracle_count(
-            diag_cocycle, np.array([10.0, 10.0]), 0.01, 8)
-        assert count == 0 and h_count == -np.inf
+        counts, h_counts = spectrum.oracle_count(
+            diag_cocycle, np.array([[10.0, 10.0]]), 0.01, 8)
+        assert counts[0] == 0 and h_counts[0] == -np.inf
+
+
+def test_d1_grid_has_one_column():
+    """At d = 1 a grid of three alphas is (3, 1): it gives three
+    counts and three points, and the 1-D array of the same alphas is
+    refused, not read as one point.  Profiles of the generators 2 and
+    1/2 at n = 4 lie at multiples of log(2)/2, with binomial counts."""
+    c = OneStepCocycle(Q=sft.full_shift(2), generators=[np.array([[2.0]]), np.array([[0.5]])])
+    alphas = np.array([-0.69, 0.0, 0.69])
+    counts, _ = spectrum.oracle_count(c, alphas[:, None], 0.1, 4)
+    assert counts.tolist() == [1, 6, 1]
+    points = spectrum.spectrum_curve(c, alphas[:, None], 4)
+    assert [pt.alpha.tolist() for pt in points] == [[a] for a in alphas]
+    for call in (lambda: spectrum.oracle_count(c, alphas, 0.1, 4),
+                 lambda: spectrum.spectrum_curve(c, alphas, 4),
+                 lambda: pressure.pressure_table(c, alphas, 4)):
+        with pytest.raises(ValueError, match=r"\(G, 1\) array, got shape \(3,\)"):
+            call()

@@ -188,10 +188,10 @@ class TestQmSearch:
 
     def test_empty_search_not_found(self, pos_cocycle):
         """With no words there is no pair to bound: not found, and the
-        pressure lower bracket stays absent instead of nan."""
+        pressure lower bracket stays absent."""
         qm = typicality.qm_search(pos_cocycle, 0, 4)
         assert not qm.found
         assert qm.k is None and qm.C is None
-        est = pressure.pressure_estimate(pos_cocycle, np.array([1.0, 0.0]), 6,
-                                         qm_C=qm.C, qm_k=qm.k)
-        assert est.lower is None
+        est = pressure.pressure_table(pos_cocycle, np.array([[1.0, 0.0]]), 6,
+                                      qm_C=qm.C, qm_k=qm.k)
+        assert np.isnan(est.lower[0])
