@@ -71,9 +71,9 @@ class OneStepCocycle:
                 raise ValueError(f"generator {s} has shape {A.shape}, expected {(d, d)}")
             if not matalg.is_invertible(A):
                 raise ValueError(f"generator {s} is not invertible")
+        stack = np.stack(self.generators)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            self.wedges = {t: np.stack([matalg.wedge(A, t) for A in self.generators])
-                           for t in range(1, d + 1)}
+            self.wedges = {t: matalg.wedge(stack, t) for t in range(1, d + 1)}
             self.log_det = np.log(np.abs(self.wedges[d][:, 0, 0]))
         entries = np.hstack([W.reshape(len(W), -1) for W in self.wedges.values()])
         bad = np.flatnonzero(~np.isfinite(np.column_stack([entries, self.log_det])).all(axis=1))
@@ -258,11 +258,15 @@ def _check_budget(c: OneStepCocycle, n: int, budget: int):
 
 
 def _check_grid(grid, d: int, name: str) -> np.ndarray:
-    """``grid`` as a float array of G rows of d coordinates; any other
-    shape raises ValueError, so a d = 1 grid is never read as one point."""
+    """``grid`` as a float array of G finite rows of d coordinates; any
+    other shape raises ValueError, so a d = 1 grid is never read as one
+    point, and so does the first row with a NaN or infinite coordinate."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != d:
         raise ValueError(f"{name} must be a (G, {d}) array, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        bad = int(np.argmin(np.isfinite(grid).all(axis=1)))
+        raise ValueError(f"{name} row {bad} is not finite: {grid[bad].tolist()}")
     return grid
 
 

@@ -130,6 +130,9 @@ class MulticoneCertificate:
     samples_per_ball: int
 
 
+#: the multicone search's orbit keeps the largest entry of each vector above this
+ORBIT_FLOOR = 1e-100
+
 #: bisection resolution (rad) of a certified pair's image radius
 RHO_TOL = 1e-7
 
@@ -144,15 +147,12 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
     return V / np.sqrt(V[..., None, :] @ V[..., :, None])[..., 0]
 
 
-def _signed_rows(V: np.ndarray) -> np.ndarray:
-    """The rows of V, each signed so that its largest-|entry| is positive."""
+def _canon_rows(V: np.ndarray) -> np.ndarray:
+    """Unit representatives of the projective points in the rows of V,
+    each signed so that its largest-|entry| is positive."""
+    V = _unit_rows(V)
     big = np.take_along_axis(V, np.abs(V).argmax(axis=-1)[..., None], -1)
     return np.where(big > 0, V, -V)
-
-
-def _canon_rows(V: np.ndarray) -> np.ndarray:
-    """Signed unit representatives of the projective points in the rows of V."""
-    return _signed_rows(_unit_rows(V))
 
 
 def _proj_dist(V: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -213,10 +213,12 @@ def _pair_margins(
     the ball's axis points bound its least passing rho* from below
     (:func:`_boundary_radius`, rho_est), so a bisection on rho over
     [rho_est - 1e-12, r - floor], which keeps the end that passed,
-    finds rho* to RHO_TOL.  At D = 2 those points are the whole
-    boundary of the arc and rho_est is the image radius itself: one
-    test at rho_est + RHO_TOL/2 settles every pair it passes.  A pair's
-    rho is only ever one that passed, whatever rho_est says.
+    finds rho* to RHO_TOL; each pair leaves it once its own bracket is
+    that narrow, so later stacked tests take fewer rows.  At D = 2 those
+    points are the whole boundary of the arc and rho_est is the image
+    radius itself: one test at rho_est + RHO_TOL/2 settles every pair it
+    passes.  A pair's rho is only ever one that passed, whatever rho_est
+    says.
 
     Returns the margins r - rho*, shape (balls, generators), -inf where
     rho = r - floor fails, and the index of each pair's c'."""
@@ -251,11 +253,15 @@ def _pair_margins(
         p = passes(ok, guess)
         margins[ok[p]] = radius - guess[p]
         ok, lo, hi = ok[~p], guess[~p], hi[~p]
-    for _ in range(int(np.ceil(np.log2(max((hi - lo).max(initial=0.0), RHO_TOL) / RHO_TOL)))):
+    while True:
+        done = ~(hi - lo > RHO_TOL)  # a NaN bracket, which never narrows, leaves too
+        margins[ok[done]] = radius - hi[done]
+        ok, lo, hi = ok[~done], lo[~done], hi[~done]
+        if not ok.size:
+            break
         mid = (lo + hi) / 2
         p = passes(ok, mid)
         lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
-    margins[ok] = radius - hi
     return margins.reshape(nb, -1), nearest
 
 
@@ -302,9 +308,13 @@ def multicone_search(
     """Search for a projective multicone that every generator maps into
     its interior.
 
-    Seeded random orbits of the projective action locate the attractor;
-    the visited directions are covered greedily with balls of the given
-    angular radius.  Each (ball, generator) pair is then certified by
+    Seeded random orbits of the projective action locate the attractor:
+    one draw gives every start and one every step, the orbits step with
+    the generators scaled to spectral norm 1, and they are divided by
+    their largest |entry| only every m steps, m the most that the
+    largest condition number allows above ORBIT_FLOOR.  The visited
+    directions are covered greedily with balls of the given angular
+    radius.  Each (ball, generator) pair is then certified by
     the S-lemma against the ball nearest to the image of its center
     (:func:`_pair_margins`); a pair counts when its margin exceeds
     ``margin_tol``.  A ball with a pair that does not count needs the
@@ -315,16 +325,24 @@ def multicone_search(
     reps = np.array(reps, dtype=float)
     D = reps.shape[1]
     rng = np.random.default_rng(seed)
+    log_sv = matalg.log_singular_values(reps)
+    log_cond = float((log_sv[:, 0] - log_sv[:, -1]).max())
 
+    # copies of spectral norm 1 act on directions as the generators do, never
+    # grow a vector, and shrink it by at most the condition number per step:
+    # rescaling every m steps keeps its largest entry above about ORBIT_FLOOR
+    unit = reps / np.exp(log_sv[:, :1, None])
+    n_steps, room = burn_in + collect, -np.log(ORBIT_FLOOR)
+    m = n_steps if log_cond * n_steps <= room else max(1, int(room // log_cond))
     # the orbits step together; stacked products match B @ v bit for bit
-    draws = [(rng.standard_normal(D), rng.integers(len(reps), size=burn_in + collect))
-             for _ in range(n_starts)]
-    # B(-v) = -(B v) exactly: steps only normalise, and the collected ones are signed once
-    v, orbit = _unit_rows(np.array([u for u, _ in draws])), []
-    for steps in reps[np.array([s for _, s in draws]).T]:
-        v = _unit_rows((steps @ v[:, :, None])[..., 0])
+    v = rng.standard_normal((n_starts, D, 1))
+    orbit = []
+    for i, steps in enumerate(unit[rng.integers(len(reps), size=(n_steps, n_starts))], start=1):
+        v = steps @ v
+        if i % m == 0:
+            v /= np.abs(v).max(axis=1, keepdims=True)
         orbit.append(v)
-    visited = _signed_rows(np.stack(orbit[burn_in:], axis=1).reshape(-1, D))
+    visited = _canon_rows(np.stack(orbit[burn_in:], axis=1).reshape(-1, D))
     # close the sample under one application of every generator
     visited = np.vstack([visited, _canon_rows((reps @ visited[:, None, :, None]).reshape(-1, D))])
 
@@ -351,7 +369,7 @@ def multicone_search(
     samples = 0
     if sampled.size:
         # sampling density from the projective Lipschitz constant
-        lip = max(float(np.exp(ls[0] - ls[-1])) for ls in map(matalg.log_singular_values, reps))
+        lip = float(np.exp(log_cond))
         samples = min(max(32, int(np.ceil(8 * radius * lip / margin_tol))), 4096)
         margin = min(margin, _sampled_margin(reps, centers, radius, samples, rng, sampled))
     if margin <= margin_tol:

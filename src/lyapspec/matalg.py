@@ -49,14 +49,15 @@ def log_spectral_norm(M: np.ndarray) -> float:
 def wedge(M: np.ndarray, t: int) -> np.ndarray:
     """Degree-t exterior power of M: the C(d,t) x C(d,t) matrix of t x t
     minors, rows and columns indexed by lexicographically ordered
-    t-subsets of {1,...,d}.
+    t-subsets of {1,...,d}.  A (..., d, d) stack gives the (..., C(d,t),
+    C(d,t)) stack of the powers of its matrices.
     """
     M = check_finite(M)
-    d = M.shape[0]
+    d = M.shape[-1]
     if not 1 <= t <= d:
         raise ValueError(f"wedge degree {t} outside 1..{d}")
     if t == 1:
         return M.copy()
     S = np.array(list(combinations(range(d), t)))
-    # minors[a, b] = M[S[a]][:, S[b]]: every minor in one stacked det
-    return np.linalg.det(M[S[:, None, :, None], S[None, :, None, :]])
+    # minors[..., a, b] = det M[..., S[a], :][..., S[b]]: every minor in one stacked det
+    return np.linalg.det(M[..., S[:, None, :, None], S[None, :, None, :]])

@@ -54,6 +54,15 @@ class TestWedge:
         W = matalg.wedge(np.diag([2.0, 3.0, 5.0]), 2)
         assert np.allclose(W, np.diag([6.0, 10.0, 15.0]))
 
+    def test_stack_matches_each_matrix(self):
+        """A (k, d, d) stack gives, bit for bit, the wedge of each of its
+        matrices, at every degree, for d = 1..6."""
+        for d in range(1, 7):
+            stack = rng.normal(size=(3, d, d))
+            for t in range(1, d + 1):
+                assert np.array_equal(matalg.wedge(stack, t),
+                                      np.stack([matalg.wedge(M, t) for M in stack]))
+
 
 class TestSingularValues:
     def test_sorted_descending(self):

@@ -369,3 +369,17 @@ def test_d1_grid_has_one_column():
                  lambda: pressure.pressure_table(c, alphas, 4)):
         with pytest.raises(ValueError, match=r"\(G, 1\) array, got shape \(3,\)"):
             call()
+
+
+@pytest.mark.parametrize("row", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]])
+def test_non_finite_grid_row_refused(pos_cocycle, row):
+    """A NaN or infinite coordinate is refused by each grid entry point,
+    which names the first such row, before any sweep: a NaN alpha would
+    otherwise read as an interior-converged point with h = nan."""
+    grid = np.array([[0.5, 0.1], row, row])
+    for call in (lambda: spectrum.oracle_count(pos_cocycle, grid, 0.1, 4),
+                 lambda: spectrum.spectrum_curve(pos_cocycle, grid, 4),
+                 lambda: pressure.pressure_table(pos_cocycle, grid, 4)):
+        with pytest.raises(ValueError, match=r"row 1 is not finite"):
+            call()
+
