@@ -46,32 +46,43 @@ class OneStepCocycle:
     Wedge representatives of every generator are cached for t = 1..d
     at construction (``wedges[t][s - 1]``, stacked per t), and so is
     ``log_det[s - 1]`` = log|det A_s|, the log-norm of the top degree; a
-    generator with a non-finite wedge or log|det| is refused.  One cache
-    holds the log wedge norms of every swept length; pressure, domination
-    and the QM search read them as they are, and the profiles that the
-    Legendre solver and the oracle need are their differences, derived
-    on each call.
+    generator with a non-finite wedge or log|det| is refused.  The sweep
+    steps with ``unit_wedges[t]``, t < d, the wedges divided by their
+    spectral norms, and adds ``log_norms[s - 1, t - 1]`` = log||A_s^{wedge t}||
+    (last column ``log_det`` itself); it rescales its products every
+    ``rescale_every`` levels (:func:`matalg.rescale_period` of the
+    largest condition number of those wedges).  One cache holds the log
+    wedge norms of every swept length; pressure, domination and the QM
+    search read them as they are, and the profiles that the Legendre
+    solver and the oracle need are their differences, derived on each
+    call.
     """
 
     Q: TransitionMatrix
     generators: list[np.ndarray]
     wedges: dict[int, np.ndarray] = field(init=False, repr=False)
     log_det: np.ndarray = field(init=False, repr=False)
+    unit_wedges: dict[int, np.ndarray] = field(init=False, repr=False)
+    log_norms: np.ndarray = field(init=False, repr=False)
+    rescale_every: int = field(init=False, repr=False)
     _norm_cache: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        self.generators = [matalg.check_finite(A) for A in self.generators]
-        if len(self.generators) != self.Q.k:
+        gens = self.generators = [np.asarray(A, dtype=float) for A in self.generators]
+        if not np.isfinite(np.concatenate([A.ravel() for A in gens] or [np.empty(0)])).all():
+            raise ValueError("matrix has non-finite entries")
+        if len(gens) != self.Q.k:
+            raise ValueError(f"{len(gens)} generators for alphabet of size {self.Q.k}")
+        d = gens[0].shape[0]
+        # the generators before the first of another shape, in one stacked determinant
+        shaped = next((s for s, A in enumerate(gens) if A.shape != (d, d)), len(gens))
+        stack = np.stack(gens[:shaped]) if shaped else np.empty((0, d, d))
+        singular = np.flatnonzero(matalg.det_margin(stack) <= matalg.DET_RTOL)
+        if singular.size:
+            raise ValueError(f"generator {singular[0] + 1} is not invertible")
+        if shaped < len(gens):
             raise ValueError(
-                f"{len(self.generators)} generators for alphabet of size {self.Q.k}"
-            )
-        d = self.generators[0].shape[0]
-        for s, A in enumerate(self.generators, start=1):
-            if A.shape != (d, d):
-                raise ValueError(f"generator {s} has shape {A.shape}, expected {(d, d)}")
-            if not matalg.is_invertible(A):
-                raise ValueError(f"generator {s} is not invertible")
-        stack = np.stack(self.generators)
+                f"generator {shaped + 1} has shape {gens[shaped].shape}, expected {(d, d)}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.wedges = {t: matalg.wedge(stack, t) for t in range(1, d + 1)}
             self.log_det = np.log(np.abs(self.wedges[d][:, 0, 0]))
@@ -79,6 +90,12 @@ class OneStepCocycle:
         bad = np.flatnonzero(~np.isfinite(np.column_stack([entries, self.log_det])).all(axis=1))
         if bad.size:
             raise ValueError(f"generator {bad[0] + 1} has an exterior power beyond the float range")
+        sv = {t: np.linalg.svd(self.wedges[t], compute_uv=False) for t in range(1, d)}
+        self.unit_wedges = {t: self.wedges[t] / s[:, :1, None] for t, s in sv.items()}
+        self.log_norms = np.column_stack([*(np.log(s[:, 0]) for s in sv.values()), self.log_det])
+        with np.errstate(divide="ignore"):  # an underflowed sigma_min rescales every level
+            self.rescale_every = matalg.rescale_period(
+                max((float(np.log(s[:, 0] / s[:, -1]).max()) for s in sv.values()), default=0.0))
 
     @property
     def k(self) -> int:
@@ -111,21 +128,23 @@ def word_products(c: OneStepCocycle, words: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray):
+def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray, rescale: bool):
     """Extend frontier row par[j] by symbol sym[j].  A frontier holds one
-    stack of wedge products per degree t < d and log accumulators of
-    shape (rows, d); products are rescaled to max-entry 1, scale
-    accumulated.  Degree d is 1x1 and multiplicative: its accumulator
-    adds log|det A_s| and it keeps no stack."""
+    stack of products of unit-norm wedges per degree t < d and log
+    accumulators of shape (rows, d); each step is one stacked matmul per
+    degree and adds log||A_s^{wedge t}|| to every accumulator (degree d,
+    1x1 and multiplicative, keeps no stack: its column adds log|det A_s|).
+    Only with ``rescale`` are the products divided by their largest
+    |entry|, that scale accumulated, so a frontier between rescales has
+    entries within [ORBIT_FLOOR / D, D]."""
     mats, laccs = front
-    new_mats, new_laccs = [], np.empty((len(par), c.d))
-    for ti, V in enumerate(mats):
-        W = c.wedges[ti + 1][sym - 1] @ V[par]
-        nrm = np.abs(W).max(axis=(1, 2))
-        W /= nrm[:, None, None]
-        new_laccs[:, ti] = laccs[par, ti] + np.log(nrm)
-        new_mats.append(W)
-    new_laccs[:, -1] = laccs[par, -1] + c.log_det[sym - 1]
+    new_laccs = laccs[par] + c.log_norms[sym - 1]
+    new_mats = [c.unit_wedges[t][sym - 1] @ V[par] for t, V in enumerate(mats, start=1)]
+    if rescale:
+        for ti, W in enumerate(new_mats):
+            nrm = np.abs(W).max(axis=(1, 2))
+            W /= nrm[:, None, None]
+            new_laccs[:, ti] += np.log(nrm)
     return new_mats, new_laccs
 
 
@@ -135,40 +154,113 @@ def _root(c: OneStepCocycle):
 
 
 def _spectral_norm(V: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of an (N, D, D) stack.
-    For D = 2 the closed form (|(p+s, q-r)| + |(p-s, q+r)|)/2, a sum of
-    nonnegative terms; otherwise the root of the top eigenvalue lam_1 of
-    the Gram matrix G = V^T V (rows of max-entry 1 keep it from
-    overflowing).
+    """Largest singular value of each matrix of an (N, D, D) stack, at
+    any scale.  For D = 2 the closed form (|(p+s, q-r)| + |(p-s, q+r)|)/2,
+    a sum of nonnegative terms; otherwise the root of the top eigenvalue
+    lam_1 of the Gram matrix G = V^T V, found on S = G / tr G, whose
+    eigenvalues lie in [0, 1] however small the rows are.
 
-    For D >= 3, POWER_STEPS power steps from the row of G with the
-    largest diagonal entry give a unit x, its Rayleigh quotient
-    rho = x^T G x and residual r = Gx - rho x.  G is positive
-    semidefinite, so lam_2 <= tr G - rho, and the Kato-Temple bound
-    gives 0 <= lam_1 - rho <= |r|^2 / (2 rho - tr G) when 2 rho > tr G.
-    A row keeps rho when that bound, with |r| raised by D eps tr G for
-    the rounding of r, is below RAYLEIGH_RTOL rho; the other rows, among
-    them every row with lam_1 = lam_2, take LAPACK's ``eigvalsh``.
+    A unit x (:func:`_rayleigh3` for D = 3, :func:`_rayleigh` above)
+    gives the Rayleigh quotient rho = x^T S x and residual r = Sx - rho x.
+    S is positive semidefinite, so lam_2 <= tr S - rho, and the
+    Kato-Temple bound gives 0 <= lam_1 - rho <= |r|^2 / (2 rho - tr S)
+    when 2 rho > tr S.  A row keeps rho tr G when that bound, with |r|
+    raised by D eps tr S for the rounding of r, is below RAYLEIGH_RTOL
+    rho; the other rows, among them every row with lam_1 = lam_2, take
+    LAPACK's ``eigvalsh`` of their unscaled G.
     """
     D = V.shape[-1]
     if D == 2:
         p, q, r, s = V[:, 0, 0], V[:, 0, 1], V[:, 1, 0], V[:, 1, 1]
         return (np.hypot(p + s, q - r) + np.hypot(p - s, q + r)) / 2
-    G = np.ascontiguousarray(np.swapaxes(V, 1, 2)) @ V
-    diag = np.einsum("nii->ni", G)
-    x = G[np.arange(len(G)), np.argmax(diag, axis=1)]
+    G = None if D == 3 else _gram(V)
+    rho, r_sq, tr_s, trace = _rayleigh3(V) if G is None else _rayleigh(G)
+    r_norm = np.sqrt(r_sq) + D * np.finfo(float).eps * tr_s
+    lapack = ~(r_norm**2 < RAYLEIGH_RTOL * rho * (2 * rho - tr_s))
+    lam = rho * trace
+    if lapack.any():
+        lam[lapack] = np.linalg.eigvalsh(_gram(V[lapack]) if G is None else G[lapack])[:, -1]
+    return np.sqrt(lam)
+
+
+def _gram(V: np.ndarray) -> np.ndarray:
+    """The Gram matrices V^T V of a stack, the same bits for any subset of it."""
+    return np.ascontiguousarray(np.swapaxes(V, 1, 2)) @ V
+
+
+def _rayleigh(G: np.ndarray):
+    """rho, |r|^2 and tr S of :func:`_spectral_norm` for D >= 4, and tr G,
+    from the Gram matrices G: x is POWER_STEPS power steps from the row
+    of S with the largest diagonal entry, normalised.  S is not formed:
+    each product with G is divided by tr G."""
+    trace = np.einsum("nii->n", G)
+    inv = (1 / trace)[:, None]
+    x = G[np.arange(len(G)), np.argmax(np.einsum("nii->ni", G), axis=1)] * inv
     for _ in range(POWER_STEPS):
         x = np.einsum("nij,nj->ni", G, x)
+        x *= inv
     x /= np.sqrt(np.einsum("ni,ni->n", x, x))[:, None]
-    Gx = np.einsum("nij,nj->ni", G, x)
-    rho = np.einsum("ni,ni->n", x, Gx)
-    r = Gx - rho[:, None] * x
-    trace = diag.sum(axis=1)
-    r_norm = np.sqrt(np.einsum("ni,ni->n", r, r)) + D * np.finfo(float).eps * trace
-    lapack = ~(r_norm**2 < RAYLEIGH_RTOL * rho * (2 * rho - trace))
-    if lapack.any():
-        rho[lapack] = np.linalg.eigvalsh(G[lapack])[:, -1]
-    return np.sqrt(rho)
+    Sx = np.einsum("nij,nj->ni", G, x)
+    Sx *= inv
+    rho = np.einsum("ni,ni->n", x, Sx)
+    r = Sx - rho[:, None] * x
+    return rho, np.einsum("ni,ni->n", r, r), 1.0, trace
+
+
+def _rayleigh3(V: np.ndarray):
+    """rho, |r|^2 and tr S of :func:`_spectral_norm` for D = 3, and tr G,
+    in elementwise operations on the six entries of S, held in one
+    (6, N) array, with x from :func:`_top_eigvec3`."""
+    v = V.reshape(-1, 9).T  # v[3k + i] = V[:, k, i]
+    S = np.empty((6, len(V)))
+    for g, (i, j) in zip(S, ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))):
+        np.multiply(v[i], v[j], out=g)
+        g += v[3 + i] * v[3 + j]
+        g += v[6 + i] * v[6 + j]
+    trace = S[0] + S[3] + S[5]
+    for g in S:  # row by row: a broadcast division would copy S
+        g /= trace
+    a, b, c, d, e, f = S
+    x0, x1, x2 = _top_eigvec3(S)
+    s0, s1, s2 = a * x0 + b * x1 + c * x2, b * x0 + d * x1 + e * x2, c * x0 + e * x1 + f * x2
+    rho = x0 * s0 + x1 * s1 + x2 * s2
+    r0, r1, r2 = s0 - rho * x0, s1 - rho * x1, s2 - rho * x2
+    return rho, r0 * r0 + r1 * r1 + r2 * r2, a + d + f, trace
+
+
+def _top_eigvec3(S: np.ndarray):
+    """Unit top eigenvectors of the symmetric 3 x 3 matrices with entries
+    (a, b, c, d, e, f) = S (rows (a, b, c), (b, d, e), (c, e, f)), as
+    three arrays: the largest cross product of two rows of S - lam_1 I,
+    with lam_1 from Smith's trigonometric formula (Comm. ACM 4, 1961).
+    Where every cross product vanishes, as where lam_1 = lam_2, they
+    are NaN."""
+    a, b, c, d, e, f = S
+    q = (a + d + f) / 3
+    a0, d0, f0 = a - q, d - q, f - q
+    p = np.sqrt((a0 * a0 + d0 * d0 + f0 * f0 + 2 * (b * b + c * c + e * e)) / 6)
+    det = a0 * (d0 * f0 - e * e) - b * (b * f0 - e * c) + c * (b * e - d0 * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = q + 2 * p * np.cos(np.arccos(np.clip(det / (2 * p**3), -1.0, 1.0)) / 3)
+    del q, a0, d0, f0, p, det  # freed before the cross products, which set the peak memory
+    M = ((a - lam, b, c), (b, d - lam, e), (c, e, f - lam))
+
+    def cross(u, w):
+        y = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        return y, y[0] * y[0] + y[1] * y[1] + y[2] * y[2]
+
+    x, sq = cross(M[0], M[1])
+    for u, w in ((0, 2), (1, 2)):
+        y, y_sq = cross(M[u], M[w])
+        pick = y_sq > sq
+        for xi, yi in zip(x, y):
+            np.copyto(xi, yi, where=pick)
+        np.maximum(sq, y_sq, out=sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.sqrt(sq)
+        for xi in x:
+            xi /= norm
+    return x
 
 
 def _finish(front) -> np.ndarray:
@@ -197,8 +289,9 @@ def profile(c: OneStepCocycle, word: Word) -> np.ndarray:
     if not sft.is_admissible(c.Q, word):
         raise ValueError(f"word {word} is not admissible")
     front = _root(c)
-    for s in word:
-        front = _advance(c, front, np.zeros(1, dtype=np.intp), np.array([s]))
+    for depth, s in enumerate(word, start=1):
+        front = _advance(c, front, np.zeros(1, dtype=np.intp), np.array([s]),
+                         depth % c.rescale_every == 0)
     return _profiles(_finish(front), n)[0]
 
 
@@ -208,11 +301,13 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
 
     One level-synchronous sweep to the longest length: each step extends
     up to BLOCK_ROWS consecutive frontier rows by one symbol, in
-    lexicographic (parent, symbol) order; a longer frontier runs block
-    by block, first to last, so the blocks of one level pop in word
-    order.  Popped blocks of requested levels share :func:`_finish` calls
-    of at most BLOCK_ROWS rows; the finish works row by row, so each
-    level gets the values of a finish per block, in word order.
+    lexicographic (parent, symbol) order, and rescales them at the
+    depths that are multiples of ``c.rescale_every``; a longer frontier
+    runs block by block, first to last, so the blocks of one level pop
+    in word order.  Popped blocks of requested levels share
+    :func:`_finish` calls of at most BLOCK_ROWS rows; the steps and the
+    finish work row by row, so each level gets the values of one word
+    at a time, whatever the other lengths and the blocks.
     """
     out = {n: np.empty((sft.count_words(c.Q, n), c.d)) for n in lengths}
     row = dict.fromkeys(out, 0)
@@ -233,8 +328,8 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
     todo = [(0, _root(c), np.zeros(c.k, dtype=np.intp), np.arange(1, c.k + 1))]
     while todo:
         depth, parent, par, sym = todo.pop()
-        front = _advance(c, parent, par, sym)
         depth += 1
+        front = _advance(c, parent, par, sym, depth % c.rescale_every == 0)
         if depth in out:
             if batch and sum(len(laccs) for _, (_, laccs) in batch) + len(sym) > BLOCK_ROWS:
                 finish_batch()

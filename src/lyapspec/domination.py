@@ -130,9 +130,6 @@ class MulticoneCertificate:
     samples_per_ball: int
 
 
-#: the multicone search's orbit keeps the largest entry of each vector above this
-ORBIT_FLOOR = 1e-100
-
 #: bisection resolution (rad) of a certified pair's image radius
 RHO_TOL = 1e-7
 
@@ -312,9 +309,9 @@ def multicone_search(
     one draw gives every start and one every step, the orbits step with
     the generators scaled to spectral norm 1, and they are divided by
     their largest |entry| only every m steps, m the most that the
-    largest condition number allows above ORBIT_FLOOR.  The visited
-    directions are covered greedily with balls of the given angular
-    radius.  Each (ball, generator) pair is then certified by
+    largest condition number allows (:func:`matalg.rescale_period`).
+    The visited directions are covered greedily with balls of the given
+    angular radius.  Each (ball, generator) pair is then certified by
     the S-lemma against the ball nearest to the image of its center
     (:func:`_pair_margins`); a pair counts when its margin exceeds
     ``margin_tol``.  A ball with a pair that does not count needs the
@@ -328,12 +325,11 @@ def multicone_search(
     log_sv = matalg.log_singular_values(reps)
     log_cond = float((log_sv[:, 0] - log_sv[:, -1]).max())
 
-    # copies of spectral norm 1 act on directions as the generators do, never
-    # grow a vector, and shrink it by at most the condition number per step:
-    # rescaling every m steps keeps its largest entry above about ORBIT_FLOOR
+    # copies of spectral norm 1 act on directions as the generators do;
+    # rescaling every m steps keeps each vector in range
     unit = reps / np.exp(log_sv[:, :1, None])
-    n_steps, room = burn_in + collect, -np.log(ORBIT_FLOOR)
-    m = n_steps if log_cond * n_steps <= room else max(1, int(room // log_cond))
+    n_steps = burn_in + collect
+    m = min(n_steps, matalg.rescale_period(log_cond))
     # the orbits step together; stacked products match B @ v bit for bit
     v = rng.standard_normal((n_starts, D, 1))
     orbit = []

@@ -7,12 +7,16 @@ exist at the d x d (or D x D wedge) kernel level.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 
 import numpy as np
 
 #: invertibility threshold: |det M| must exceed this times (max |entry|)^d
 DET_RTOL = 1e-12
+
+#: products of unit-norm maps are rescaled before their scale can fall below this
+ORBIT_FLOOR = 1e-100
 
 
 def check_finite(M: np.ndarray) -> np.ndarray:
@@ -22,15 +26,27 @@ def check_finite(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def det_margin(M: np.ndarray) -> float:
-    """Scale-free invertibility margin |det(M / max |entry|)|; 0 for M = 0."""
+def det_margin(M: np.ndarray):
+    """Scale-free invertibility margin |det(M / max |entry|)| of M, or of
+    each matrix of a (..., d, d) stack in one stacked determinant; 0 for
+    a zero matrix."""
     M = check_finite(M)
-    scale = float(np.abs(M).max())
-    return 0.0 if scale == 0.0 else abs(float(np.linalg.det(M / scale)))
+    scale = np.abs(M).max(axis=(-2, -1), keepdims=True)
+    return np.abs(np.linalg.det(M / np.where(scale == 0.0, 1.0, scale)))
 
 
 def is_invertible(M: np.ndarray) -> bool:
     return det_margin(M) > DET_RTOL
+
+
+def rescale_period(log_cond: float) -> int:
+    """How many steps a product of maps of spectral norm 1 and condition
+    number at most e^log_cond may take between rescales to max-entry 1:
+    it never grows, and each step shrinks it by at most the condition
+    number, so after m = floor(ln(1/ORBIT_FLOOR) / log_cond) steps its
+    norm is still above ORBIT_FLOOR (sys.maxsize, never, for isometries)."""
+    room = -np.log(ORBIT_FLOOR)
+    return max(1, int(room // log_cond)) if log_cond * sys.maxsize > room else sys.maxsize
 
 
 def log_singular_values(M: np.ndarray) -> np.ndarray:

@@ -39,6 +39,43 @@ class TestConstruction:
             OneStepCocycle(Q=sft.full_shift(1),
                            generators=[np.ones((2, 3))])
 
+    @pytest.mark.parametrize("s", [2, 3, 700])
+    def test_bad_generator_is_named(self, s):
+        """One stacked check of a 1024-generator tuple names the same
+        generator as a check of each in turn: a singular one, one of
+        another shape, and of the two the first."""
+        gens = list(np.random.default_rng(s).standard_normal((1024, 2, 2)))
+        singular, shape3 = np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(3)
+        invertible = rf"^generator {s} is not invertible$"
+        shape = rf"^generator {s} has shape \(3, 3\), expected \(2, 2\)$"
+        for bad, last, message in ((singular, gens[-1], invertible), (shape3, gens[-1], shape),
+                                   (singular, shape3, invertible), (shape3, singular, shape),
+                                   (np.full((2, 2), np.nan), gens[-1], "^matrix has non-finite")):
+            with pytest.raises(ValueError, match=message):
+                OneStepCocycle(Q=sft.full_shift(1024),
+                               generators=gens[:s - 1] + [bad] + gens[s:-1] + [last])
+
+    def test_unit_wedges_and_log_norm_table(self, twisted4_cocycle):
+        """The sweep's cache: each degree t < d divided by its spectral
+        norm, whose log is column t of the table; the last column is
+        log_det itself."""
+        c = twisted4_cocycle
+        for t in range(1, c.d):
+            norms = np.linalg.svd(c.wedges[t], compute_uv=False)[:, 0]
+            assert np.allclose(np.linalg.svd(c.unit_wedges[t], compute_uv=False)[:, 0], 1.0,
+                               rtol=1e-14)
+            assert np.allclose(c.log_norms[:, t - 1], np.log(norms), rtol=0, atol=1e-14)
+        assert c.log_norms[:, -1] is not c.log_det
+        assert np.array_equal(c.log_norms[:, -1], c.log_det)
+
+    def test_rescale_period_of_the_wedges(self):
+        """diag(1e6, 1e-6) has condition number 1e12 at degree 1, so the
+        sweep rescales every 8 levels, the multicone orbit's period."""
+        c = OneStepCocycle(Q=sft.full_shift(2), generators=[np.diag([1e6, 1e-6]), np.eye(2)])
+        assert c.rescale_every == matalg.rescale_period(np.log(1e12)) == 8
+        iso = OneStepCocycle(Q=sft.full_shift(1), generators=[np.array([[0.0, -1.0], [1.0, 0.0]])])
+        assert iso.rescale_every == matalg.rescale_period(0.0)
+
     def test_wedge_cache(self, pos_cocycle):
         assert np.array_equal(pos_cocycle.wedges[1][0], pos_cocycle.generators[0])
         # degree 2 of a 2x2 matrix is the 1x1 determinant
@@ -80,6 +117,17 @@ class TestProfile:
                            generators=[np.diag([1e4, 1e-4])])
         p = profile(c, (1,) * 100)
         assert np.allclose(p, [np.log(1e4), np.log(1e-4)], atol=1e-8)
+
+    def test_survives_unit_norm_products_that_shrink(self):
+        """A quarter turn of diag(1e6, 1e-6) squares to -I: its unit-norm
+        copy shrinks by 1e-12 every two steps, so 100 steps without a
+        rescale underflow to 0.  The sweep rescales every 8 levels."""
+        c = OneStepCocycle(Q=sft.full_shift(1),
+                           generators=[np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.diag([1e6, 1e-6])])
+        assert c.rescale_every == 8
+        assert np.allclose(profile(c, (1,) * 100), [0.0, 0.0], atol=1e-12)
+        assert np.allclose(profile_matrix(c, 101), [[np.log(1e6) / 101, np.log(1e-6) / 101]],
+                           atol=1e-12)
 
     def test_profile_matrix_rows_in_word_order(self, pos_cocycle):
         n = 5
@@ -227,6 +275,19 @@ class TestSweepEngine:
         cocycle._sweep(c, [10])
         assert sum(rows) <= 3 * 2**10 // 2
 
+    def test_3x3_rows_rarely_need_lapack(self, monkeypatch):
+        """The trigonometric start certifies nearly every 3 x 3 row: a
+        sweep at n = 10 of a Gaussian k = 2, d = 3 cocycle sends under 1%
+        of its 2 * 2**10 such rows to eigvalsh."""
+        rng = np.random.default_rng(0)
+        c = OneStepCocycle(Q=sft.full_shift(2),
+                           generators=[rng.standard_normal((3, 3)) for _ in range(2)])
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: rows.append(len(G)) or eigvalsh(G))
+        cocycle._sweep(c, [10])
+        assert sum(rows) < 0.01 * 2 * 2**10
+
 
 class TestOneSweepPerRequest:
     """A QM search, a domination test and a pressure grid read every
@@ -285,7 +346,7 @@ class TestOneSweepPerRequest:
         sub = domination.build_dominated_subsystem(self._fresh(pos_cocycle), 2, 1, (2,))
         assert sweeps == [[1, 2, 3, 4, 5, 6]]
         # kappa = exp(log_kappa) = [0.56733265, 1.0], the bits of a sweep of 1 and 2 alone
-        assert sub.log_kappa.tolist() == [-0.5668094569859319, -2.220446049250313e-16]
+        assert sub.log_kappa.tolist() == [-0.5668094569859317, -2.220446049250313e-16]
 
     def test_domination_budget_checked_before_the_sweep(self, diag_cocycle, sweeps):
         with pytest.raises(BudgetError, match=r"^#L_10 = 1024 words exceeds the budget of 1000;"):

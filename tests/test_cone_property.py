@@ -65,7 +65,7 @@ def _multicone_search(reps, seed=0, radius=0.2, margin_tol=TOL,
     log_sv = [matalg.log_singular_values(B) for B in reps]
     log_cond = max(ls[0] - ls[-1] for ls in log_sv)
     unit = [B / np.exp(ls[0]) for B, ls in zip(reps, log_sv)]
-    n_steps, room = burn_in + collect, -np.log(domination.ORBIT_FLOOR)
+    n_steps, room = burn_in + collect, -np.log(matalg.ORBIT_FLOOR)
     m = n_steps if log_cond * n_steps <= room else max(1, int(room // log_cond))
     starts = rng.standard_normal((n_starts, D))
     steps = rng.integers(len(reps), size=(n_steps, n_starts))
@@ -358,7 +358,7 @@ def test_orbit_signed_once_matches_every_step(name, request):
         reps = list(c.wedges[t])
         for seed in range(3):
             cert = domination.multicone_search(reps, seed=seed)
-            with mock.patch.object(domination, "ORBIT_FLOOR", 1.0):
+            with mock.patch.object(matalg, "ORBIT_FLOOR", 1.0):
                 ref = domination.multicone_search(reps, seed=seed)
             assert (cert is None) == (ref is None)
             if cert is not None:

@@ -1,3 +1,4 @@
+import sys
 from math import comb
 
 import numpy as np
@@ -94,6 +95,26 @@ class TestInvertibility:
         assert matalg.is_invertible(M * 1e150)
         assert matalg.is_invertible(M * 1e-150)
 
+    def test_stacked_margin_matches_each_matrix(self):
+        """A stack gets the margin of each of its matrices, bit for bit,
+        and a zero matrix gets 0 without a warning."""
+        stack = np.stack([random_invertible(3), np.zeros((3, 3)), 1e-200 * random_invertible(3)])
+        margins = matalg.det_margin(stack)
+        assert margins.shape == (3,) and margins[1] == 0.0
+        assert margins.tolist() == [matalg.det_margin(M) for M in stack]
+
     def test_check_finite(self):
         with pytest.raises(ValueError):
             matalg.check_finite(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestRescalePeriod:
+    def test_floor_over_log_condition(self):
+        """m = floor(ln(1/ORBIT_FLOOR) / ln kappa): 8 steps of condition
+        number 1e12 (1e-96 in all), at least 1 however large kappa is."""
+        assert matalg.rescale_period(np.log(1e12)) == 8
+        assert matalg.rescale_period(np.log(1e7)) == 14
+        assert matalg.rescale_period(np.inf) == 1
+
+    def test_isometries_never_rescale(self):
+        assert matalg.rescale_period(0.0) == sys.maxsize

@@ -1,6 +1,7 @@
 """Property tests: the batched profile sweep against plain products,
-against the SVD finish it replaced and against one sweep per length,
-the SVD-free spectral norm and which of its rows go to LAPACK, the
+against the SVD finish it replaced, against one sweep per length and,
+past its first rescale, against a sweep normalised at every level, the
+scale-free spectral norm and which of its rows go to LAPACK, the
 exact top wedge degree, the table word ranks against a sort, the
 invariants of the Gibbs Hessian and the Legendre solver, and the
 one-pass solver against the three-pass loop it replaced."""
@@ -85,15 +86,18 @@ def _max_entry_one(V: np.ndarray) -> np.ndarray:
 @st.composite
 def stacks(draw):
     """64 random D x D matrices, D in SIZES, with singular values
-    spread over [10^-e, 1] (condition number 10^e, e <= 12), rescaled to
-    max-entry 1 like the rows of a sweep frontier."""
+    spread over [10^-e, 1] (condition number 10^e, e <= 12), and largest
+    |entry| log-uniform over [ORBIT_FLOOR / D, D], both ends included,
+    the range of the rows of a sweep frontier between rescales."""
     D = draw(st.sampled_from(SIZES))
     e = draw(st.floats(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     U, W = _frames(rng, 64, D), _frames(rng, 64, D)
     s = 10.0 ** -rng.uniform(0, e, size=(64, D))
     s[:, 0], s[:, -1] = 1.0, 10.0**-e
-    return _max_entry_one((U * s[:, None, :]) @ W)
+    scale = np.exp(rng.uniform(np.log(matalg.ORBIT_FLOOR / D), np.log(D), size=64))
+    scale[:2] = matalg.ORBIT_FLOOR / D, D
+    return _max_entry_one((U * s[:, None, :]) @ W) * scale[:, None, None]
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
@@ -187,6 +191,67 @@ def test_sweep_matches_svd_finish(c, data):
     n = _length(data, c)
     with mock.patch.object(cocycle, "_spectral_norm", _svd_norm):
         ref = cocycle._sweep(c, [n])[n]
+    logs = log_wedge_norm_matrices(c, (n,))[n]
+    assert np.abs(logs - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def _normalised_sweep(c, n: int) -> np.ndarray:
+    """The reference sweep: every word's product of wedges, divided by
+    its largest |entry| at every level with the log of that entry
+    accumulated, and finished by LAPACK's SVD; column d sums log|det|."""
+    words = sft.word_array(c.Q, n)
+    logs = np.zeros((len(words), c.d))
+    for t in range(1, c.d):
+        P = np.repeat(np.eye(c.wedges[t].shape[1])[None], len(words), axis=0)
+        for col in words.T:
+            P = c.wedges[t][col - 1] @ P
+            scale = np.abs(P).max(axis=(1, 2))
+            P /= scale[:, None, None]
+            logs[:, t - 1] += np.log(scale)
+        logs[:, t - 1] += np.log(_svd_norm(P))
+    for col in words.T:
+        logs[:, -1] += c.log_det[col - 1]
+    return logs
+
+
+def _bidiagonals(rng, d: int, lower: bool) -> np.ndarray:
+    """A product of d - 1 unit bidiagonal matrices with off-diagonal
+    entries in [0.2, 1]: unit triangular and totally positive."""
+    M, i = np.eye(d), np.arange(d - 1)
+    for _ in range(d - 1):
+        B = np.eye(d)
+        B[(i + 1, i) if lower else (i, i + 1)] = rng.uniform(0.2, 1.0, d - 1)
+        M = M @ B
+    return M
+
+
+@st.composite
+def ill_conditioned(draw):
+    """One or two d x d generators, d in 2..4, L diag(s) U with L and U
+    of :func:`_bidiagonals` and s in [1/2, 2] but for s_d = 10^-e, e in
+    [7, 11]: condition numbers up to about 1e12, and so a rescale every
+    12 levels or fewer.  They are totally positive, so every wedge of
+    their products is nonnegative and no entry comes from cancellation."""
+    k, d = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for _ in range(k):
+        s = rng.uniform(0.5, 2.0, size=d)
+        s[-1] = 10.0 ** -draw(st.floats(7, 11))
+        gens.append(_bidiagonals(rng, d, True) @ np.diag(s) @ _bidiagonals(rng, d, False))
+    hypothesis.assume(all(matalg.is_invertible(A) for A in gens))
+    return OneStepCocycle(Q=sft.full_shift(k), generators=gens)
+
+
+@hypothesis.settings(max_examples=30, deadline=None)
+@hypothesis.given(c=ill_conditioned(), extra=st.integers(1, 3))
+def test_sweep_matches_normalised_reference(c, extra):
+    """Past its first rescale (n > m) the sweep matches the reference
+    that normalises every level, within 1e-13 relative, at every
+    degree."""
+    n = c.rescale_every + extra
+    hypothesis.assume(sft.count_words(c.Q, n) <= 2**15)
+    ref = _normalised_sweep(c, n)
     logs = log_wedge_norm_matrices(c, (n,))[n]
     assert np.abs(logs - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 

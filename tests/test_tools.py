@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import re
 import shutil
@@ -38,3 +39,30 @@ def test_same_outputs_names_a_perturbed_line(tmp_path):
                      r"'overall: (\w+)' != 'overall: \1 '", d) for d in diffs), run.stdout
     total = summary.split()[2]
     assert summary == f"{int(total) - len(diffs)} of {total} jobs identical"
+
+
+def _same_outputs():
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", os.path.join(REPO, "tools", "same_outputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_numeric_cell_differences_are_measured():
+    """Lines that differ only in numbers get the largest absolute and
+    relative difference over every differing line; a line that differs
+    in any other text, or a changed line count, gets the first line
+    alone."""
+    diff = _same_outputs()._first_difference
+    old = "q1,q2,h\n0.5,-1e-3,0.25,ok\n1,2,3,ok\n"
+    new = "q1,q2,h\n0.5,-1.5e-3,0.25,ok\n1,2,3.000003,ok\n"
+    assert diff(old, new) == (
+        "line 2: '0.5,-1e-3,0.25,ok' != '0.5,-1.5e-3,0.25,ok'; numeric cells only, "
+        "on 2 lines: largest difference 0.0005 absolute, 0.333 relative")
+    assert diff("margin 0.25 (certified)\n", "margin 0.25 (empirical)\n") == (
+        "line 1: 'margin 0.25 (certified)' != 'margin 0.25 (empirical)'")
+    assert diff("a 1\nb 2\n", "a 1.5\nb 3 x\n") == "line 1: 'a 1' != 'a 1.5'"
+    assert diff("a 1\n", "a 2\nb\n") == "line 1: 'a 1' != 'a 2'"
+    assert diff("a 1\n", "a 1\nb\n") == "1 lines != 2 lines"
+    assert diff(0, 2) == "0 != 2"

@@ -9,7 +9,9 @@ its own ``lyapspec.cli.main``, in one subprocess per tree.  Per job the
 exit code, stdout, stderr, CSV file and subsystem file are compared,
 after the ``# wall_time_s`` manifest lines are dropped and the job's
 work directory is replaced by ``<work>``.  Prints every job that
-differs and exits 1 if any does, else exits 0.  Inputs and outputs go
+differs, with its first differing line (and, when its lines differ only
+in numbers, the largest absolute and relative difference of those
+numbers), and exits 1 if any does, else exits 0.  Inputs and outputs go
 to a temporary directory, and the subprocesses write no bytecode, so
 neither tree is touched.
 """
@@ -20,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,14 +71,41 @@ def run_tree(tree: str, workroot: str, result_path: str) -> None:
         json.dump(results, fh)
 
 
+#: a decimal number, as the jobs print their cells
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _numeric_differences(old: str, new: str) -> list[tuple[float, float]] | None:
+    """(absolute, relative) difference of each pair of differing numbers
+    of two lines whose text around the numbers is the same; None when
+    the lines differ elsewhere."""
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    pairs = [(float(a), float(b)) for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new))
+             if a != b]
+    return [(abs(a - b), abs(a - b) / (max(abs(a), abs(b)) or 1.0)) for a, b in pairs]
+
+
 def _first_difference(old, new) -> str:
-    """The first differing line of two field values, or both values."""
-    if isinstance(old, str) and isinstance(new, str):
-        for i, (a, b) in enumerate(zip(old.splitlines(), new.splitlines()), start=1):
-            if a != b:
-                return f"line {i}: {a!r} != {b!r}"
-        return f"{len(old.splitlines())} lines != {len(new.splitlines())} lines"
-    return f"{old!r} != {new!r}"
+    """The first differing line of two field values, or both values.  When
+    every differing line differs only in numeric cells, also the number
+    of such lines and the largest absolute and relative difference of
+    their cells."""
+    if not (isinstance(old, str) and isinstance(new, str)):
+        return f"{old!r} != {new!r}"
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    lines = [(i, a, b) for i, (a, b) in enumerate(zip(old_lines, new_lines), start=1) if a != b]
+    if not lines:
+        return f"{len(old_lines)} lines != {len(new_lines)} lines"
+    i, a, b = lines[0]
+    first = f"line {i}: {a!r} != {b!r}"
+    diffs = [_numeric_differences(a, b) for _, a, b in lines]
+    if len(old_lines) != len(new_lines) or any(d is None for d in diffs):
+        return first
+    cells = [cell for d in diffs for cell in d]
+    return (f"{first}; numeric cells only, on {len(lines)} lines: "
+            f"largest difference {max(c[0] for c in cells):.3g} absolute, "
+            f"{max(c[1] for c in cells):.3g} relative")
 
 
 def main(argv=None) -> int:
