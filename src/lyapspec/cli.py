@@ -445,8 +445,7 @@ def cmd_dominate(args) -> int:
         print(f"  log max ratios: {ratios}")
     if args.cone:
         for t in indices:
-            reps = [c.wedges[t][s] for s in range(c.k)]
-            cert = domination.multicone_search(reps, seed=args.seed)
+            cert = domination.multicone_search(c.wedges[t], seed=args.seed)
             if cert is None:
                 print(f"multicone t={t}: no certificate (inconclusive)")
             else:

@@ -44,24 +44,22 @@ class OneStepCocycle:
     """Invertible generator tuple A_1..A_k over a validated mixing SFT.
 
     Wedge representatives of every generator are cached for t = 1..d
-    at construction (``wedges[t][s - 1]``, stacked per t), and so is
-    ``log_det[s - 1]`` = log|det A_s|, the log-norm of the top degree; a
-    generator with a non-finite wedge or log|det| is refused.  The sweep
-    steps with ``unit_wedges[t]``, t < d, the wedges divided by their
-    spectral norms, and adds ``log_norms[s - 1, t - 1]`` = log||A_s^{wedge t}||
-    (last column ``log_det`` itself); it rescales its products every
-    ``rescale_every`` levels (:func:`matalg.rescale_period` of the
-    largest condition number of those wedges).  One cache holds the log
-    wedge norms of every swept length; pressure, domination and the QM
-    search read them as they are, and the profiles that the Legendre
-    solver and the oracle need are their differences, derived on each
-    call.
+    at construction (``wedges[t][s - 1]``, stacked per t); a generator
+    with a non-finite wedge or log|det| is refused.  The sweep steps
+    with ``unit_wedges[t]``, t < d, the wedges divided by their spectral
+    norms, and adds ``log_norms[s - 1, t - 1]`` = log||A_s^{wedge t}||
+    (last column log|det A_s|, the log-norm of the top degree); it
+    rescales its products every ``rescale_every`` levels
+    (:func:`matalg.rescale_period` of the largest condition number of
+    those wedges).  One cache holds the log wedge norms of every swept
+    length; pressure, domination and the QM search read them as they
+    are, and the profiles that the Legendre solver and the oracle need
+    are their differences, derived on each call.
     """
 
     Q: TransitionMatrix
     generators: list[np.ndarray]
     wedges: dict[int, np.ndarray] = field(init=False, repr=False)
-    log_det: np.ndarray = field(init=False, repr=False)
     unit_wedges: dict[int, np.ndarray] = field(init=False, repr=False)
     log_norms: np.ndarray = field(init=False, repr=False)
     rescale_every: int = field(init=False, repr=False)
@@ -85,14 +83,14 @@ class OneStepCocycle:
                 f"generator {shaped + 1} has shape {gens[shaped].shape}, expected {(d, d)}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.wedges = {t: matalg.wedge(stack, t) for t in range(1, d + 1)}
-            self.log_det = np.log(np.abs(self.wedges[d][:, 0, 0]))
+            log_det = np.log(np.abs(self.wedges[d][:, 0, 0]))
         entries = np.hstack([W.reshape(len(W), -1) for W in self.wedges.values()])
-        bad = np.flatnonzero(~np.isfinite(np.column_stack([entries, self.log_det])).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(np.column_stack([entries, log_det])).all(axis=1))
         if bad.size:
             raise ValueError(f"generator {bad[0] + 1} has an exterior power beyond the float range")
         sv = {t: np.linalg.svd(self.wedges[t], compute_uv=False) for t in range(1, d)}
         self.unit_wedges = {t: self.wedges[t] / s[:, :1, None] for t, s in sv.items()}
-        self.log_norms = np.column_stack([*(np.log(s[:, 0]) for s in sv.values()), self.log_det])
+        self.log_norms = np.column_stack([*(np.log(s[:, 0]) for s in sv.values()), log_det])
         with np.errstate(divide="ignore"):  # an underflowed sigma_min rescales every level
             self.rescale_every = matalg.rescale_period(
                 max((float(np.log(s[:, 0] / s[:, -1]).max()) for s in sv.values()), default=0.0))
@@ -278,21 +276,6 @@ def _profiles(logs: np.ndarray, n: int) -> np.ndarray:
     """Profiles from log wedge norms: their differences over t are
     n log sigma_t."""
     return np.diff(logs, axis=1, prepend=0.0) / n
-
-
-def profile(c: OneStepCocycle, word: Word) -> np.ndarray:
-    """The singular profile (1/n)(log sigma_1, ..., log sigma_d) of A_I:
-    the sweep kernel of :func:`profile_matrix` on a one-row frontier."""
-    n = len(word)
-    if n < 1:
-        raise ValueError("profile needs a nonempty word")
-    if not sft.is_admissible(c.Q, word):
-        raise ValueError(f"word {word} is not admissible")
-    front = _root(c)
-    for depth, s in enumerate(word, start=1):
-        front = _advance(c, front, np.zeros(1, dtype=np.intp), np.array([s]),
-                         depth % c.rescale_every == 0)
-    return _profiles(_finish(front), n)[0]
 
 
 def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:

@@ -5,6 +5,7 @@ dominated subsystems and their block pressure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,12 @@ CONE_MARGIN = 1e-3
 #: cap on #base words, and on #blocks enumerated when testing an
 #: extended tuple
 BLOCK_BUDGET = 300_000
+
+#: most candidate paddings, and most (J1, J2) pairs, of one padding
+#: search: the default bound 8 makes at most 88 candidates (|w| = 1),
+#: so at most 7,744 pairs; a tested pair took 2.5-2.7 ms at n = 2,
+#: d = 2 on 2 cores, so a search stops after about 30 s there
+MAX_PADDINGS = 10_000
 
 
 @dataclass
@@ -294,7 +301,7 @@ def _sampled_margin(
 
 
 def multicone_search(
-    reps: list[np.ndarray],
+    reps: np.ndarray,
     seed: int = 0,
     radius: float = 0.2,
     margin_tol: float = CONE_MARGIN,
@@ -403,7 +410,9 @@ class SubsystemSearchError(RuntimeError):
 
 
 def _padding_candidates(a: int, w: Word, bound: int) -> list[Word]:
-    """Words over the witness tokens {a, a·w} of length <= bound."""
+    """Words over the witness tokens {a, a·w} of length <= bound; more
+    than MAX_PADDINGS raise BudgetError.  Their number grows by a factor
+    of at most about 1.6 (at |w| = 1) per unit of bound."""
     tokens = [(a,), (a,) + tuple(w)]
     out = {(): None}
     frontier = [()]
@@ -413,6 +422,9 @@ def _padding_candidates(a: int, w: Word, bound: int) -> list[Word]:
             for tok in tokens:
                 cand = word + tok
                 if len(cand) <= bound and cand not in out:
+                    if len(out) >= MAX_PADDINGS:
+                        raise BudgetError(f"more than {MAX_PADDINGS} padding words of "
+                                          f"length <= {bound}; reduce the pad bound")
                     out[cand] = None
                     nxt.append(cand)
         frontier = nxt
@@ -439,7 +451,9 @@ def build_dominated_subsystem(
     accepted family has one common (J1, J2), hence automatically a
     uniform total length.  A symbol of (a, w) outside the alphabet
     raises ValueError, and so do products that overflow; more than
-    BLOCK_BUDGET base words raise BudgetError before any is enumerated.
+    BLOCK_BUDGET base words raise BudgetError before any is enumerated,
+    and so does a search that would try more than MAX_PADDINGS
+    candidates or pairs.
     """
     sft.check_symbols(c.Q, (a, *w))
     n_words = sft.count_words(c.Q, n)
@@ -452,29 +466,31 @@ def build_dominated_subsystem(
     depths = _block_depths(len(base))
 
     words = None
-    for pad_left in candidates:
-        for pad_right in candidates:
-            ext = np.tile(pad_left + (0,) * n + pad_right, (len(base), 1))
-            ext[:, len(pad_left):len(pad_left) + n] = base
-            # every step, and the wrap that lets blocks concatenate, is allowed
-            if not c.Q.entries[ext - 1, np.roll(ext, -1, axis=1) - 1].all():
-                continue
-            words = ext
-            c_ext = OneStepCocycle(Q=full_shift(len(base)), generators=list(word_products(c, ext)))
-            report = domination_report(
-                c_ext, n_range=depths, monotone_from=depths[0], budget=BLOCK_BUDGET,
+    for tried, (pad_left, pad_right) in enumerate(itertools.product(candidates, repeat=2)):
+        if tried == MAX_PADDINGS:
+            raise BudgetError(f"no dominated tuple among the first {tried} padding pairs "
+                              f"(bound {pad_bound}); reduce the pad bound")
+        ext = np.tile(pad_left + (0,) * n + pad_right, (len(base), 1))
+        ext[:, len(pad_left):len(pad_left) + n] = base
+        # every step, and the wrap that lets blocks concatenate, is allowed
+        if not c.Q.entries[ext - 1, np.roll(ext, -1, axis=1) - 1].all():
+            continue
+        words = ext
+        c_ext = OneStepCocycle(Q=full_shift(len(base)), generators=list(word_products(c, ext)))
+        report = domination_report(
+            c_ext, n_range=depths, monotone_from=depths[0], budget=BLOCK_BUDGET,
+        )
+        if report.passed:
+            # observed 2-block almost-additivity constants: per degree t,
+            # min over pairs of log||B_IJ^t|| - log||B_I^t|| - log||B_J^t||
+            norms = log_wedge_norm_matrices(c_ext, (1, 2))
+            one, two = norms[1], norms[2].reshape(c_ext.k, c_ext.k, c_ext.d)
+            return DominatedSubsystem(
+                base_n=n, pad_left=pad_left, pad_right=pad_right,
+                ell=words.shape[1], words=words,
+                tuple_cocycle=c_ext, report=report,
+                log_kappa=(two - one[:, None] - one[None]).min(axis=(0, 1)),
             )
-            if report.passed:
-                # observed 2-block almost-additivity constants: per degree t,
-                # min over pairs of log||B_IJ^t|| - log||B_I^t|| - log||B_J^t||
-                norms = log_wedge_norm_matrices(c_ext, (1, 2))
-                one, two = norms[1], norms[2].reshape(c_ext.k, c_ext.k, c_ext.d)
-                return DominatedSubsystem(
-                    base_n=n, pad_left=pad_left, pad_right=pad_right,
-                    ell=words.shape[1], words=words,
-                    tuple_cocycle=c_ext, report=report,
-                    log_kappa=(two - one[:, None] - one[None]).min(axis=(0, 1)),
-                )
     # the worst word of the last tuple tested, none if no candidate was admissible
     worst = None if words is None else tuple(words[_worst_word_index(c_ext)].tolist())
     raise SubsystemSearchError(

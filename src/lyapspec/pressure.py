@@ -31,13 +31,11 @@ class PressureEstimate:
     ``upper`` is the Fekete bound, present only when t_1..t_{d-1} >= 0
     (t_d may have either sign).
     ``cauchy`` is |P_n - P_{n-2}| when n > 2: a difference of two
-    finite-n values, not a bound on the error of P_n.  Over the (G, d)
-    grid ``q`` every field is a (G,) array, with NaN for an absent
+    finite-n values, not a bound on the error of P_n.  Over a (G, d)
+    grid of q every field is a (G,) array, with NaN for an absent
     bracket.
     """
 
-    q: np.ndarray
-    n: int
     value: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -157,7 +155,7 @@ def pressure_table(
              else np.full_like(value, np.nan))
     upper = np.where((weight_differences(grid)[:, :-1] >= 0).all(axis=1), value, np.nan)
     cauchy = np.abs(value - logs[n - 2] / (n - 2)) if n > 2 else np.full_like(value, np.nan)
-    return PressureEstimate(q=grid, n=n, value=value, lower=lower, upper=upper, cauchy=cauchy)
+    return PressureEstimate(value=value, lower=lower, upper=upper, cauchy=cauchy)
 
 
 def convexity_probe(c: OneStepCocycle, q_a, q_b, n: int) -> float:

@@ -73,10 +73,13 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
     grad P_n maps R^d onto the relative interior of the hull of the
     length-n profiles, so the solver alone decides the boundary: status
     is boundary-suspect when the minimizer escapes past Q_MAX (or past
-    Q_MAX/2 at convergence), h is then the objective at the last iterate,
-    and the point is ``empty`` (alpha is off the profile hull) when alpha
-    lies GRAD_TOL past every profile along u = q*/|q*|.  Negative
-    finite-n values are clamped to zero with a flag.
+    Q_MAX/2 at convergence), h is then the objective at the last iterate.
+    Any row that has not converged, with q* != 0, is ``empty`` (alpha is
+    off the profile hull) when alpha lies GRAD_TOL past every profile
+    along u = q*/|q*|: a separating direction certifies that whatever
+    u is, so it also catches a far alpha whose damped steps, at most
+    1/|g| long, never reach Q_MAX.  Negative finite-n values are clamped
+    to zero with a flag.
     """
     P2 = pressure._products(profs)
     G, d = alphas.shape
@@ -130,7 +133,7 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
     far = np.linalg.norm(q, axis=1) > Q_MAX / 2
     status[far & (status == "interior-converged")] = "boundary-suspect"
     empty = np.zeros(G, dtype=bool)
-    for i in np.flatnonzero(status == "boundary-suspect"):  # then |q*| > Q_MAX/2
+    for i in np.flatnonzero((status != "interior-converged") & q.any(axis=1)):
         u = q[i] / np.linalg.norm(q[i])
         empty[i] = float(u @ alphas[i]) > float((profs @ u).max()) + GRAD_TOL
     clamped = f < 0

@@ -8,7 +8,7 @@ finite matrix product computed here directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -31,19 +31,6 @@ MAX_DIM = 6
 
 
 @dataclass
-class HolonomyLoop:
-    """Return matrix of the homoclinic loop through the fixed symbol a.
-
-    W = A_a^{-(|w|+1)} A_{a w}, the one-step reduction of the
-    stable/unstable holonomy composition around the orbit of a·w·a.
-    """
-
-    a: int
-    w: Word
-    W: np.ndarray = field(repr=False)
-
-
-@dataclass
 class TypicalityReport:
     """Pinching margins ``gap_margins[t - 1]``, t = 1..d-1, and the
     twisting margin at one pair (a, w); see :func:`check_typical`."""
@@ -60,30 +47,22 @@ class TypicalityReport:
 
 @dataclass
 class QMReport:
-    """Empirical simultaneous quasi-multiplicativity constants.
+    """Empirical simultaneous quasi-multiplicativity constants: ``C``
+    and ``k`` are the first connecting length with a constant above
+    1e-12 over all tested word pairs, both None when no length passes."""
 
-    ``C`` and ``k`` are the first connecting length with a constant
-    above 1e-12 over all tested word pairs; ``worst_pair`` is the
-    minimizing (I, J) at that k, or, when no k passes, the first pair
-    with no connector at the last k without one.  ``constants_by_k``
-    records the search up to where it stopped: None below k = mixing
-    rate - 1 and wherever some pair has no connector.
-    """
-
-    n_max: int
-    k_max: int
     k: int | None
     C: float | None
-    constants_by_k: dict[int, float | None]
-    worst_pair: tuple[Word, Word] | None
 
     @property
     def found(self) -> bool:
         return self.k is not None
 
 
-def holonomy_loop(c: OneStepCocycle, a: int, w: Word) -> HolonomyLoop:
-    """Compute the holonomy loop matrix for fixed symbol a and core word w."""
+def holonomy_loop(c: OneStepCocycle, a: int, w: Word) -> np.ndarray:
+    """Return matrix W = A_a^{-(|w|+1)} A_{a w} of the homoclinic loop
+    through the fixed symbol a with core word w: the one-step reduction
+    of the stable/unstable holonomy composition around the orbit of a·w·a."""
     w = tuple(w)
     if not w:
         raise ValueError("core word w must be nonempty")
@@ -96,8 +75,7 @@ def holonomy_loop(c: OneStepCocycle, a: int, w: Word) -> HolonomyLoop:
         raise ValueError(f"loop word {loop_word} is not admissible")
     Aa = c.generators[a - 1]
     M = product(c, (a,) + w)
-    W = np.linalg.matrix_power(np.linalg.inv(Aa), len(w) + 1) @ M
-    return HolonomyLoop(a=a, w=w, W=W)
+    return np.linalg.matrix_power(np.linalg.inv(Aa), len(w) + 1) @ M
 
 
 def _gap_margins(c: OneStepCocycle, a: int) -> list[float]:
@@ -143,13 +121,14 @@ def check_typical(c: OneStepCocycle, a: int, w: Word) -> TypicalityReport:
     whenever |I| + |J| = d; its margin is :func:`_twist_margin`, set to
     0 when pinching fails.
     """
-    loop = holonomy_loop(c, a, w)
+    w = tuple(w)
+    W = holonomy_loop(c, a, w)
     gaps = _gap_margins(c, a)
     twist = 0.0
     if min(gaps, default=np.inf) > TOL_GAP:
         # a spectrum with distinct moduli is real: drop rounding imaginaries
-        twist = _twist_margin(loop.W, np.real(np.linalg.eig(c.generators[a - 1])[1]))
-    return TypicalityReport(a=a, w=loop.w, gap_margins=gaps, twist_margin=twist)
+        twist = _twist_margin(W, np.real(np.linalg.eig(c.generators[a - 1])[1]))
+    return TypicalityReport(a=a, w=w, gap_margins=gaps, twist_margin=twist)
 
 
 def search_typical_pair(c: OneStepCocycle, depth: int) -> TypicalityReport | None:
@@ -213,17 +192,6 @@ def qm_lengths(Q: sft.TransitionMatrix, n_max: int, k_max: int) -> tuple[int | N
     return (k, _reads(n_max, k)) if n_max and k <= k_max else (None, range(0))
 
 
-def _no_connector(Q: sft.TransitionMatrix, k: int) -> tuple[Word, Word]:
-    """The first pair (I, J), in the order of the search, with no
-    connector of length k < :func:`_first_connector`: the one-symbol
-    words at the first zero of Q^(k+1), row by row."""
-    P = Q.entries > 0
-    for _ in range(k):
-        P = (P.astype(np.int64) @ Q.entries) > 0
-    i, j = np.argwhere(~P)[0].tolist()
-    return (i + 1,), (j + 1,)
-
-
 def qm_search(
     c: OneStepCocycle,
     n_max: int,
@@ -240,8 +208,8 @@ def qm_search(
     search, is a report state.
 
     Every k below :func:`_first_connector` (the mixing rate - 1)
-    leaves a pair with no connector, so C(k) is None there without a
-    sweep.  From it, the connector lengths are evaluated one at a time,
+    leaves a pair with no connector, so it is skipped without a sweep.
+    From there the connector lengths are evaluated one at a time,
     and the search stops at the first that passes.  Length k reads the
     norms of the lengths 1..2 n_max + k (:func:`log_wedge_norm_matrices`,
     so each failing k sweeps one more length) and the words of one
@@ -254,12 +222,8 @@ def qm_search(
     """
     if not n_max:
         # no words, no pairs: an empty search bounds nothing
-        return QMReport(n_max=n_max, k_max=k_max, k=None, C=None,
-                        constants_by_k=dict.fromkeys(range(k_max + 1)), worst_pair=None)
-    k_first = _first_connector(c.Q)
-    constants: dict[int, float | None] = dict.fromkeys(range(min(k_first, k_max + 1)))
-    chosen_k = chosen_C = worst_pair = None
-    for k in range(k_first, k_max + 1):
+        return QMReport(k=None, C=None)
+    for k in range(_first_connector(c.Q), k_max + 1):
         lengths = _reads(n_max, k)
         norms = {n: logs[:, :-1]
                  for n, logs in log_wedge_norm_matrices(c, lengths, budget).items()}
@@ -288,29 +252,13 @@ def qm_search(
                 ratio.append((norms[L] - norms[a][I] - norms[b][J]).min(
                     axis=1, initial=np.inf if c.d > 1 else 0.0))
 
-        # best[I, J] = max over K of the ratio; -inf: no K makes IKJ admissible
+        # best[I, J] = max over K of the ratio; -inf: no K makes IKJ
+        # admissible, so C = 0 and k fails
         best = np.full(size * size, -np.inf)
         np.maximum.at(best, np.concatenate(index), np.concatenate(ratio))
-        # the first minimal pair in (I, J) order
-        ij = int(np.argmin(best))
-        rows = divmod(ij, size)
-        lens = np.searchsorted(offset, rows, side="right")
-        pair = tuple(tuple(arrays[a - 1][r - offset[a - 1]].tolist())
-                     for a, r in zip(lens, rows))
-        log_c = best[ij]
-        if log_c == -np.inf:
-            constants[k], worst_pair = None, pair
-            continue
         # a ratio past the float range keeps C = inf
         with np.errstate(over="ignore"):
-            constants[k] = float(np.exp(log_c))
-        if constants[k] > 1e-12:
-            chosen_k, chosen_C, worst_pair = k, constants[k], pair
-            break
-    last_skipped = min(k_first, k_max + 1) - 1
-    if worst_pair is None and chosen_k is None and last_skipped >= 0:
-        worst_pair = _no_connector(c.Q, last_skipped)
-    return QMReport(
-        n_max=n_max, k_max=k_max, k=chosen_k, C=chosen_C,
-        constants_by_k=constants, worst_pair=worst_pair,
-    )
+            C = float(np.exp(best.min()))
+        if C > 1e-12:
+            return QMReport(k=k, C=C)
+    return QMReport(k=None, C=None)

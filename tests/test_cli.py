@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lyapspec import cli, cocycle, sft, spectrum, typicality
+from lyapspec import cli, cocycle, domination, sft, spectrum, typicality
 from lyapspec.cocycle import OneStepCocycle
 
 DIAG = """\
@@ -309,9 +309,10 @@ class TestCommands:
         # the first connector length of a Wielandt shift already overflows
         wielandt = tmp_path / "wielandt.cocycle"
         wielandt.write_text(WIELANDT)
-        qm = typicality.qm_search(cli.load_cocycle(str(wielandt)), 1, 4)
-        assert (qm.k, qm.C) == (4, np.inf)
-        assert qm.constants_by_k == {0: None, 1: None, 2: None, 3: None, 4: np.inf}
+        c = cli.load_cocycle(str(wielandt))
+        assert (typicality.qm_search(c, 1, 4).k, typicality.qm_search(c, 1, 4).C) == (4, np.inf)
+        # below the mixing rate - 1 some pair has no connector
+        assert not typicality.qm_search(c, 1, 3).found
 
     def test_pressure_infinite_qm_constant_leaves_lower_blank(self, tmp_path):
         """A QM constant past the float range brackets nothing: every
@@ -528,6 +529,19 @@ def test_pair_search_cap_exit_4(command, diag_file, monkeypatch, capsys):
                                 "checked, at a = 1 and length 6; reduce the search depth"]
 
 
+def test_padding_cap_exit_4(pos_file, tmp_path, monkeypatch, capsys):
+    """The padding search stops past MAX_PADDINGS candidates: exit 4,
+    one stderr line, and no output."""
+    monkeypatch.setattr(domination, "MAX_PADDINGS", 5)
+    sub_out = tmp_path / "x.cocycle"
+    assert cli.main(["subsystem", pos_file, "--base-n", "2", "--subsystem-out",
+                     str(sub_out)]) == cli.EXIT_BUDGET
+    out, err = capsys.readouterr()
+    assert out == "" and not sub_out.exists()
+    assert err.splitlines() == ["budget exceeded: more than 5 padding words of length <= 8; "
+                                "reduce the pad bound"]
+
+
 @pytest.mark.parametrize("argv", [
     ["pressure", "{diag}", "--q=0:0:1", "--n", "4", "--out", "{missing}/p.csv"],
     ["spectrum", "{diag}", "--auto-grid", "3", "--n", "4", "--out", "{missing}/s.csv"],
@@ -695,7 +709,8 @@ def _diag_entropy(a):
     (np.log(5), "boundary-suspect", "", None),
     (np.log(2) + 5e-5, "interior-converged", _diag_entropy(np.log(2) + 5e-5), 1e-8),
     (np.log(2), "boundary-suspect", 0.0, 1e-3),
-], ids=["beyond-log3", "near-log2", "on-log2"])
+    (1000.0, "diverged", "", None),
+], ids=["beyond-log3", "near-log2", "on-log2", "far"])
 def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, status, h, tol, diag_file,
                                                               tmp_path):
     """log 5 lies beyond the largest exponent log 3 of the diagonal
@@ -704,7 +719,10 @@ def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, status, h, tol,
     5e-5 lies inside the profile hull (though outside the hull of the
     5^d sampled gradients), and the solver converges on the closed form:
     P_n = log(2^u + 3^u) at every n.  log 2 is a profile (the word
-    11...1), on the hull: its level set is not empty, so h stays finite."""
+    11...1), on the hull: its level set is not empty, so h stays finite.
+    From 1000 the damped steps, at most 1/|g| long, never reach q_max:
+    the row diverges, and its direction still proves the level set
+    empty."""
     out = tmp_path / "s.csv"
     a = float(a)
     assert cli.main(["spectrum", diag_file, f"--alpha={a}:{a}:1;{-a}:{-a}:1",

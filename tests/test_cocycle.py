@@ -6,7 +6,7 @@ import pytest
 from lyapspec import cli, cocycle, domination, matalg, pressure, sft, typicality
 from lyapspec.cocycle import (
     BudgetError, OneStepCocycle, eigen_exponents, log_wedge_norm_matrices,
-    product, profile, profile_matrix,
+    product, profile_matrix,
 )
 
 
@@ -58,15 +58,14 @@ class TestConstruction:
     def test_unit_wedges_and_log_norm_table(self, twisted4_cocycle):
         """The sweep's cache: each degree t < d divided by its spectral
         norm, whose log is column t of the table; the last column is
-        log_det itself."""
+        log|det|."""
         c = twisted4_cocycle
         for t in range(1, c.d):
             norms = np.linalg.svd(c.wedges[t], compute_uv=False)[:, 0]
             assert np.allclose(np.linalg.svd(c.unit_wedges[t], compute_uv=False)[:, 0], 1.0,
                                rtol=1e-14)
             assert np.allclose(c.log_norms[:, t - 1], np.log(norms), rtol=0, atol=1e-14)
-        assert c.log_norms[:, -1] is not c.log_det
-        assert np.array_equal(c.log_norms[:, -1], c.log_det)
+        assert np.array_equal(c.log_norms[:, -1], np.log(np.abs(np.linalg.det(c.generators))))
 
     def test_rescale_period_of_the_wedges(self):
         """diag(1e6, 1e-6) has condition number 1e12 at degree 1, so the
@@ -104,19 +103,24 @@ class TestProduct:
             product(pos_cocycle, (1,) * 31)
 
 
+def _svd_profiles(c, n):
+    """The profiles of the length-n words from the SVD of each plain
+    product, in lexicographic word order."""
+    return np.array([matalg.log_singular_values(product(c, word)) / n
+                     for word in sft.enumerate_words(c.Q, n)])
+
+
 class TestProfile:
     def test_matches_direct_svd(self, pos_cocycle):
-        for word in sft.enumerate_words(pos_cocycle.Q, 6):
-            direct = matalg.log_singular_values(product(pos_cocycle, word)) / 6
-            assert np.allclose(profile(pos_cocycle, word), direct, atol=1e-10)
+        assert np.allclose(profile_matrix(pos_cocycle, 6), _svd_profiles(pos_cocycle, 6),
+                           atol=1e-10)
 
     def test_survives_overflow_scale(self):
         """Renormalized accumulation keeps working where the raw
         product would overflow a float."""
         c = OneStepCocycle(Q=sft.full_shift(1),
                            generators=[np.diag([1e4, 1e-4])])
-        p = profile(c, (1,) * 100)
-        assert np.allclose(p, [np.log(1e4), np.log(1e-4)], atol=1e-8)
+        assert np.allclose(profile_matrix(c, 100), [[np.log(1e4), np.log(1e-4)]], atol=1e-8)
 
     def test_survives_unit_norm_products_that_shrink(self):
         """A quarter turn of diag(1e6, 1e-6) squares to -I: its unit-norm
@@ -125,17 +129,16 @@ class TestProfile:
         c = OneStepCocycle(Q=sft.full_shift(1),
                            generators=[np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.diag([1e6, 1e-6])])
         assert c.rescale_every == 8
-        assert np.allclose(profile(c, (1,) * 100), [0.0, 0.0], atol=1e-12)
+        assert np.allclose(profile_matrix(c, 100), [[0.0, 0.0]], atol=1e-12)
         assert np.allclose(profile_matrix(c, 101), [[np.log(1e6) / 101, np.log(1e-6) / 101]],
                            atol=1e-12)
 
-    def test_profile_matrix_rows_in_word_order(self, pos_cocycle):
-        n = 5
-        profs = profile_matrix(pos_cocycle, n)
-        words = list(sft.enumerate_words(pos_cocycle.Q, n))
-        assert profs.shape == (len(words), 2)
-        for row, word in zip(profs, words):
-            assert np.allclose(row, profile(pos_cocycle, word), atol=1e-10)
+    def test_profile_matrix_rows_in_word_order(self, pos_cocycle, golden_mean_Q):
+        """On the golden mean shift too, row i is the i-th admissible word."""
+        c = OneStepCocycle(Q=golden_mean_Q, generators=pos_cocycle.generators)
+        profs = profile_matrix(c, 5)
+        assert profs.shape == (sft.count_words(c.Q, 5), 2)
+        assert np.allclose(profs, _svd_profiles(c, 5), atol=1e-10)
 
     def test_profile_matrix_respects_transitions(self, golden_identity):
         assert profile_matrix(golden_identity, 7).shape[0] == \
@@ -157,18 +160,16 @@ class TestProfile:
 
 class TestSweepEngine:
     def test_blocked_sweep_is_bit_identical(self, monkeypatch):
-        """Cutting the frontier into small blocks changes neither the
-        values nor the row order, and profile() runs the same kernel."""
+        """Cutting the frontier into small blocks, down to one row per
+        block, changes neither the values nor the row order."""
         rng = np.random.default_rng(3)
         Q = sft.validate([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
         gens = [rng.standard_normal((3, 3)) for _ in range(3)]
         whole = profile_matrix(OneStepCocycle(Q=Q, generators=gens), 7)
-        monkeypatch.setattr(cocycle, "BLOCK_ROWS", 5)
-        blocked = profile_matrix(OneStepCocycle(Q=Q, generators=gens), 7)
-        assert np.array_equal(blocked, whole)
-        c = OneStepCocycle(Q=Q, generators=gens)
-        singles = np.array([profile(c, w) for w in sft.enumerate_words(Q, 7)])
-        assert np.array_equal(singles, whole)
+        for rows in (5, 1):
+            monkeypatch.setattr(cocycle, "BLOCK_ROWS", rows)
+            blocked = profile_matrix(OneStepCocycle(Q=Q, generators=gens), 7)
+            assert np.array_equal(blocked, whole)
 
     def test_deep_sweep_on_one_symbol(self):
         """#L_n = 1 at every n on the one-symbol shift, so the sweep
@@ -260,7 +261,6 @@ class TestSweepEngine:
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         assert profile_matrix(c, 5).shape == (32, d)
         assert log_wedge_norm_matrices(c, (4,))[4].shape == (16, d)
-        assert profile(c, (1, 2, 2)).shape == (d,)
 
     def test_sweep_certifies_most_rows(self, monkeypatch):
         """The Rayleigh quotient finishes most D >= 3 rows: a sweep at
@@ -309,15 +309,15 @@ class TestOneSweepPerRequest:
         the lengths of k = 0 alone."""
         gens = list(np.random.default_rng(0).standard_normal((3, 3, 3)))
         qm = typicality.qm_search(OneStepCocycle(Q=sft.full_shift(3), generators=gens), 4, 4)
-        assert qm.k == 0 and list(qm.constants_by_k) == [0]
+        assert qm.k == 0 and qm.C > 1e-12
         assert sweeps == [list(range(1, 9))]
 
     def test_qm_search_starts_at_the_first_connector(self, golden_identity, sweeps):
         """Below the mixing rate some pair has no connector: the search
-        records None there and sweeps only for k = 1 on the golden mean
-        shift."""
+        skips k = 0 and sweeps only for k = 1 on the golden mean shift,
+        where identity generators give C = 1 exactly."""
         qm = typicality.qm_search(self._fresh(golden_identity), 2, 3)
-        assert qm.constants_by_k == {0: None, 1: 1.0}
+        assert (qm.k, qm.C) == (1, 1.0)
         assert sweeps == [list(range(1, 6))]
 
     def test_failing_connector_length_sweeps_one_more_length(self, sweeps):
@@ -327,8 +327,7 @@ class TestOneSweepPerRequest:
         c = OneStepCocycle(Q=sft.full_shift(2),
                            generators=[np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])])
         qm = typicality.qm_search(c, 2, 4)
-        assert qm.k == 2 and list(qm.constants_by_k) == [0, 1, 2]
-        assert [round(np.log10(C)) for C in qm.constants_by_k.values()] == [-20, -15, -10]
+        assert qm.k == 2 and round(np.log10(qm.C)) == -10
         assert sweeps == [[1, 2, 3, 4], [5], [6]]
 
     def test_empty_qm_search_sweeps_nothing(self, pos_cocycle, sweeps):
@@ -410,7 +409,7 @@ class TestEigenExponents:
         by degree (partial sums)."""
         word = (1, 2, 1, 1)
         eig = eigen_exponents(pos_cocycle, word)
-        prof = profile(pos_cocycle, word)
+        prof = matalg.log_singular_values(product(pos_cocycle, word)) / len(word)
         assert np.cumsum(eig)[0] <= np.cumsum(prof)[0] + 1e-10
         # determinant makes the full sums equal
         assert eig.sum() == pytest.approx(prof.sum(), abs=1e-10)

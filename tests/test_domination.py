@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lyapspec import domination, matalg, sft
-from lyapspec.cocycle import OneStepCocycle
+from lyapspec.cocycle import BudgetError, OneStepCocycle
 
 
 class TestDominationTest:
@@ -190,3 +190,25 @@ class TestDominatedSubsystem:
         with pytest.raises(domination.SubsystemSearchError):
             domination.build_dominated_subsystem(rotation_cocycle, 2, 1, (2,),
                                                  pad_bound=3)
+
+    def test_default_bound_stays_below_the_padding_cap(self):
+        """At the default bound 8, |w| = 1 gives the most candidates, 88,
+        and even every one of their pairs stays below the cap."""
+        assert len(domination._padding_candidates(1, (2,), 8)) == 88
+        assert 88**2 < domination.MAX_PADDINGS
+
+    def test_padding_pairs_are_capped(self, rotation_cocycle, monkeypatch):
+        """The rotations exhaust their 49 pairs at bound 3; with the cap
+        at 20 the search stops at the 21st pair instead."""
+        monkeypatch.setattr(domination, "MAX_PADDINGS", 20)
+        with pytest.raises(BudgetError, match=r"^no dominated tuple among the first 20 "
+                                              r"padding pairs \(bound 3\); reduce the pad bound$"):
+            domination.build_dominated_subsystem(rotation_cocycle, 2, 1, (2,), pad_bound=3)
+
+    def test_padding_candidates_are_capped(self, rotation_cocycle, monkeypatch):
+        """Bound 8 makes 88 candidates: with the cap at 50 the search
+        stops while building them, before any pair is tested."""
+        monkeypatch.setattr(domination, "MAX_PADDINGS", 50)
+        monkeypatch.setattr(domination, "domination_report", None)
+        with pytest.raises(BudgetError, match=r"^more than 50 padding words of length <= 8"):
+            domination.build_dominated_subsystem(rotation_cocycle, 2, 1, (2,))

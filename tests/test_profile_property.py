@@ -209,8 +209,9 @@ def _normalised_sweep(c, n: int) -> np.ndarray:
             P /= scale[:, None, None]
             logs[:, t - 1] += np.log(scale)
         logs[:, t - 1] += np.log(_svd_norm(P))
+    log_det = np.log(np.abs(np.linalg.det(c.generators)))
     for col in words.T:
-        logs[:, -1] += c.log_det[col - 1]
+        logs[:, -1] += log_det[col - 1]
     return logs
 
 

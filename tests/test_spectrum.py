@@ -183,6 +183,17 @@ class TestNewtonSolver:
         assert pt.status == "boundary-suspect"
         assert np.linalg.norm(pt.q_star) > spectrum.Q_MAX
 
+    @pytest.mark.parametrize("a", [50.0, 1000.0, 1e6, -1e6])
+    def test_far_alpha_that_never_escapes_is_empty(self, a, pos_cocycle):
+        """alpha = (a, a) far past every profile: the damped steps are at
+        most 1/|g| long, so the iterate stays short of Q_MAX and the row
+        diverges; its direction still separates alpha from every profile,
+        so the level set is empty."""
+        pt = spectrum.spectrum_curve(pos_cocycle, np.array([[a, a]]), 3)[0]
+        assert pt.status == "diverged" and np.linalg.norm(pt.q_star) < spectrum.Q_MAX
+        assert pt.empty
+        assert spectrum.oracle_count(pos_cocycle, np.array([[a, a]]), 0.05, 3)[0][0] == 0
+
 
 @st.composite
 def _hull_cases(draw):

@@ -10,17 +10,17 @@ from lyapspec.cocycle import BudgetError, OneStepCocycle, product
 class TestHolonomyLoop:
     def test_worked_value(self, pos_cocycle):
         """For a = 1, w = (2): W = A1^{-2} A2 A1, computable by hand."""
-        loop = typicality.holonomy_loop(pos_cocycle, 1, (2,))
-        assert np.allclose(loop.W, [[0.5, 0.25], [2.0, 2.0]], atol=1e-12)
+        W = typicality.holonomy_loop(pos_cocycle, 1, (2,))
+        assert np.allclose(W, [[0.5, 0.25], [2.0, 2.0]], atol=1e-12)
 
     def test_inverse_normalization(self, pos_cocycle):
         """W = A_a^{-(|w|+1)} A_{a w}: multiplying back recovers the
         raw word product."""
         a, w = 1, (2, 1, 2)
-        loop = typicality.holonomy_loop(pos_cocycle, a, w)
+        W = typicality.holonomy_loop(pos_cocycle, a, w)
         Aa = pos_cocycle.generators[a - 1]
         raw = product(pos_cocycle, (a,) + w)
-        assert np.allclose(np.linalg.matrix_power(Aa, len(w) + 1) @ loop.W,
+        assert np.allclose(np.linalg.matrix_power(Aa, len(w) + 1) @ W,
                            raw, atol=1e-9)
 
     def test_rejects_inadmissible(self, golden_identity):

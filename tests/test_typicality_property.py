@@ -14,13 +14,13 @@ from lyapspec import matalg, sft, typicality  # noqa: E402
 from lyapspec.cocycle import OneStepCocycle  # noqa: E402
 
 
-def _columns(c, t, loop):
+def _columns(c, t, a, W):
     """Unit eigenvectors V of A_a^{wedge t}, by decreasing modulus, and
-    their unit images WV under the degree-t wedge of the loop matrix."""
-    lam, vecs = np.linalg.eig(c.wedges[t][loop.a - 1])
+    their unit images WV under the degree-t wedge of the loop matrix W."""
+    lam, vecs = np.linalg.eig(c.wedges[t][a - 1])
     V = np.real(vecs[:, np.argsort(-np.abs(lam))])
     V /= np.linalg.norm(V, axis=0)
-    WV = matalg.wedge(loop.W, t) @ V
+    WV = matalg.wedge(W, t) @ V
     WV /= np.linalg.norm(WV, axis=0)
     return WV, V
 
@@ -71,8 +71,8 @@ def test_twisting_matches_general_position(d, seed, w):
     c = _cocycle(d, seed)
     report = typicality.check_typical(c, 1, tuple(w))
     hypothesis.assume(min(report.gap_margins) > typicality.TOL_GAP)
-    loop = typicality.holonomy_loop(c, 1, tuple(w))
-    reference = min(_indep_margin(*_columns(c, t, loop)) for t in range(1, d))
+    W = typicality.holonomy_loop(c, 1, tuple(w))
+    reference = min(_indep_margin(*_columns(c, t, 1, W)) for t in range(1, d))
     hypothesis.assume(_far(reference) and _far(report.twist_margin))
     assert (report.twist_margin > typicality.TOL_INDEP) == (reference > typicality.TOL_INDEP)
 
