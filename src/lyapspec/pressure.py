@@ -43,8 +43,11 @@ class PressureEstimate:
 
 
 #: float64 elements in one block of a batched Gibbs pass (rows of q
-#: times words, 64 KB); a block holds at least one row
-GIBBS_BLOCK = 2**13
+#: times words, 128 KB); a block holds at least one row.  2^14 is the
+#: largest power of two whose V block (2 rows of 16,384 words) keeps a
+#: pressure table at n = 14 on a 2-shift below half of its cached
+#: log-norms.
+GIBBS_BLOCK = 2**14
 
 
 def _products(profs: np.ndarray) -> np.ndarray:
@@ -65,7 +68,9 @@ def _gibbs(X: np.ndarray, W: np.ndarray, *fields: np.ndarray) -> list[np.ndarray
 
     V = W X^T is formed row-major, in blocks of rows of at most
     GIBBS_BLOCK elements; each row is shifted by its max, exponentiated
-    in place and summed, and E_w[F] is V F over the row sums.
+    in place and summed, and E_w[F] is V F over the row sums.  A pass
+    holds one V block at a time, so beyond its (G, m) results its
+    memory does not grow with G.
     """
     rows = max(1, GIBBS_BLOCK // len(X))
     if len(W) > rows:

@@ -58,14 +58,19 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
             q0: np.ndarray | None) -> list[SpectrumPoint]:
     """h(alpha) = inf_q {P_n(q) - <q, alpha>} over the (N, d) length-n
     profiles ``profs`` for every row of the (G, d) array ``alphas``, by
-    damped Newton, all rows in lockstep from the rows of ``q0`` (or 0).
+    damped Newton, all rows in lockstep from the rows of ``q0``, or
+    from 0, where one row's Gibbs pass serves every row, since the pass
+    at q = 0 does not depend on alpha.
 
     One Gibbs pass per trial point gives the value, and, once the point
     is accepted, the gradient g = E_w[profile] - alpha and the Hessian
     H = n Cov_w(profiles) from the same weights.  The step solves
     (H + |g|^2 I) p = -g: Newton near the minimizer, at most 1/|g| along
     flat or null directions of H, where a plain Newton step can jump
-    far out.  An Armijo backtrack keeps descent, with -g as fallback.
+    far out.  Both sides are divided by c^2, c = 2^e a power of two
+    at or above max|g|, which changes no bit of p and keeps |g|^2
+    finite for any finite alpha.  An Armijo backtrack keeps descent, with
+    -g/|g|^2, the step without H, as fallback.
     A row leaves the batch when it stops, and each backtrack step
     evaluates only the rows still searching, so a row's iterates do not
     depend on the other rows (up to the rounding of the batched pass).
@@ -91,7 +96,12 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
         log_s, mean, second = pressure._gibbs(profs, n * qv, profs, P2)
         return log_s / n - np.einsum("ij,ij->i", qv, alphas[rows]), mean, second
 
-    f, mean, second = objective(slice(None), q)
+    if q0 is None:
+        # at q = 0 neither the objective nor the moments depend on alpha
+        log_s, mean, second = pressure._gibbs(profs, np.zeros((1, d)), profs, P2)
+        f, mean, second = (np.repeat(x, G, axis=0) for x in (log_s / n, mean, second))
+    else:
+        f, mean, second = objective(slice(None), q)
     status = np.full(G, "diverged", dtype=object)
     grad_res = np.full(G, np.inf)
     live = np.arange(G)
@@ -106,12 +116,15 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
         live, g = live[keep], g[keep]
         if not live.size:
             break
-        gg = np.einsum("ij,ij->i", g, g)
-        H = pressure._hessians(mean[live], second[live], n)
-        p = np.linalg.solve(H + gg[:, None, None] * np.eye(d), -g[:, :, None])[:, :, 0]
+        e = np.frexp(grad_res[live])[1][:, None]
+        gc = np.ldexp(g, -e)
+        ggc = np.einsum("ij,ij->i", gc, gc)
+        H = np.ldexp(pressure._hessians(mean[live], second[live], n), -2 * e[:, :, None])
+        p = np.linalg.solve(H + ggc[:, None, None] * np.eye(d),
+                            np.ldexp(-g, -2 * e)[:, :, None])[:, :, 0]
         slope = np.einsum("ij,ij->i", g, p)
         uphill = ~(slope < 0)
-        p[uphill], slope[uphill] = -g[uphill], -gg[uphill]
+        p[uphill], slope[uphill] = np.ldexp(-gc[uphill], -e[uphill]) / ggc[uphill, None], -1.0
         step = 1.0
         searching = np.arange(live.size)
         while searching.size and step > 1e-14:
@@ -134,7 +147,9 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
     status[far & (status == "interior-converged")] = "boundary-suspect"
     empty = np.zeros(G, dtype=bool)
     for i in np.flatnonzero((status != "interior-converged") & q.any(axis=1)):
-        u = q[i] / np.linalg.norm(q[i])
+        # scaled by a power of two first, so |q*| cannot underflow
+        u = np.ldexp(q[i], -np.frexp(np.abs(q[i]).max())[1])
+        u /= np.linalg.norm(u)
         empty[i] = float(u @ alphas[i]) > float((profs @ u).max()) + GRAD_TOL
     clamped = f < 0
     h = np.where(clamped, 0.0, f)
@@ -175,8 +190,8 @@ def oracle_count(
     axis at a time on row blocks of at most pressure.GIBBS_BLOCK
     (alpha, word) pairs.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     grid = _check_grid(alpha_grid, c.d, "alpha_grid")
     profs = profile_matrix(c, n, budget=budget)
     hits = np.empty(len(grid), dtype=int)

@@ -735,6 +735,20 @@ def test_spectrum_user_alpha_outside_hull_is_boundary_suspect(a, status, h, tol,
         assert float(row["h"]) == pytest.approx(h, abs=tol)
 
 
+@pytest.mark.parametrize("a", ["1e155", "-1e300"])
+def test_spectrum_alpha_past_the_square_root_of_the_float_range_is_quiet(a, pos_file,
+                                                                         tmp_path):
+    """At |alpha| > 1e154, |g|^2 passes the float range: the Newton step
+    is solved with both sides scaled by a power of two, so the run is
+    quiet, and the row's direction still proves its level set empty."""
+    out = tmp_path / "s.csv"
+    run = _run_quiet(["spectrum", pos_file, "--n", "3", f"--alpha={a}:{a}:1;{a}:{a}:1",
+                      "--out", str(out)])
+    assert (run.returncode, run.stderr) == (0, "")
+    row, = _spectrum_rows(out)
+    assert row["status"] == "diverged" and row["h"] == ""
+
+
 def test_spectrum_derives_the_profiles_at_most_twice(diag_file, tmp_path, monkeypatch):
     """A 5 x 5 grid beyond the largest exponent log 3 of the diagonal
     cocycle, every point boundary-suspect, with the oracle: the solver,

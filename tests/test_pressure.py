@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -150,6 +152,24 @@ class TestLogSumExp:
         q = rng.normal(size=(1, 2)) * 30
         a = pressure.log_sums(pos_cocycle, q, (10,))[10][0]
         assert a == pressure.log_sums(pos_cocycle, q, (10,))[10][0]
+
+    def test_gibbs_pass_peak_is_one_block(self, pos_cocycle):
+        """A pass holds one V block of at most GIBBS_BLOCK floats at a
+        time: over 200 rows of 1,024 words (1.6 MB as one block), with
+        the mean and second moment as fields, its tracemalloc peak stays
+        below three blocks."""
+        profs = profile_matrix(pos_cocycle, 10)
+        assert len(profs) < pressure.GIBBS_BLOCK
+        fields = (profs, pressure._products(profs))
+        W = 10 * np.random.default_rng(3).normal(size=(200, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pressure._gibbs(profs, W, *fields)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * pressure.GIBBS_BLOCK * 8
 
 
 def _log_s(c, q, m):

@@ -145,6 +145,25 @@ class TestNewtonSolver:
         assert rows[0] == 8.0
         assert rows[1] == pytest.approx(-91.554, abs=1e-3)
 
+    def test_rows_from_zero_share_one_start_pass(self, pos_cocycle, monkeypatch):
+        """From q = 0 the pass does not depend on alpha: a 41-row grid
+        starts with one 1-row pass at q = 0, and no later pass evaluates
+        q = 0 again.  A 0-row grid gives no points."""
+        passes = []
+        gibbs = pressure._gibbs
+
+        def counted(X, W, *fields):
+            passes.append(W.copy())
+            return gibbs(X, W, *fields)
+
+        grid = spectrum.interior_alpha_grid(spectrum.domain_estimate(pos_cocycle, 6), 41)
+        monkeypatch.setattr(pressure, "_gibbs", counted)
+        points = spectrum.spectrum_curve(pos_cocycle, grid, 6)
+        assert passes[0].shape == (1, 2) and not passes[0].any()
+        assert sum(int((~W.any(axis=1)).sum()) for W in passes) == 1
+        assert all(pt.status == "interior-converged" for pt in points)
+        assert spectrum.spectrum_curve(pos_cocycle, np.empty((0, 2)), 6) == []
+
     def test_two_profiles_closed_form(self):
         """Profiles -1 and +1 at n = 1, no cocycle: P(q) = log(2 cosh q),
         so h(alpha) = H((1 + alpha)/2) in nats for |alpha| < 1.  alpha = 1
@@ -357,6 +376,13 @@ class TestOracle:
         if name == "diag_cocycle":
             from math import comb
             assert ref[-(n + 1):] == [comb(n, j) for j in range(n + 1)]
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+    def test_epsilon_must_be_positive(self, diag_cocycle, eps):
+        """A NaN epsilon is refused like a nonpositive one, as the CLI
+        refuses --eps nan, instead of counting no word."""
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            spectrum.oracle_count(diag_cocycle, np.array([[1.0, -1.0]]), eps, 4)
 
     def test_empty_box(self, diag_cocycle):
         counts, h_counts = spectrum.oracle_count(
