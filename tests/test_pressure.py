@@ -214,7 +214,7 @@ class TestPressureTable:
                 np.testing.assert_allclose(getattr(est, field)[i], ref, rtol=1e-13, atol=1e-13,
                                            err_msg=field)
 
-    @pytest.mark.parametrize("block", [1, 64, pressure.GIBBS_BLOCK])
+    @pytest.mark.parametrize("block", [1, 64, 2**13, pressure.GIBBS_BLOCK])
     def test_grid_of_many_blocks_matches_one_row_estimates(self, pos_cocycle, block,
                                                            monkeypatch):
         """1,024 words at n = 10 and 49 rows: several Gibbs blocks at
