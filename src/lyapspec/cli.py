@@ -373,7 +373,7 @@ def cmd_spectrum(args) -> int:
         header += ["epsilon", "count", "h_count", "gap"]
         counts, h_counts = spectrum.oracle_count(c, grid, args.eps, args.n, budget=args.budget)
         for row, pt, count, h_count in zip(rows, points, counts.tolist(), h_counts.tolist()):
-            # an empty level set has h = -inf
+            # a level set empty at length n has h_n = -inf
             gap = abs(h_count - pt.h) if count and not pt.empty else np.inf
             row.extend([args.eps, count, h_count, gap])
     with open_out(args.out) as out:
@@ -478,8 +478,12 @@ def cmd_subsystem(args) -> int:
     # rows first: a budget error must leave no subsystem file behind
     per_symbol = domination.subsystem_pressure(sub, grid, args.block_depth) / sub.ell
     base = pressure.log_sums(c, grid, (args.n,))[args.n] / args.n
-    cells = np.column_stack([per_symbol, base, np.abs(per_symbol - base)]).tolist()
-    rows = [[*q, sub.ell, *row] for q, row in zip(grid, cells)]
+    # a gap past the float range is absent, as a pressure bracket is
+    with np.errstate(invalid="ignore"):
+        gap = np.abs(per_symbol - base)
+    cells = np.column_stack([per_symbol, base, np.where(np.isfinite(gap), gap, np.nan)])
+    rows = [[*q, sub.ell, *("" if math.isnan(x) else x for x in row)]
+            for q, row in zip(grid, cells.tolist())]
     comment = (f"dominated subsystem: base_n={sub.base_n} ell={sub.ell} "
                f"pads={sub.pad_left}|{sub.pad_right}")
     header = [f"q_{i + 1}" for i in range(c.d)] + ["ell", "P_ell_D_per_symbol", "P_n", "gap"]

@@ -102,10 +102,29 @@ def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
 
     The longest length is checked against the budget first: #L_m grows
     with m, so a BudgetError names it, as a sweep of it alone would.
+    A row whose weights or products pass the float range leaves NaN
+    (inf - inf) in its pass, and :func:`_far_log_sum` takes it again.
     """
     _check_budget(c, max(lengths), budget)
-    W = weight_differences(Q)
-    return {m: _gibbs(L, W)[0] for m, L in log_wedge_norm_matrices(c, lengths, budget).items()}
+    norms = log_wedge_norm_matrices(c, lengths, budget)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = weight_differences(Q)
+        sums = {m: _gibbs(L, W)[0] for m, L in norms.items()}
+    for m, L in norms.items():
+        for i in np.flatnonzero(np.isnan(sums[m])):
+            sums[m][i] = _far_log_sum(L, Q[i])
+    return sums
+
+
+def _far_log_sum(X: np.ndarray, q: np.ndarray) -> float:
+    """The log-sum-exp of X t, t the weights of q, past the float range:
+    taken at q / 2^e, e the exponent of max|q|, t and X t stay finite and
+    scale back exactly, or to ±inf, which is the value at an infinite max."""
+    e = np.frexp(np.abs(q).max())[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.ldexp(X @ weight_differences(np.ldexp(q, -e)), e)
+        m = v.max()
+        return m if np.isinf(m) else m + np.log(np.exp(v - m).sum())
 
 
 def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int):
@@ -150,16 +169,19 @@ def pressure_table(
     (log C_1 + log s_{n-k}(q))/n <= P; a constant C past the float
     range gives no bracket.  Upper bracket (t_1..t_{d-1} >= 0): psi^q
     is then submultiplicative, since t_d only weighs |det|, which is
-    exactly multiplicative, and Fekete gives P <= P_n.
+    exactly multiplicative, and Fekete gives P <= P_n.  A bracket or a
+    difference past the float range is absent too.
     """
     grid = _check_grid(grid, c.d, "grid")
     bracket = qm_C is not None and qm_k is not None and 0 < qm_C < np.inf and n > qm_k
     logs = log_sums(c, grid, table_lengths(n, qm_k if bracket else None), budget)
     value = logs[n] / n
-    lower = ((bracket_constants(c, grid, qm_C, qm_k) + logs[n - qm_k]) / n if bracket
-             else np.full_like(value, np.nan))
-    upper = np.where((weight_differences(grid)[:, :-1] >= 0).all(axis=1), value, np.nan)
-    cauchy = np.abs(value - logs[n - 2] / (n - 2)) if n > 2 else np.full_like(value, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = ((bracket_constants(c, grid, qm_C, qm_k) + logs[n - qm_k]) / n if bracket
+                 else np.full_like(value, np.nan))
+        upper = np.where((weight_differences(grid)[:, :-1] >= 0).all(axis=1), value, np.nan)
+        cauchy = np.abs(value - logs[n - 2] / (n - 2)) if n > 2 else np.full_like(value, np.nan)
+    lower, upper, cauchy = (np.where(np.isfinite(x), x, np.nan) for x in (lower, upper, cauchy))
     return PressureEstimate(value=value, lower=lower, upper=upper, cauchy=cauchy)
 
 

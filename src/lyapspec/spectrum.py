@@ -24,7 +24,9 @@ class SpectrumPoint:
     status: str  # interior-converged | boundary-suspect | diverged
     clamped: bool = False
     grad_residual: float = np.nan
-    empty: bool = False  # alpha lies off the profile hull: h = -inf
+    #: alpha is off the length-n profile hull: empty at n, not always in the
+    #: limit (the exponent of (1112)^inf on pos.cocycle is, at n = 8)
+    empty: bool = False
 
 
 def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
@@ -150,7 +152,10 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
         # scaled by a power of two first, so |q*| cannot underflow
         u = np.ldexp(q[i], -np.frexp(np.abs(q[i]).max())[1])
         u /= np.linalg.norm(u)
-        empty[i] = float(u @ alphas[i]) > float((profs @ u).max()) + GRAD_TOL
+        # both sides halved d.bit_length() times, exactly, so that <u, alpha>
+        # <= sqrt(d) max|alpha| stays in the float range
+        s = -d.bit_length()
+        empty[i] = u @ np.ldexp(alphas[i], s) > np.ldexp((profs @ u).max() + GRAD_TOL, s)
     clamped = f < 0
     h = np.where(clamped, 0.0, f)
     return [SpectrumPoint(alpha=alphas[i], h=float(h[i]), q_star=q[i], status=status[i],

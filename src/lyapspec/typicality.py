@@ -170,26 +170,13 @@ def _ranks(tables: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _first_connector(Q: sft.TransitionMatrix) -> int:
-    """The least connector length k at which every symbol pair (i, j)
-    has a connector, Q^(k+1) > 0: the mixing rate minus one.  The QM
-    search starts there, since every shorter k leaves some pair with
-    no connector."""
-    return max(Q.mixing_rate - 1, 0)
-
-
-def _reads(n_max: int, k: int) -> range:
-    """The word lengths a connector length k reads: |I| + k + |J| up to
-    2 n_max + k, and the lengths of I and J below them."""
-    return range(1, 2 * n_max + k + 1)
-
-
 def qm_lengths(Q: sft.TransitionMatrix, n_max: int, k_max: int) -> tuple[int | None, range]:
-    """The first connector length that :func:`qm_search` evaluates and
-    the word lengths it reads when it stops there; (None, an empty
-    range) when it evaluates none."""
-    k = _first_connector(Q)
-    return (k, _reads(n_max, k)) if n_max and k <= k_max else (None, range(0))
+    """The first connector length k that :func:`qm_search` evaluates,
+    the mixing rate - 1 (every shorter k leaves a symbol pair with no
+    connector, Q^(k+1) has a zero), and the lengths 1..2 n_max + k that
+    it reads there; (None, an empty range) when it evaluates none."""
+    k = max(Q.mixing_rate - 1, 0)
+    return (k, range(1, 2 * n_max + k + 1)) if n_max and k <= k_max else (None, range(0))
 
 
 def qm_search(
@@ -207,58 +194,39 @@ def qm_search(
     Returns the smallest k with C(k) > 1e-12; failure, including an empty
     search, is a report state.
 
-    Every k below :func:`_first_connector` (the mixing rate - 1)
-    leaves a pair with no connector, so it is skipped without a sweep.
-    From there the connector lengths are evaluated one at a time,
-    and the search stops at the first that passes.  Length k reads the
-    norms of the lengths 1..2 n_max + k (:func:`log_wedge_norm_matrices`,
-    so each failing k sweeps one more length) and the words of one
-    level-synchronous pass (:func:`sft.word_arrays`).  The rows at
-    length L = |I| + k + |J| are exactly the admissible words IKJ, and
-    each maps to its (I, J) by the ranks of its prefix (one walk per L)
-    and suffix; k then takes one scatter-max over all its splits.  Only
-    the lengths a k reads count against ``budget``: one of more than
-    ``budget`` words raises BudgetError before its sweep.
+    k runs up from the first length of :func:`qm_lengths`.  Each k reads
+    the norms of the lengths 1..2 n_max + k (:func:`log_wedge_norm_matrices`,
+    so a failing k sweeps one more length; one of more than ``budget``
+    words raises BudgetError before its sweep) and their words
+    (:func:`sft.word_arrays`).  The split (a, b) = (|I|, |J|) reads only
+    the length a + k + b, whose rows are exactly its words IKJ: the
+    :func:`_ranks` of their prefixes and suffixes give their pairs, one
+    scatter-max per split the best K of each pair, and C(k) is the
+    exponential of the least of these over all splits.
     """
-    if not n_max:
-        # no words, no pairs: an empty search bounds nothing
-        return QMReport(k=None, C=None)
-    for k in range(_first_connector(c.Q), k_max + 1):
-        lengths = _reads(n_max, k)
-        norms = {n: logs[:, :-1]
-                 for n, logs in log_wedge_norm_matrices(c, lengths, budget).items()}
+    k, lengths = qm_lengths(c.Q, n_max, k_max)
+    while k is not None and k <= k_max:
+        norms = {n: x[:, :-1] for n, x in log_wedge_norm_matrices(c, lengths, budget).items()}
+        # built after the budget check
         arrays = sft.word_arrays(c.Q, lengths[-1])
-        # built after the budget check; offset[a - 1]: row of the first
-        # length-a word in the pair table
-        offset = np.cumsum([0] + [len(arrays[a]) for a in range(n_max)])
-        size = int(offset[-1])
         tables = sft.child_tables(c.Q, n_max)
-
-        # the flat (I, J) pair indices and the ratios of every split
-        index, ratio = [], []
-        for L in range(k + 2, lengths[-1] + 1):
-            W = arrays[L - 1]
-            # the lengths a of I whose J has length b = L - k - a in 1..n_max
-            splits = range(max(1, L - k - n_max), min(n_max, L - k - 1) + 1)
-            # the prefix ranks of every length, from one :func:`_ranks` walk
-            prefix = [W[:, 0] - 1]
-            for m in range(1, splits[-1]):
-                prefix.append(tables[m - 1][prefix[-1], W[:, m] - 1])
-            for a in splits:
-                b, I = L - k - a, prefix[a - 1]
-                J = _ranks(tables, W[:, -b:])
-                index.append((offset[a - 1] + I) * size + offset[b - 1] + J)
+        worst = np.inf
+        for a in range(1, n_max + 1):
+            for b in range(1, n_max + 1):
+                W, cols = arrays[a + k + b - 1], len(arrays[b - 1])
+                I, J = _ranks(tables, W[:, :a]), _ranks(tables, W[:, -b:])
                 # d = 1: no exterior degrees to check, norms multiply exactly
-                ratio.append((norms[L] - norms[a][I] - norms[b][J]).min(
-                    axis=1, initial=np.inf if c.d > 1 else 0.0))
-
-        # best[I, J] = max over K of the ratio; -inf: no K makes IKJ
-        # admissible, so C = 0 and k fails
-        best = np.full(size * size, -np.inf)
-        np.maximum.at(best, np.concatenate(index), np.concatenate(ratio))
+                ratio = (norms[a + k + b] - norms[a][I] - norms[b][J]).min(
+                    axis=1, initial=np.inf if c.d > 1 else 0.0)
+                # best[I * cols + J] = max over K of the ratio; -inf is
+                # only the identity of the max, since every pair has a K
+                best = np.full(len(arrays[a - 1]) * cols, -np.inf)
+                np.maximum.at(best, I * cols + J, ratio)
+                worst = min(worst, best.min())
         # a ratio past the float range keeps C = inf
         with np.errstate(over="ignore"):
-            C = float(np.exp(best.min()))
+            C = float(np.exp(worst))
         if C > 1e-12:
             return QMReport(k=k, C=C)
+        k, lengths = k + 1, range(1, lengths.stop + 1)
     return QMReport(k=None, C=None)

@@ -749,6 +749,37 @@ def test_spectrum_alpha_past_the_square_root_of_the_float_range_is_quiet(a, pos_
     assert row["status"] == "diverged" and row["h"] == ""
 
 
+def test_spectrum_separation_test_at_the_float_limit_is_quiet(pos_file, tmp_path):
+    """At alpha = (1.7e308, -1.7e308), <u, alpha> passes the float range
+    unless alpha is scaled first: the run is quiet, and the row's
+    direction still proves its level set empty."""
+    out = tmp_path / "s.csv"
+    run = _run_quiet(["spectrum", pos_file, "--n", "3",
+                      "--alpha=1.7e308:1.7e308:1;-1.7e308:-1.7e308:1", "--out", str(out)])
+    assert (run.returncode, run.stderr) == (0, "")
+    row, = _spectrum_rows(out)
+    assert row["status"] == "diverged" and row["h"] == ""
+
+
+@pytest.mark.parametrize("q, value", [("1e308", "inf"), ("-1e308", "0")])
+@pytest.mark.parametrize("command", ["pressure", "subsystem"])
+def test_pressure_at_the_float_limit_is_quiet_and_never_nan(command, q, value, pos_file,
+                                                             tmp_path):
+    """At q = (1e308, 1e308) the word sums pass the float range: P_n is
+    inf, and every bracket and gap built from it is an empty cell.  At
+    q = (-1e308, -1e308) the words with |det| > 1 weigh exp(-inf) = 0,
+    and the rest give P_n = 0 exactly.  Both runs are quiet."""
+    out = tmp_path / "p.csv"
+    extra = (["--n", "3"] if command == "pressure"
+             else ["--subsystem-out", str(tmp_path / "s.cocycle")])
+    run = _run_quiet([command, pos_file, f"--q={q}:{q}:1", "--out", str(out), *extra])
+    assert (run.returncode, run.stderr) == (0, "")
+    row, = _spectrum_rows(out)
+    assert row["P_n"] == value and "nan" not in row.values()
+    if value == "inf":
+        assert {row[k] for k in ("lower", "upper", "cauchy_diag", "gap") if k in row} == {""}
+
+
 def test_spectrum_derives_the_profiles_at_most_twice(diag_file, tmp_path, monkeypatch):
     """A 5 x 5 grid beyond the largest exponent log 3 of the diagonal
     cocycle, every point boundary-suspect, with the oracle: the solver,

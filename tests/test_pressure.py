@@ -147,6 +147,24 @@ class TestLogSumExp:
         assert pressure.log_sums(diag_cocycle, q[None], (n,))[n][0] == pytest.approx(expected,
                                                                                  rel=1e-14)
 
+    def test_rows_past_the_float_range(self):
+        """Generators diag(1, 1/2) and diag(1/2, 1/4): the log wedge
+        norms are (0, log 1/2) and (log 1/2, log 1/8).  At q = (1e308,
+        -0.8e308) the weight t_1 = 1.8e308 overflows, yet the one-symbol
+        sum is finite, 0.8e308 log 2 from the first symbol.  At q =
+        (1e308, 1e308) every length-3 product is below -2e308, and the
+        log-sum is -inf; at q = (-1e308, -1e308) it is inf."""
+        c = OneStepCocycle(Q=sft.full_shift(2),
+                           generators=[np.diag([1.0, 0.5]), np.diag([0.5, 0.25])])
+        q = np.array([[1e308, -0.8e308], [1e308, 1e308], [-1e308, -1e308], [1.0, 2.0]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = pressure.log_sums(c, q, (1, 3))
+        assert got[1][0] == pytest.approx(0.8e308 * np.log(2.0), rel=1e-14)
+        assert list(got[3][1:3]) == [-np.inf, np.inf]
+        # an ordinary row keeps the closed form: t = (-1, 2), each symbol
+        # weighs 1^-1 (1/2)^2 and (1/2)^-1 (1/8)^2
+        assert got[3][3] == pytest.approx(3 * np.log(1 / 4 + 1 / 32), rel=1e-14)
+
     def test_deterministic(self, pos_cocycle):
         """Repeated evaluation is bit-identical."""
         q = rng.normal(size=(1, 2)) * 30
