@@ -334,12 +334,9 @@ def cmd_pressure(args) -> int:
     grid = parse_grid(args.q, c.d)
     _check_writable(args.out)
     # one sweep for the QM search and the table, when the search stops at
-    # its first connector length k; past the budget, the search and the
-    # table check their own lengths and name the first one over it
+    # its first connector length k
     k, reads = typicality.qm_lengths(c.Q, args.qm_depth, args.qm_connect)
-    lengths = {*reads, *pressure.table_lengths(args.n, k)}
-    if sft.count_words(c.Q, max(lengths)) <= args.budget:
-        log_wedge_norm_matrices(c, lengths, args.budget)
+    log_wedge_norm_matrices(c, {*reads, *pressure.table_lengths(args.n, k)}, args.budget)
     qm = typicality.qm_search(c, args.qm_depth, args.qm_connect, budget=args.budget)
     est = pressure.pressure_table(c, grid, args.n, qm_C=qm.C, qm_k=qm.k, budget=args.budget)
     brackets = np.column_stack([est.lower, est.upper, est.cauchy]).tolist()
@@ -507,7 +504,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(p):
-    p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
+                   help="most words of the longest swept length (exit 4 past it)")
 
 
 def _out(p):

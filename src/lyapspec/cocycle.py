@@ -19,7 +19,7 @@ from .sft import TransitionMatrix, Word
 #: refuse plain products beyond this length; use profiles instead
 MAX_PRODUCT_LENGTH = 30
 
-#: default enumeration budget (number of words per sweep)
+#: default word budget: most words at the longest length of a sweep
 DEFAULT_WORD_BUDGET = 20_000_000
 
 #: frontier rows per step of a profile sweep, and per finish batch;
@@ -327,14 +327,6 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
     return out
 
 
-def _check_budget(c: OneStepCocycle, n: int, budget: int):
-    total = sft.count_words(c.Q, n)
-    if total > budget:
-        raise BudgetError(
-            f"#L_{n} = {total} words exceeds the budget of {budget}; reduce n"
-        )
-
-
 def _check_grid(grid, d: int, name: str) -> np.ndarray:
     """``grid`` as a float array of G finite rows of d coordinates; any
     other shape raises ValueError, so a d = 1 grid is never read as one
@@ -352,14 +344,14 @@ def log_wedge_norm_matrices(c: OneStepCocycle, lengths,
                             budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
     """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of each
     length n in ``lengths``, in sweep order, as {n: (#L_n, d) array};
-    column d is the word-ordered sum of log|det A_s|.  Every length is
-    checked against the budget first, in increasing order, so a
-    BudgetError names the shortest length over it; the lengths the cache
-    lacks then come from one sweep.  A hit returns the cached array
-    itself."""
+    column d is the word-ordered sum of log|det A_s|.  The only word
+    budget check of a sweep: every symbol has a successor, so #L_n
+    grows with n, and a longest length of more than ``budget`` words
+    raises BudgetError naming it; the lengths the cache lacks then come
+    from one sweep.  A hit returns the cached array itself."""
     lengths = sorted(set(lengths))
-    for n in lengths:
-        _check_budget(c, n, budget)
+    if lengths and (total := sft.count_words(c.Q, lengths[-1])) > budget:
+        raise BudgetError(f"#L_{lengths[-1]} = {total} words exceeds the budget of {budget}")
     missing = [n for n in lengths if n not in c._norm_cache]
     if missing:
         c._norm_cache.update(_sweep(c, missing))

@@ -19,8 +19,8 @@ from .sft import Word, full_shift
 SLOPE_TOL = 1e-3
 CONE_MARGIN = 1e-3
 
-#: cap on #base words, and on #blocks enumerated when testing an
-#: extended tuple
+#: most blocks of one depth of an extended tuple's domination test,
+#: which needs the depths 1..3: at most 66 base words (66**3 blocks)
 BLOCK_BUDGET = 300_000
 
 #: most candidate paddings, and most (J1, J2) pairs, of one padding
@@ -79,8 +79,8 @@ def domination_test(
     Anything else is inconclusive (a plateau near ratio 1 proves
     nothing either way).  Every length comes from one log-norm sweep;
     log(sigma_{i+1}/sigma_i) is the second difference at i of the log
-    wedge norms (log ||A^{wedge 0}|| = 0).  A length of more than
-    ``budget`` words raises BudgetError before it.
+    wedge norms (log ||A^{wedge 0}|| = 0).  A longest length of more
+    than ``budget`` words raises BudgetError before the sweep.
     """
     if not 1 <= i <= c.d - 1:
         raise ValueError(f"index {i} outside 1..{c.d - 1}")
@@ -432,8 +432,7 @@ def _padding_candidates(a: int, w: Word, bound: int) -> list[Word]:
 
 
 def _block_depths(n_symbols: int) -> list[int]:
-    depths = [m for m in range(1, 7) if n_symbols**m <= BLOCK_BUDGET]
-    return depths if len(depths) >= 3 else list(range(1, 4))
+    return [m for m in range(1, 7) if n_symbols**m <= BLOCK_BUDGET]
 
 
 def build_dominated_subsystem(
@@ -450,17 +449,16 @@ def build_dominated_subsystem(
     first, so an already-dominated tuple gets empty paddings.  Every
     accepted family has one common (J1, J2), hence automatically a
     uniform total length.  A symbol of (a, w) outside the alphabet
-    raises ValueError, and so do products that overflow; more than
-    BLOCK_BUDGET base words raise BudgetError before any is enumerated,
-    and so does a search that would try more than MAX_PADDINGS
-    candidates or pairs.
+    raises ValueError, and so do products that overflow; base words
+    whose blocks of depth 3 outnumber BLOCK_BUDGET raise BudgetError
+    before any is enumerated, and so does a search that would try more
+    than MAX_PADDINGS candidates or pairs.
     """
     sft.check_symbols(c.Q, (a, *w))
     n_words = sft.count_words(c.Q, n)
-    if n_words > BLOCK_BUDGET:
-        raise BudgetError(
-            f"{n_words} base words of length {n} exceed the budget of {BLOCK_BUDGET}"
-        )
+    if (blocks := n_words**3) > BLOCK_BUDGET:
+        raise BudgetError(f"{n_words} base words of length {n}: their {blocks} blocks "
+                          f"of depth 3 exceed the budget of {BLOCK_BUDGET}")
     base = sft.word_array(c.Q, n)
     candidates = _padding_candidates(a, tuple(w), pad_bound)
     depths = _block_depths(len(base))
@@ -513,10 +511,5 @@ def subsystem_pressure(sub: DominatedSubsystem, grid: np.ndarray, block_depth: i
     grid = _check_grid(grid, sub.tuple_cocycle.d, "grid")
     if block_depth < 1:
         raise ValueError("block_depth must be >= 1")
-    budget = BLOCK_BUDGET * 30
-    n_blocks = sub.tuple_cocycle.k ** block_depth
-    if n_blocks > budget:
-        raise BudgetError(
-            f"{n_blocks} blocks exceed the budget of {budget}; lower block_depth"
-        )
-    return log_sums(sub.tuple_cocycle, grid, (block_depth,), budget)[block_depth] / block_depth
+    logs = log_sums(sub.tuple_cocycle, grid, (block_depth,), BLOCK_BUDGET * 30)
+    return logs[block_depth] / block_depth

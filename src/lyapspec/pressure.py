@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_budget, _check_grid,
+from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_grid,
                       log_wedge_norm_matrices)
 
 
@@ -100,12 +100,9 @@ def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
     takes one Gibbs pass that weighs them by the rows t of
     :func:`weight_differences` (Q).
 
-    The longest length is checked against the budget first: #L_m grows
-    with m, so a BudgetError names it, as a sweep of it alone would.
     A row whose weights or products pass the float range leaves NaN
     (inf - inf) in its pass, and :func:`_far_log_sum` takes it again.
     """
-    _check_budget(c, max(lengths), budget)
     norms = log_wedge_norm_matrices(c, lengths, budget)
     with np.errstate(over="ignore", invalid="ignore"):
         W = weight_differences(Q)

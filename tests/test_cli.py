@@ -542,6 +542,29 @@ def test_padding_cap_exit_4(pos_file, tmp_path, monkeypatch, capsys):
                                 "reduce the pad bound"]
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["dominate", "{pos}", "--n-max", "30"],
+     "#L_30 = 1073741824 words exceeds the budget of 30000000"),
+    (["subsystem", "{pos}", "--block-depth", "30"],
+     "#L_30 = 1237940039285380274899124224 words exceeds the budget of 9000000"),
+    (["subsystem", "{pos}", "--base-n", "7"],
+     "128 base words of length 7: their 2097152 blocks of depth 3 exceed the budget of 300000"),
+    # refused before a full shift on 65,536 symbols is built
+    (["subsystem", "{pos}", "--base-n", "16"],
+     "65536 base words of length 16: their 281474976710656 blocks of depth 3 "
+     "exceed the budget of 300000"),
+], ids=["dominate-n-max", "subsystem-block-depth", "subsystem-base-n-7", "subsystem-base-n-16"])
+def test_budget_error_names_the_count_and_the_limit(argv, err, pos_file, tmp_path, capsys):
+    """Past a command's fixed word budget: exit 4, one stderr line with
+    the count and the budget, and no output."""
+    sub_out = tmp_path / "x.cocycle"
+    argv = [a.format(pos=pos_file) for a in argv]
+    argv += ["--subsystem-out", str(sub_out)] if argv[0] == "subsystem" else []
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    assert capsys.readouterr() == ("", f"budget exceeded: {err}\n")
+    assert not sub_out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["pressure", "{diag}", "--q=0:0:1", "--n", "4", "--out", "{missing}/p.csv"],
     ["spectrum", "{diag}", "--auto-grid", "3", "--n", "4", "--out", "{missing}/s.csv"],

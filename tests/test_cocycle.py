@@ -291,7 +291,7 @@ class TestSweepEngine:
 
 class TestOneSweepPerRequest:
     """A QM search, a domination test and a pressure grid read every
-    length they need from one sweep, after checking every length
+    length they need from one sweep, after checking the longest length
     against the budget."""
 
     @staticmethod
@@ -348,8 +348,14 @@ class TestOneSweepPerRequest:
         assert sub.log_kappa.tolist() == [-0.5668094569859317, -2.220446049250313e-16]
 
     def test_domination_budget_checked_before_the_sweep(self, diag_cocycle, sweeps):
-        with pytest.raises(BudgetError, match=r"^#L_10 = 1024 words exceeds the budget of 1000;"):
+        """The longest length is checked, so the error names it."""
+        with pytest.raises(BudgetError, match=r"^#L_11 = 2048 words exceeds the budget of 1000$"):
             domination.domination_test(self._fresh(diag_cocycle), 1, range(2, 12), budget=1000)
+        assert sweeps == []
+
+    def test_empty_length_set_counts_no_words(self, diag_cocycle, monkeypatch, sweeps):
+        monkeypatch.setattr(sft, "count_words", None)
+        assert log_wedge_norm_matrices(self._fresh(diag_cocycle), ()) == {}
         assert sweeps == []
 
     def test_pressure_sweeps_once_beyond_the_qm_search(self, pos_cocycle, tmp_path, sweeps):
@@ -369,19 +375,19 @@ class TestOneSweepPerRequest:
                          "--budget", "1000"])
         assert code == cli.EXIT_BUDGET
         assert capsys.readouterr().err == (
-            "budget exceeded: #L_12 = 4096 words exceeds the budget of 1000; reduce n\n")
+            "budget exceeded: #L_12 = 4096 words exceeds the budget of 1000\n")
         assert sweeps == []
 
     def test_qm_budget_message(self, diag_cocycle, tmp_path, capsys):
-        """The QM search names the shortest length over the budget, as
-        it did when it swept one length at a time."""
+        """The QM search at k = 0 reads the lengths 1..12, so the one
+        sweep of the search and the table names the longest of them."""
         path = tmp_path / "diag.cocycle"
         cli.write_cocycle(str(path), diag_cocycle)
         code = cli.main(["pressure", str(path), "--n", "3", "--qm-depth", "6",
                          "--qm-connect", "6", "--budget", "1000"])
         assert code == cli.EXIT_BUDGET
         assert capsys.readouterr().err == (
-            "budget exceeded: #L_10 = 1024 words exceeds the budget of 1000; reduce n\n")
+            "budget exceeded: #L_12 = 4096 words exceeds the budget of 1000\n")
 
 
 class TestEigenExponents:

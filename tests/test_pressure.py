@@ -338,6 +338,9 @@ class TestLogSums:
             assert first == _log_sum_exp(logs[:, 0])
             assert zero == np.log(sft.count_words(c.Q, n))
 
+    def test_empty_length_set(self, diag_cocycle):
+        assert pressure.log_sums(diag_cocycle, np.zeros((1, 2)), ()) == {}
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_40_digit_reference(self, d):
         """20 grid rows at n = 8 against the log-sum-exp of <t, L_I>

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lyapspec import sft
 
@@ -100,6 +102,21 @@ class TestWords:
         assert not sft.is_admissible(golden_mean_Q, (1, 2, 2))
         with pytest.raises(ValueError):
             sft.is_admissible(golden_mean_Q, (0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 5), data=st.data())
+def test_word_counts_never_decrease(k, data):
+    """Every symbol of a validated Q has a successor, so each word
+    extends: #L_{n+1} >= #L_n, and one budget check at the longest
+    length of a sweep bounds every level of it."""
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))
+    try:
+        Q = sft.validate(np.array(bits).reshape(k, k))
+    except ValueError:
+        assume(False)
+    counts = [sft.count_words(Q, n) for n in range(1, 41)]
+    assert counts == sorted(counts)
 
 
 class TestShiftEntropy:
