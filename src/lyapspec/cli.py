@@ -329,6 +329,7 @@ def cmd_pressure(args) -> int:
     c = _load(args)
     _at_least("--n", args.n, 1)
     _at_least("--budget", args.budget, 1)
+    c.budget = args.budget
     _at_least("--qm-depth", args.qm_depth, 0)
     _at_least("--qm-connect", args.qm_connect, 0)
     grid = parse_grid(args.q, c.d)
@@ -336,9 +337,9 @@ def cmd_pressure(args) -> int:
     # one sweep for the QM search and the table, when the search stops at
     # its first connector length k
     k, reads = typicality.qm_lengths(c.Q, args.qm_depth, args.qm_connect)
-    log_wedge_norm_matrices(c, {*reads, *pressure.table_lengths(args.n, k)}, args.budget)
-    qm = typicality.qm_search(c, args.qm_depth, args.qm_connect, budget=args.budget)
-    est = pressure.pressure_table(c, grid, args.n, qm_C=qm.C, qm_k=qm.k, budget=args.budget)
+    log_wedge_norm_matrices(c, {*reads, *pressure.table_lengths(args.n, k)})
+    qm = typicality.qm_search(c, args.qm_depth, args.qm_connect)
+    est = pressure.pressure_table(c, grid, args.n, qm_C=qm.C, qm_k=qm.k)
     brackets = np.column_stack([est.lower, est.upper, est.cauchy]).tolist()
     rows = [[*q, args.n, value, *("" if math.isnan(x) else x for x in row)]
             for q, value, row in zip(grid, est.value.tolist(), brackets)]
@@ -353,22 +354,22 @@ def cmd_spectrum(args) -> int:
     c = _load(args)
     _at_least("--n", args.n, 1)
     _at_least("--budget", args.budget, 1)
+    c.budget = args.budget
     _at_least("--auto-grid", args.auto_grid, 1)
     if args.oracle and not args.eps > 0:
         raise UsageError(f"--eps must be positive, got {args.eps}")
     grid = parse_grid(args.alpha, c.d) if args.alpha else None
     _check_writable(args.out)
     if grid is None:
-        grads = spectrum.domain_estimate(c, args.n, budget=args.budget)
-        grid = spectrum.interior_alpha_grid(grads, args.auto_grid)
-    points = spectrum.spectrum_curve(c, grid, args.n, budget=args.budget)
+        grid = spectrum.interior_alpha_grid(spectrum.domain_estimate(c, args.n), args.auto_grid)
+    points = spectrum.spectrum_curve(c, grid, args.n)
     header = ([f"alpha_{i + 1}" for i in range(c.d)] + ["h"]
               + [f"q_{i + 1}" for i in range(c.d)] + ["status", "band"])
     rows = [[*pt.alpha, "" if pt.empty else pt.h, *pt.q_star, pt.status,
              0.0 if pt.status == "interior-converged" else np.nan] for pt in points]
     if args.oracle:
         header += ["epsilon", "count", "h_count", "gap"]
-        counts, h_counts = spectrum.oracle_count(c, grid, args.eps, args.n, budget=args.budget)
+        counts, h_counts = spectrum.oracle_count(c, grid, args.eps, args.n)
         for row, pt, count, h_count in zip(rows, points, counts.tolist(), h_counts.tolist()):
             # a level set empty at length n has h_n = -inf
             gap = abs(h_count - pt.h) if count and not pt.empty else np.inf

@@ -54,11 +54,14 @@ class OneStepCocycle:
     those wedges).  One cache holds the log wedge norms of every swept
     length; pressure, domination and the QM search read them as they
     are, and the profiles that the Legendre solver and the oracle need
-    are their differences, derived on each call.
+    are their differences, derived on each call.  ``budget`` bounds that
+    cache: the most words at the longest length of one sweep
+    (:func:`log_wedge_norm_matrices`).
     """
 
     Q: TransitionMatrix
     generators: list[np.ndarray]
+    budget: int = DEFAULT_WORD_BUDGET
     wedges: dict[int, np.ndarray] = field(init=False, repr=False)
     unit_wedges: dict[int, np.ndarray] = field(init=False, repr=False)
     log_norms: np.ndarray = field(init=False, repr=False)
@@ -340,29 +343,31 @@ def _check_grid(grid, d: int, name: str) -> np.ndarray:
     return grid
 
 
-def log_wedge_norm_matrices(c: OneStepCocycle, lengths,
-                            budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
+def log_wedge_norm_matrices(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
     """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of each
     length n in ``lengths``, in sweep order, as {n: (#L_n, d) array};
     column d is the word-ordered sum of log|det A_s|.  The only word
-    budget check of a sweep: every symbol has a successor, so #L_n
-    grows with n, and a longest length of more than ``budget`` words
-    raises BudgetError naming it; the lengths the cache lacks then come
-    from one sweep.  A hit returns the cached array itself."""
+    budget check of a sweep: #L_n never decreases in n, so a longest
+    length of more than ``c.budget`` words raises BudgetError naming it,
+    with its count where :func:`sft.length_past` counts it, else with
+    the first length past the budget; the lengths the cache lacks then
+    come from one sweep.  A hit returns the cached array itself."""
     lengths = sorted(set(lengths))
-    if lengths and (total := sft.count_words(c.Q, lengths[-1])) > budget:
-        raise BudgetError(f"#L_{lengths[-1]} = {total} words exceeds the budget of {budget}")
+    if lengths and (m := sft.length_past(c.Q, n := lengths[-1], c.budget)):
+        count = f" = {sft.count_words(c.Q, n)}" if m == n else ""
+        raise BudgetError(f"#L_{n}{count} words exceeds the budget of {c.budget}"
+                          + ("" if m == n else f": #L_{m} already does"))
     missing = [n for n in lengths if n not in c._norm_cache]
     if missing:
         c._norm_cache.update(_sweep(c, missing))
     return {n: c._norm_cache[n] for n in lengths}
 
 
-def profile_matrix(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+def profile_matrix(c: OneStepCocycle, n: int) -> np.ndarray:
     """Profiles of all admissible words of length n, in lexicographic
     word order, as a (#L_n, d) array: the differences of the cached
     :func:`log_wedge_norm_matrices`, derived afresh on each call."""
-    return _profiles(log_wedge_norm_matrices(c, (n,), budget)[n], n)
+    return _profiles(log_wedge_norm_matrices(c, (n,))[n], n)
 
 
 def eigen_exponents(c: OneStepCocycle, word: Word) -> np.ndarray:

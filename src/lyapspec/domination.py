@@ -18,10 +18,16 @@ from .sft import Word, full_shift
 
 SLOPE_TOL = 1e-3
 CONE_MARGIN = 1e-3
+CONE_RADIUS = 0.2  # rad, of the balls of a multicone
+
+#: seeded orbits of a multicone search, and the steps each takes before
+#: and while its directions are collected
+ORBIT_STARTS, ORBIT_BURN_IN, ORBIT_COLLECT = 24, 60, 40
 
 #: most blocks of one depth of an extended tuple's domination test,
-#: which needs the depths 1..3: at most 66 base words (66**3 blocks)
+#: which needs the depths 1..3, so at most MAX_BASE_WORDS base words
 BLOCK_BUDGET = 300_000
+MAX_BASE_WORDS = 66  # 66**3 <= BLOCK_BUDGET < 67**3
 
 #: most candidate paddings, and most (J1, J2) pairs, of one padding
 #: search: the default bound 8 makes at most 88 candidates (|w| = 1),
@@ -70,7 +76,6 @@ def domination_test(
     i: int,
     n_range=range(2, 15),
     monotone_from: int = 4,
-    budget: int = BLOCK_BUDGET * 100,
 ) -> IndexReport:
     """Exact max singular-value ratio per word length, by enumeration.
 
@@ -80,14 +85,14 @@ def domination_test(
     nothing either way).  Every length comes from one log-norm sweep;
     log(sigma_{i+1}/sigma_i) is the second difference at i of the log
     wedge norms (log ||A^{wedge 0}|| = 0).  A longest length of more
-    than ``budget`` words raises BudgetError before the sweep.
+    than ``c.budget`` words raises BudgetError before the sweep.
     """
     if not 1 <= i <= c.d - 1:
         raise ValueError(f"index {i} outside 1..{c.d - 1}")
     lengths = sorted(n_range)
     if len(lengths) < 2:
         raise ValueError(f"need at least 2 word lengths, got {len(lengths)}")
-    logs = log_wedge_norm_matrices(c, lengths, budget=budget)
+    logs = log_wedge_norm_matrices(c, lengths)
     log_ratios = np.array([float(np.diff(logs[n], n=2, axis=1, prepend=0.0)[:, i - 1].max())
                            for n in lengths])
     slope = float(np.polyfit(lengths, log_ratios, 1)[0])
@@ -300,15 +305,7 @@ def _sampled_margin(
     return margin
 
 
-def multicone_search(
-    reps: np.ndarray,
-    seed: int = 0,
-    radius: float = 0.2,
-    margin_tol: float = CONE_MARGIN,
-    n_starts: int = 24,
-    burn_in: int = 60,
-    collect: int = 40,
-) -> MulticoneCertificate | None:
+def multicone_search(reps: np.ndarray, seed: int = 0) -> MulticoneCertificate | None:
     """Search for a projective multicone that every generator maps into
     its interior.
 
@@ -317,11 +314,11 @@ def multicone_search(
     the generators scaled to spectral norm 1, and they are divided by
     their largest |entry| only every m steps, m the most that the
     largest condition number allows (:func:`matalg.rescale_period`).
-    The visited directions are covered greedily with balls of the given
-    angular radius.  Each (ball, generator) pair is then certified by
+    The visited directions are covered greedily with balls of angular
+    radius CONE_RADIUS.  Each (ball, generator) pair is then certified by
     the S-lemma against the ball nearest to the image of its center
     (:func:`_pair_margins`); a pair counts when its margin exceeds
-    ``margin_tol``.  A ball with a pair that does not count needs the
+    CONE_MARGIN.  A ball with a pair that does not count needs the
     union of balls, and is checked at up to 4096 seeded directions
     instead, which makes the certificate *empirical*.  Returns None
     when no certificate passes (inconclusive, not a disproof).
@@ -335,49 +332,49 @@ def multicone_search(
     # copies of spectral norm 1 act on directions as the generators do;
     # rescaling every m steps keeps each vector in range
     unit = reps / np.exp(log_sv[:, :1, None])
-    n_steps = burn_in + collect
+    n_steps = ORBIT_BURN_IN + ORBIT_COLLECT
     m = min(n_steps, matalg.rescale_period(log_cond))
     # the orbits step together; stacked products match B @ v bit for bit
-    v = rng.standard_normal((n_starts, D, 1))
+    v = rng.standard_normal((ORBIT_STARTS, D, 1))
     orbit = []
-    for i, steps in enumerate(unit[rng.integers(len(reps), size=(n_steps, n_starts))], start=1):
+    for i, steps in enumerate(unit[rng.integers(len(reps), size=(n_steps, ORBIT_STARTS))], start=1):
         v = steps @ v
         if i % m == 0:
             v /= np.abs(v).max(axis=1, keepdims=True)
         orbit.append(v)
-    visited = _canon_rows(np.stack(orbit[burn_in:], axis=1).reshape(-1, D))
+    visited = _canon_rows(np.stack(orbit[ORBIT_BURN_IN:], axis=1).reshape(-1, D))
     # close the sample under one application of every generator
     visited = np.vstack([visited, _canon_rows((reps @ visited[:, None, :, None]).reshape(-1, D))])
 
-    # greedy cover of the attractor sample with balls of the target radius
+    # greedy cover of the attractor sample with balls of radius CONE_RADIUS
     centers = []
     uncovered = visited
     while uncovered.size:
         center = uncovered[0]
         centers.append(center)
-        uncovered = uncovered[_proj_dist(uncovered, center[None]) > radius / 2]
+        uncovered = uncovered[_proj_dist(uncovered, center[None]) > CONE_RADIUS / 2]
         if len(centers) > 4 * len(reps) * D + 16:
             return None  # attractor spreads over projective space
     centers = np.array(centers)
 
     # the multicone must be a proper subset of projective space
     probes = _unit_rows(rng.standard_normal((512, D)))
-    if not (_proj_dist(probes, centers) > radius + margin_tol).any():
+    if not (_proj_dist(probes, centers) > CONE_RADIUS + CONE_MARGIN).any():
         return None
 
-    margins, _ = _pair_margins(reps, centers, radius, margin_tol)
-    certified = margins > margin_tol
+    margins, _ = _pair_margins(reps, centers, CONE_RADIUS, CONE_MARGIN)
+    certified = margins > CONE_MARGIN
     margin = float(margins[certified].min(initial=np.inf))
     sampled = np.flatnonzero(~certified.all(axis=1))
     samples = 0
     if sampled.size:
         # sampling density from the projective Lipschitz constant
         lip = float(np.exp(log_cond))
-        samples = min(max(32, int(np.ceil(8 * radius * lip / margin_tol))), 4096)
-        margin = min(margin, _sampled_margin(reps, centers, radius, samples, rng, sampled))
-    if margin <= margin_tol:
+        samples = min(max(32, int(np.ceil(8 * CONE_RADIUS * lip / CONE_MARGIN))), 4096)
+        margin = min(margin, _sampled_margin(reps, centers, CONE_RADIUS, samples, rng, sampled))
+    if margin <= CONE_MARGIN:
         return None
-    return MulticoneCertificate(centers=centers, radius=radius, margin=margin,
+    return MulticoneCertificate(centers=centers, radius=CONE_RADIUS, margin=margin,
                                 kind="empirical" if sampled.size else "certified",
                                 samples_per_ball=samples)
 
@@ -452,13 +449,14 @@ def build_dominated_subsystem(
     raises ValueError, and so do products that overflow; base words
     whose blocks of depth 3 outnumber BLOCK_BUDGET raise BudgetError
     before any is enumerated, and so does a search that would try more
-    than MAX_PADDINGS candidates or pairs.
+    than MAX_PADDINGS candidates or pairs.  The tuple cocycle's budget
+    is 30 * BLOCK_BUDGET words.
     """
     sft.check_symbols(c.Q, (a, *w))
-    n_words = sft.count_words(c.Q, n)
-    if (blocks := n_words**3) > BLOCK_BUDGET:
-        raise BudgetError(f"{n_words} base words of length {n}: their {blocks} blocks "
-                          f"of depth 3 exceed the budget of {BLOCK_BUDGET}")
+    if m := sft.length_past(c.Q, n, MAX_BASE_WORDS):
+        n_words, least = sft.count_words(c.Q, m), "" if m == n else "at least "
+        raise BudgetError(f"{least}{n_words} base words of length {n}: their {least}"
+                          f"{n_words**3} blocks of depth 3 exceed the budget of {BLOCK_BUDGET}")
     base = sft.word_array(c.Q, n)
     candidates = _padding_candidates(a, tuple(w), pad_bound)
     depths = _block_depths(len(base))
@@ -474,10 +472,9 @@ def build_dominated_subsystem(
         if not c.Q.entries[ext - 1, np.roll(ext, -1, axis=1) - 1].all():
             continue
         words = ext
-        c_ext = OneStepCocycle(Q=full_shift(len(base)), generators=list(word_products(c, ext)))
-        report = domination_report(
-            c_ext, n_range=depths, monotone_from=depths[0], budget=BLOCK_BUDGET,
-        )
+        c_ext = OneStepCocycle(Q=full_shift(len(base)), generators=list(word_products(c, ext)),
+                               budget=30 * BLOCK_BUDGET)
+        report = domination_report(c_ext, n_range=depths, monotone_from=depths[0])
         if report.passed:
             # observed 2-block almost-additivity constants: per degree t,
             # min over pairs of log||B_IJ^t|| - log||B_I^t|| - log||B_J^t||
@@ -506,10 +503,10 @@ def subsystem_pressure(sub: DominatedSubsystem, grid: np.ndarray, block_depth: i
     """Block pressure (1/m) log s_m(q), m = block_depth, of the dominated
     subsystem at every row q of the (G, d) ``grid``, as a (G,) array,
     from one sweep and one Gibbs pass.  Divide by the word length to
-    compare with the base pressure.  More than 30 * BLOCK_BUDGET blocks
-    raise BudgetError."""
+    compare with the base pressure.  More blocks than the tuple
+    cocycle's budget raise BudgetError."""
     grid = _check_grid(grid, sub.tuple_cocycle.d, "grid")
     if block_depth < 1:
         raise ValueError("block_depth must be >= 1")
-    logs = log_sums(sub.tuple_cocycle, grid, (block_depth,), BLOCK_BUDGET * 30)
+    logs = log_sums(sub.tuple_cocycle, grid, (block_depth,))
     return logs[block_depth] / block_depth

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cocycle import (DEFAULT_WORD_BUDGET, OneStepCocycle, _check_grid,
-                      log_wedge_norm_matrices)
+from .cocycle import OneStepCocycle, _check_grid, log_wedge_norm_matrices
 
 
 def weight_differences(q: np.ndarray) -> np.ndarray:
@@ -91,8 +90,7 @@ def _hessians(mean: np.ndarray, second: np.ndarray, n: int) -> np.ndarray:
     return n * (second.reshape(-1, d, d) - mean[:, :, None] * mean[:, None, :])
 
 
-def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
-             budget: int = DEFAULT_WORD_BUDGET) -> dict[int, np.ndarray]:
+def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths) -> dict[int, np.ndarray]:
     """log s_m(q) for every row q of the (G, d) array ``Q`` at every
     length m in ``lengths``, as {m: (G,) array}: the log wedge norms of
     every length come from one :func:`log_wedge_norm_matrices` call,
@@ -103,7 +101,7 @@ def log_sums(c: OneStepCocycle, Q: np.ndarray, lengths,
     A row whose weights or products pass the float range leaves NaN
     (inf - inf) in its pass, and :func:`_far_log_sum` takes it again.
     """
-    norms = log_wedge_norm_matrices(c, lengths, budget)
+    norms = log_wedge_norm_matrices(c, lengths)
     with np.errstate(over="ignore", invalid="ignore"):
         W = weight_differences(Q)
         sums = {m: _gibbs(L, W)[0] for m, L in norms.items()}
@@ -154,7 +152,6 @@ def pressure_table(
     n: int,
     qm_C: float | None = None,
     qm_k: int | None = None,
-    budget: int = DEFAULT_WORD_BUDGET,
 ) -> PressureEstimate:
     """P_n(q) = (1/n) log s_n(q) with brackets for the limit pressure,
     at every row q of the (G, d) ``grid``, as arrays with NaN for an
@@ -171,7 +168,7 @@ def pressure_table(
     """
     grid = _check_grid(grid, c.d, "grid")
     bracket = qm_C is not None and qm_k is not None and 0 < qm_C < np.inf and n > qm_k
-    logs = log_sums(c, grid, table_lengths(n, qm_k if bracket else None), budget)
+    logs = log_sums(c, grid, table_lengths(n, qm_k if bracket else None))
     value = logs[n] / n
     with np.errstate(over="ignore", invalid="ignore"):
         lower = ((bracket_constants(c, grid, qm_C, qm_k) + logs[n - qm_k]) / n if bracket

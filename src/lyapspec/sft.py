@@ -6,12 +6,16 @@ appear inside loops.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 Word = tuple[int, ...]
+
+#: most digits of k^n at which a refusal counts and prints #L_n (Python prints at most 4,300)
+PRINTED_DIGITS = 100
 
 
 class NotPrimitiveError(ValueError):
@@ -114,6 +118,17 @@ def count_words(Q: TransitionMatrix, n: int) -> int:
     return counts[n - 1]
 
 
+def length_past(Q: TransitionMatrix, n: int, limit: int) -> int | None:
+    """None when #L_n <= limit; else a length m <= n with #L_m > limit,
+    which proves #L_n > limit, since every symbol has a successor and so
+    #L never decreases: n itself when k^n, which bounds #L_n, has at
+    most PRINTED_DIGITS digits, else the least such m, past which no
+    length is counted."""
+    if n * math.log10(Q.k) <= PRINTED_DIGITS:
+        return n if count_words(Q, n) > limit else None
+    return next((m for m in range(1, n + 1) if count_words(Q, m) > limit), None)
+
+
 def word_arrays(Q: TransitionMatrix, n: int) -> list[np.ndarray]:
     """:func:`word_array` at every length 1..n, as a list, from one pass.
 
@@ -161,20 +176,7 @@ def enumerate_words(Q: TransitionMatrix, n: int) -> Iterator[Word]:
 
 
 def shift_entropy(Q: TransitionMatrix) -> float:
-    """log of the Perron root of Q (topological entropy of the shift).
-
-    Power iteration with relative tolerance 1e-12.
-    """
-    A = Q.entries.astype(float)
-    v = np.ones(Q.k)
-    lam = 0.0
-    for _ in range(100_000):
-        w = A @ v
-        new = float(w.max())
-        w /= new
-        if abs(new - lam) <= 1e-12 * max(new, 1.0):
-            # Rayleigh-style refinement on the converged vector.
-            lam = float((w @ (A @ w)) / (w @ w))
-            return float(np.log(lam))
-        lam, v = new, w
-    raise RuntimeError("power iteration did not converge")
+    """log of the Perron root of Q (topological entropy of the shift):
+    a primitive Q has one eigenvalue of largest modulus, and it is real
+    and positive."""
+    return float(np.log(np.abs(np.linalg.eigvals(Q.entries.astype(float))).max()))

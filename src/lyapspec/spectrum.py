@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pressure
-from .cocycle import DEFAULT_WORD_BUDGET, OneStepCocycle, _check_grid, profile_matrix
+from .cocycle import OneStepCocycle, _check_grid, profile_matrix
 
 Q_MAX = 40.0
 GRAD_TOL = 1e-6
@@ -29,14 +29,14 @@ class SpectrumPoint:
     empty: bool = False
 
 
-def domain_estimate(c: OneStepCocycle, n: int, budget: int = DEFAULT_WORD_BUDGET) -> np.ndarray:
+def domain_estimate(c: OneStepCocycle, n: int) -> np.ndarray:
     """Achievable exponent vectors at length n: the (5^d, d) pressure
     gradients over the q-grid {-10, -5, 0, 5, 10}^d.  Their hull sits
     inside the hull of the singular profiles of the length-n words.
     """
     axes = [np.linspace(-10.0, 10.0, 5)] * c.d
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, c.d)
-    profs = profile_matrix(c, n, budget=budget)
+    profs = profile_matrix(c, n)
     return pressure._gibbs(profs, n * mesh, profs)[1]
 
 
@@ -164,12 +164,11 @@ def _newton(profs: np.ndarray, n: int, alphas: np.ndarray,
             for i in range(G)]
 
 
-def spectrum_curve(c: OneStepCocycle, alpha_grid: np.ndarray, n: int,
-                   budget: int = DEFAULT_WORD_BUDGET) -> list[SpectrumPoint]:
+def spectrum_curve(c: OneStepCocycle, alpha_grid: np.ndarray, n: int) -> list[SpectrumPoint]:
     """Legendre entropy at every row of the (G, d) ``alpha_grid``, every
     point solved together from q = 0 by :func:`_newton`."""
     alpha_grid = _check_grid(alpha_grid, c.d, "alpha_grid")
-    return _newton(profile_matrix(c, n, budget=budget), n, alpha_grid, None)
+    return _newton(profile_matrix(c, n), n, alpha_grid, None)
 
 
 def concavity_slacks(points: list[SpectrumPoint]) -> np.ndarray:
@@ -181,13 +180,8 @@ def concavity_slacks(points: list[SpectrumPoint]) -> np.ndarray:
     return h[1:-1] - (h[:-2] + h[2:]) / 2
 
 
-def oracle_count(
-    c: OneStepCocycle,
-    alpha_grid: np.ndarray,
-    epsilon: float,
-    n: int,
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> tuple[np.ndarray, np.ndarray]:
+def oracle_count(c: OneStepCocycle, alpha_grid: np.ndarray, epsilon: float,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
     """Count, for every row alpha of the (G, d) ``alpha_grid``, the
     length-n cylinders whose singular profile lies in the epsilon
     max-norm box around alpha; h_count = (1/n) log count (-inf when the
@@ -198,7 +192,7 @@ def oracle_count(
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     grid = _check_grid(alpha_grid, c.d, "alpha_grid")
-    profs = profile_matrix(c, n, budget=budget)
+    profs = profile_matrix(c, n)
     hits = np.empty(len(grid), dtype=int)
     rows = max(1, pressure.GIBBS_BLOCK // len(profs))
     for lo in range(0, len(grid), rows):

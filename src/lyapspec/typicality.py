@@ -14,8 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import sft
-from .cocycle import (DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle,
-                      log_wedge_norm_matrices, product)
+from .cocycle import BudgetError, OneStepCocycle, log_wedge_norm_matrices, product
 from .sft import Word
 
 TOL_GAP = 1e-6
@@ -179,12 +178,7 @@ def qm_lengths(Q: sft.TransitionMatrix, n_max: int, k_max: int) -> tuple[int | N
     return (k, range(1, 2 * n_max + k + 1)) if n_max and k <= k_max else (None, range(0))
 
 
-def qm_search(
-    c: OneStepCocycle,
-    n_max: int,
-    k_max: int,
-    budget: int = DEFAULT_WORD_BUDGET,
-) -> QMReport:
+def qm_search(c: OneStepCocycle, n_max: int, k_max: int) -> QMReport:
     """Exhaustive search for simultaneous quasi-multiplicativity constants.
 
     For each connecting length k, computes
@@ -196,7 +190,7 @@ def qm_search(
 
     k runs up from the first length of :func:`qm_lengths`.  Each k reads
     the norms of the lengths 1..2 n_max + k (:func:`log_wedge_norm_matrices`,
-    so a failing k sweeps one more length; one of more than ``budget``
+    so a failing k sweeps one more length; one of more than ``c.budget``
     words raises BudgetError before its sweep) and their words
     (:func:`sft.word_arrays`).  The split (a, b) = (|I|, |J|) reads only
     the length a + k + b, whose rows are exactly its words IKJ: the
@@ -206,7 +200,7 @@ def qm_search(
     """
     k, lengths = qm_lengths(c.Q, n_max, k_max)
     while k is not None and k <= k_max:
-        norms = {n: x[:, :-1] for n, x in log_wedge_norm_matrices(c, lengths, budget).items()}
+        norms = {n: x[:, :-1] for n, x in log_wedge_norm_matrices(c, lengths).items()}
         # built after the budget check
         arrays = sft.word_arrays(c.Q, lengths[-1])
         tables = sft.child_tables(c.Q, n_max)

@@ -544,7 +544,7 @@ def test_padding_cap_exit_4(pos_file, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, err", [
     (["dominate", "{pos}", "--n-max", "30"],
-     "#L_30 = 1073741824 words exceeds the budget of 30000000"),
+     "#L_30 = 1073741824 words exceeds the budget of 20000000"),
     (["subsystem", "{pos}", "--block-depth", "30"],
      "#L_30 = 1237940039285380274899124224 words exceeds the budget of 9000000"),
     (["subsystem", "{pos}", "--base-n", "7"],
@@ -563,6 +563,40 @@ def test_budget_error_names_the_count_and_the_limit(argv, err, pos_file, tmp_pat
     assert cli.main(argv) == cli.EXIT_BUDGET
     assert capsys.readouterr() == ("", f"budget exceeded: {err}\n")
     assert not sub_out.exists()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["pressure", "{pos}", "--n", "20000"],
+     "#L_20000 words exceeds the budget of 20000000: #L_25 already does"),
+    (["pressure", "{pos}", "--n", "1000000"],
+     "#L_1000000 words exceeds the budget of 20000000: #L_25 already does"),
+    (["pressure", "{pos}", "--n", "2", "--qm-depth", "8000"],
+     "#L_16000 words exceeds the budget of 20000000: #L_25 already does"),
+    (["spectrum", "{pos}", "--n", "20000"],
+     "#L_20000 words exceeds the budget of 20000000: #L_25 already does"),
+    (["dominate", "{pos}", "--n-max", "20000"],
+     "#L_20000 words exceeds the budget of 20000000: #L_25 already does"),
+    (["subsystem", "{pos}", "--n", "20000"],
+     "#L_20000 words exceeds the budget of 20000000: #L_25 already does"),
+    (["subsystem", "{pos}", "--block-depth", "20000"],
+     "#L_20000 words exceeds the budget of 9000000: #L_8 already does"),
+    (["subsystem", "{pos}", "--base-n", "20000"],
+     "at least 128 base words of length 20000: their at least 2097152 blocks of depth 3 "
+     "exceed the budget of 300000"),
+], ids=["pressure-n", "pressure-n-1e6", "pressure-qm-depth", "spectrum-n", "dominate-n-max",
+        "subsystem-n", "subsystem-block-depth", "subsystem-base-n"])
+def test_budget_error_past_a_printable_count(argv, err, pos_file, tmp_path, capsys):
+    """Counts of thousands of digits, which Python refuses to print:
+    the refusal names the first length past the budget instead, and
+    counts no further, so each exits 4 at once with one stderr line and
+    writes no output."""
+    out = tmp_path / "x.csv"
+    argv = [a.format(pos=pos_file) for a in argv]
+    argv += ["--subsystem-out", str(tmp_path / "x.cocycle")] if argv[0] == "subsystem" else []
+    argv += [] if argv[0] == "dominate" else ["--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_BUDGET
+    assert capsys.readouterr() == ("", f"budget exceeded: {err}\n")
+    assert list(tmp_path.glob("x.*")) == []
 
 
 @pytest.mark.parametrize("argv", [

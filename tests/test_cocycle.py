@@ -145,8 +145,9 @@ class TestProfile:
             sft.count_words(golden_identity.Q, 7)
 
     def test_budget(self, pos_cocycle):
+        c = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators, budget=100)
         with pytest.raises(BudgetError):
-            profile_matrix(pos_cocycle, 12, budget=100)
+            profile_matrix(c, 12)
 
     def test_determinant_row_sum(self, pos_cocycle):
         """Sum of the profile equals (1/n) log|det| along the word."""
@@ -192,21 +193,25 @@ class TestSweepEngine:
         assert sweeps == [[6]]
         assert np.array_equal(again, first)
         assert np.array_equal(again, np.diff(logs, axis=1, prepend=0.0) / 6)
+        c.budget = 63
         with pytest.raises(BudgetError):
-            profile_matrix(c, 6, budget=63)
+            profile_matrix(c, 6)
         with pytest.raises(BudgetError):
-            log_wedge_norm_matrices(c, (6,), budget=63)
+            log_wedge_norm_matrices(c, (6,))
 
     def test_log_wedge_norms_cache(self, pos_cocycle):
         """log_wedge_norm_matrices caches its sweep: a hit returns the
-        cached array itself and still checks the budget, and profile_matrix
-        derives from it the same bits as a fresh sweep gives."""
+        cached array itself and still checks the budget of its cocycle,
+        and profile_matrix derives from it the same bits as a fresh
+        sweep gives.  The budget is set on a cocycle built here: the
+        fixture is shared by the whole session."""
         first = log_wedge_norm_matrices(pos_cocycle, (6,))[6]
         assert log_wedge_norm_matrices(pos_cocycle, (6,))[6] is first
-        with pytest.raises(BudgetError):
-            log_wedge_norm_matrices(pos_cocycle, (6,), budget=63)
         fresh = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
         assert np.array_equal(profile_matrix(pos_cocycle, 6), profile_matrix(fresh, 6))
+        fresh.budget = 63
+        with pytest.raises(BudgetError):
+            log_wedge_norm_matrices(fresh, (6,))
 
     def test_pressure_keeps_each_length_once(self):
         """The pressure command's sequence, a log-norm sweep of the
@@ -295,9 +300,9 @@ class TestOneSweepPerRequest:
     against the budget."""
 
     @staticmethod
-    def _fresh(c):
+    def _fresh(c, **kw):
         """The same cocycle with empty caches."""
-        return OneStepCocycle(Q=c.Q, generators=c.generators)
+        return OneStepCocycle(Q=c.Q, generators=c.generators, **kw)
 
     def test_qm_search_sweeps_once(self, pos_cocycle, sweeps):
         """The search stops at k = 0, so it sweeps 1..6, not 1..9."""
@@ -350,7 +355,7 @@ class TestOneSweepPerRequest:
     def test_domination_budget_checked_before_the_sweep(self, diag_cocycle, sweeps):
         """The longest length is checked, so the error names it."""
         with pytest.raises(BudgetError, match=r"^#L_11 = 2048 words exceeds the budget of 1000$"):
-            domination.domination_test(self._fresh(diag_cocycle), 1, range(2, 12), budget=1000)
+            domination.domination_test(self._fresh(diag_cocycle, budget=1000), 1, range(2, 12))
         assert sweeps == []
 
     def test_empty_length_set_counts_no_words(self, diag_cocycle, monkeypatch, sweeps):

@@ -394,10 +394,14 @@ def test_search_matches_per_vector_reference(reps, seed, radius, orbits):
     the reference's margin against the union of balls, sampled at every
     ball: the S-lemma margin is exact for the one chosen ball, and the
     union can only be nearer."""
-    kw = dict(seed=seed, radius=radius, n_starts=orbits[0], burn_in=orbits[1],
-              collect=orbits[2])
-    ref = _multicone_search(reps, **kw)
-    cert = domination.multicone_search(reps, **kw)
+    ref = _multicone_search(reps, seed=seed, radius=radius, n_starts=orbits[0],
+                            burn_in=orbits[1], collect=orbits[2])
+    # module constants, set for this example only: hypothesis reuses the test's scope
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(domination, "CONE_RADIUS", radius)
+        for name, value in zip(("ORBIT_STARTS", "ORBIT_BURN_IN", "ORBIT_COLLECT"), orbits):
+            mp.setattr(domination, name, value)
+        cert = domination.multicone_search(reps, seed=seed)
     if ref is None:
         assert cert is None
     if cert is not None:

@@ -196,8 +196,7 @@ def _reference_pads(c, n, a, w, pad_bound):
             c_ext = OneStepCocycle(Q=sft.full_shift(len(ext_words)),
                                    generators=[product(c, e) for e in ext_words])
             report = domination.domination_report(c_ext, n_range=depths,
-                                                  monotone_from=depths[0],
-                                                  budget=domination.BLOCK_BUDGET)
+                                                  monotone_from=depths[0])
             if report.passed:
                 return (pad_left, pad_right), None
             worst = ext_words[domination._worst_word_index(c_ext)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -119,6 +121,23 @@ def test_word_counts_never_decrease(k, data):
     assert counts == sorted(counts)
 
 
+class TestLengthPast:
+    def test_counts_no_length_past_the_first_over_the_limit(self):
+        """#L_10 = 1,024 is the first count past 1,000 on the full
+        2-shift, and it proves #L_n > 1000 at any n >= 10."""
+        Q = sft.full_shift(2)
+        assert sft.length_past(Q, 10**6, 1000) == 10
+        assert len(Q._counts) == 10
+
+    def test_names_n_when_its_count_prints(self):
+        """#L_n <= 2^n: n = 300 (a bound of 91 digits) is named itself,
+        and n = 400 (121 digits) by the first length past the limit."""
+        Q = sft.full_shift(2)
+        assert sft.length_past(Q, 300, 1000) == 300
+        assert sft.length_past(Q, 400, 1000) == 10
+        assert sft.length_past(Q, 9, 1000) is None
+
+
 class TestShiftEntropy:
     def test_full_shift(self):
         for k in (2, 3, 5):
@@ -136,3 +155,17 @@ class TestShiftEntropy:
         rate = np.log(sft.count_words(golden_mean_Q, 64)) / 64
         assert abs(rate - h) < 0.02
         assert rate > h
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_slowly_mixing_wielandt_matrix(self, k):
+        """The cycle 1 -> ... -> k -> 1 plus k -> 2 mixes at the rate
+        (k - 1)^2 + 1, the slowest for its size, and |lambda_2/lambda_1|
+        reaches 0.988 at k = 8; by n = 4000 the exact count growth
+        log(#L_{n+1}/#L_n) has settled on log rho to rounding."""
+        entries = np.zeros((k, k), dtype=int)
+        entries[np.arange(k), (np.arange(k) + 1) % k] = 1
+        entries[k - 1, 1] = 1
+        Q = sft.validate(entries)
+        assert Q.mixing_rate == (k - 1) ** 2 + 1
+        growth = math.log(sft.count_words(Q, 4001)) - math.log(sft.count_words(Q, 4000))
+        assert abs(sft.shift_entropy(Q) - growth) <= 1e-12
