@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, domination, matalg, pressure, sft, spectrum, typicality
-from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle, log_wedge_norm_matrices
+from .cocycle import DEFAULT_WORD_BUDGET, BudgetError, OneStepCocycle
 from .sft import NotPrimitiveError
 
 EXIT_OK = 0
@@ -334,10 +334,6 @@ def cmd_pressure(args) -> int:
     _at_least("--qm-connect", args.qm_connect, 0)
     grid = parse_grid(args.q, c.d)
     _check_writable(args.out)
-    # one sweep for the QM search and the table, when the search stops at
-    # its first connector length k
-    k, reads = typicality.qm_lengths(c.Q, args.qm_depth, args.qm_connect)
-    log_wedge_norm_matrices(c, {*reads, *pressure.table_lengths(args.n, k)})
     qm = typicality.qm_search(c, args.qm_depth, args.qm_connect)
     est = pressure.pressure_table(c, grid, args.n, qm_C=qm.C, qm_k=qm.k)
     brackets = np.column_stack([est.lower, est.upper, est.cauchy]).tolist()
@@ -465,6 +461,8 @@ def cmd_subsystem(args) -> int:
     # leave the other untouched
     _check_writable(args.out)
     _check_writable(args.subsystem_out)
+    # before the searches, so an over-budget --n is refused at once
+    base = pressure.log_sums(c, grid, (args.n,))[args.n] / args.n
     typ = _typicality(c, args)
     if typ is None or not typ.passed:
         raise CliError(EXIT_NO_FIXED, "error: typicality precondition not met")
@@ -475,7 +473,6 @@ def cmd_subsystem(args) -> int:
         raise CliError(EXIT_SEARCH_EXHAUSTED, f"error: {exc}") from exc
     # rows first: a budget error must leave no subsystem file behind
     per_symbol = domination.subsystem_pressure(sub, grid, args.block_depth) / sub.ell
-    base = pressure.log_sums(c, grid, (args.n,))[args.n] / args.n
     # a gap past the float range is absent, as a pressure bracket is
     with np.errstate(invalid="ignore"):
         gap = np.abs(per_symbol - base)

@@ -54,9 +54,10 @@ class OneStepCocycle:
     those wedges).  One cache holds the log wedge norms of every swept
     length; pressure, domination and the QM search read them as they
     are, and the profiles that the Legendre solver and the oracle need
-    are their differences, derived on each call.  ``budget`` bounds that
-    cache: the most words at the longest length of one sweep
-    (:func:`log_wedge_norm_matrices`).
+    are their differences, derived on each call; a sweep that adds to it
+    resumes from the deepest level of the last one (:func:`_sweep`).
+    ``budget`` bounds that cache: the most words at the longest length
+    of one sweep (:func:`log_wedge_norm_matrices`).
     """
 
     Q: TransitionMatrix
@@ -67,6 +68,7 @@ class OneStepCocycle:
     log_norms: np.ndarray = field(init=False, repr=False)
     rescale_every: int = field(init=False, repr=False)
     _norm_cache: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+    _frontier: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         gens = self.generators = [np.asarray(A, dtype=float) for A in self.generators]
@@ -129,19 +131,19 @@ def word_products(c: OneStepCocycle, words: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray, rescale: bool):
-    """Extend frontier row par[j] by symbol sym[j].  A frontier holds one
-    stack of products of unit-norm wedges per degree t < d and log
-    accumulators of shape (rows, d); each step is one stacked matmul per
-    degree and adds log||A_s^{wedge t}|| to every accumulator (degree d,
-    1x1 and multiplicative, keeps no stack: its column adds log|det A_s|).
-    Only with ``rescale`` are the products divided by their largest
-    |entry|, that scale accumulated, so a frontier between rescales has
-    entries within [ORBIT_FLOOR / D, D]."""
+def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray, depth: int):
+    """Extend frontier row par[j] by symbol sym[j], to length ``depth``.
+    A frontier holds one stack of products of unit-norm wedges per
+    degree t < d and log accumulators of shape (rows, d); each step is
+    one stacked matmul per degree and adds log||A_s^{wedge t}|| to every
+    accumulator (degree d, 1x1 and multiplicative, keeps no stack: its
+    column adds log|det A_s|).  At a multiple of ``c.rescale_every`` the
+    products are divided by their largest |entry|, that scale accumulated,
+    so a frontier between rescales has entries within [ORBIT_FLOOR / D, D]."""
     mats, laccs = front
     new_laccs = laccs[par] + c.log_norms[sym - 1]
     new_mats = [c.unit_wedges[t][sym - 1] @ V[par] for t, V in enumerate(mats, start=1)]
-    if rescale:
+    if depth % c.rescale_every == 0:
         for ti, W in enumerate(new_mats):
             nrm = np.abs(W).max(axis=(1, 2))
             W /= nrm[:, None, None]
@@ -150,8 +152,9 @@ def _advance(c: OneStepCocycle, front, par: np.ndarray, sym: np.ndarray, rescale
 
 
 def _root(c: OneStepCocycle):
-    """The frontier of the empty word."""
-    return [np.eye(c.wedges[t].shape[1])[None] for t in range(1, c.d)], np.zeros((1, c.d))
+    """The empty word as a kept level: depth 0, its frontier, any next symbol."""
+    eyes = [np.eye(c.wedges[t].shape[1])[None] for t in range(1, c.d)]
+    return 0, (eyes, np.zeros((1, c.d))), np.ones((1, c.k), dtype=bool)
 
 
 def _spectral_norm(V: np.ndarray) -> np.ndarray:
@@ -294,6 +297,12 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
     :func:`_finish` calls of at most BLOCK_ROWS rows; the steps and the
     finish work row by row, so each level gets the values of one word
     at a time, whatever the other lengths and the blocks.
+
+    It starts from ``c._frontier``, the last sweep's deepest level, when
+    every length lies past it, else from the empty word, and keeps its
+    own deepest level there (with the next symbols its rows allow) when
+    that level is one block, else nothing.  A step reads only its rows
+    and depth, so resuming gives the bits of a sweep from the empty word.
     """
     out = {n: np.empty((sft.count_words(c.Q, n), c.d)) for n in lengths}
     row = dict.fromkeys(out, 0)
@@ -310,22 +319,30 @@ def _sweep(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
             row[depth] += len(laccs)
         batch.clear()
 
-    # LIFO work list of (depth, parent frontier, parent rows, symbols)
-    todo = [(0, _root(c), np.zeros(c.k, dtype=np.intp), np.arange(1, c.k + 1))]
+    todo = []  # LIFO work list of (depth, parent frontier, parent rows, symbols)
+
+    def push(depth, front, successors):
+        # the children of the frontier rows, whose allowed next symbols
+        # are the rows of ``successors``, in blocks, the first on top
+        par, col = np.nonzero(successors)
+        for start in reversed(range(0, len(par), BLOCK_ROWS)):
+            block = slice(start, start + BLOCK_ROWS)
+            todo.append((depth, front, par[block], col[block] + 1))
+
+    kept, c._frontier = c._frontier, None
+    push(*(kept if kept is not None and kept[0] < min(out) else _root(c)))
     while todo:
         depth, parent, par, sym = todo.pop()
         depth += 1
-        front = _advance(c, parent, par, sym, depth % c.rescale_every == 0)
+        front = _advance(c, parent, par, sym, depth)
         if depth in out:
             if batch and sum(len(laccs) for _, (_, laccs) in batch) + len(sym) > BLOCK_ROWS:
                 finish_batch()
             batch.append((depth, front))
-        if depth == top:
-            continue
-        par, col = np.nonzero(c.Q.entries[sym - 1])
-        for start in reversed(range(0, len(par), BLOCK_ROWS)):
-            block = slice(start, start + BLOCK_ROWS)
-            todo.append((depth, front, par[block], col[block] + 1))
+        if depth < top:
+            push(depth, front, c.Q.entries[sym - 1])
+        elif len(sym) == len(out[top]):
+            c._frontier = depth, front, c.Q.entries[sym - 1]
     finish_batch()
     return out
 
@@ -351,7 +368,7 @@ def log_wedge_norm_matrices(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]
     length of more than ``c.budget`` words raises BudgetError naming it,
     with its count where :func:`sft.length_past` counts it, else with
     the first length past the budget; the lengths the cache lacks then
-    come from one sweep.  A hit returns the cached array itself."""
+    come from one :func:`_sweep`.  A hit returns the cached array itself."""
     lengths = sorted(set(lengths))
     if lengths and (m := sft.length_past(c.Q, n := lengths[-1], c.budget)):
         count = f" = {sft.count_words(c.Q, n)}" if m == n else ""

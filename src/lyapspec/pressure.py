@@ -138,14 +138,6 @@ def bracket_constants(c: OneStepCocycle, q, qm_C: float, qm_k: int):
     return sum(terms[..., i] for i in range(c.d))
 
 
-def table_lengths(n: int, qm_k: int | None = None) -> set[int]:
-    """The lengths :func:`pressure_table` reads at n: n, n - 2 when
-    n > 2, and n - qm_k for a lower bracket at connector length
-    qm_k < n."""
-    return {n, *([n - qm_k] if qm_k is not None and n > qm_k else []),
-            *([n - 2] if n > 2 else [])}
-
-
 def pressure_table(
     c: OneStepCocycle,
     grid: np.ndarray,
@@ -168,7 +160,7 @@ def pressure_table(
     """
     grid = _check_grid(grid, c.d, "grid")
     bracket = qm_C is not None and qm_k is not None and 0 < qm_C < np.inf and n > qm_k
-    logs = log_sums(c, grid, table_lengths(n, qm_k if bracket else None))
+    logs = log_sums(c, grid, {n, *([n - qm_k] if bracket else []), *([n - 2] if n > 2 else [])})
     value = logs[n] / n
     with np.errstate(over="ignore", invalid="ignore"):
         lower = ((bracket_constants(c, grid, qm_C, qm_k) + logs[n - qm_k]) / n if bracket

@@ -169,15 +169,6 @@ def _ranks(tables: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def qm_lengths(Q: sft.TransitionMatrix, n_max: int, k_max: int) -> tuple[int | None, range]:
-    """The first connector length k that :func:`qm_search` evaluates,
-    the mixing rate - 1 (every shorter k leaves a symbol pair with no
-    connector, Q^(k+1) has a zero), and the lengths 1..2 n_max + k that
-    it reads there; (None, an empty range) when it evaluates none."""
-    k = max(Q.mixing_rate - 1, 0)
-    return (k, range(1, 2 * n_max + k + 1)) if n_max and k <= k_max else (None, range(0))
-
-
 def qm_search(c: OneStepCocycle, n_max: int, k_max: int) -> QMReport:
     """Exhaustive search for simultaneous quasi-multiplicativity constants.
 
@@ -188,18 +179,20 @@ def qm_search(c: OneStepCocycle, n_max: int, k_max: int) -> QMReport:
     Returns the smallest k with C(k) > 1e-12; failure, including an empty
     search, is a report state.
 
-    k runs up from the first length of :func:`qm_lengths`.  Each k reads
-    the norms of the lengths 1..2 n_max + k (:func:`log_wedge_norm_matrices`,
-    so a failing k sweeps one more length; one of more than ``c.budget``
-    words raises BudgetError before its sweep) and their words
-    (:func:`sft.word_arrays`).  The split (a, b) = (|I|, |J|) reads only
-    the length a + k + b, whose rows are exactly its words IKJ: the
-    :func:`_ranks` of their prefixes and suffixes give their pairs, one
-    scatter-max per split the best K of each pair, and C(k) is the
-    exponential of the least of these over all splits.
+    k runs up from the mixing rate - 1: below it Q^(k+1) has a zero, so
+    some symbol pair has no connector.  Each k reads the norms of the
+    lengths 1..2 n_max + k (:func:`log_wedge_norm_matrices`, so a failing
+    k sweeps one more length; one of more than ``c.budget`` words raises
+    BudgetError before its sweep) and their words (:func:`sft.word_arrays`).
+    The split (a, b) = (|I|, |J|) reads only the length a + k + b, whose
+    rows are exactly its words IKJ: the :func:`_ranks` of their prefixes
+    and suffixes give their pairs, one scatter-max per split the best K
+    of each pair, and C(k) is the exponential of the least of these over
+    all splits.
     """
-    k, lengths = qm_lengths(c.Q, n_max, k_max)
-    while k is not None and k <= k_max:
+    k = max(c.Q.mixing_rate - 1, 0)
+    while n_max and k <= k_max:
+        lengths = range(1, 2 * n_max + k + 1)
         norms = {n: x[:, :-1] for n, x in log_wedge_norm_matrices(c, lengths).items()}
         # built after the budget check
         arrays = sft.word_arrays(c.Q, lengths[-1])
@@ -222,5 +215,5 @@ def qm_search(c: OneStepCocycle, n_max: int, k_max: int) -> QMReport:
             C = float(np.exp(worst))
         if C > 1e-12:
             return QMReport(k=k, C=C)
-        k, lengths = k + 1, range(1, lengths.stop + 1)
+        k += 1
     return QMReport(k=None, C=None)

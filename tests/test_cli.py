@@ -599,6 +599,28 @@ def test_budget_error_past_a_printable_count(argv, err, pos_file, tmp_path, caps
     assert list(tmp_path.glob("x.*")) == []
 
 
+@pytest.mark.parametrize("gaussian", [False, True], ids=["pos", "gaussian-d3"])
+def test_subsystem_n_past_the_budget_is_refused_before_the_search(gaussian, pos_file, tmp_path,
+                                                                  capsys, monkeypatch):
+    """The base cocycle's sums at --n come before the typicality search,
+    so an over-budget --n exits 4 with one stderr line, no pair checked
+    and no file written.  On the Gaussian d = 3 cocycle no pair passes,
+    so a refusal after the search would be exit 5."""
+    path = pos_file
+    if gaussian:
+        path = str(tmp_path / "gauss.cocycle")
+        gens = list(np.random.default_rng(2).standard_normal((2, 3, 3)))
+        cli.write_cocycle(path, OneStepCocycle(Q=sft.full_shift(2), generators=gens))
+    checks = []
+    monkeypatch.setattr(typicality, "check_typical", lambda *a: checks.append(a))
+    out, sub = tmp_path / "x.csv", tmp_path / "x.sub"
+    assert cli.main(["subsystem", path, "--n", "20000", "--subsystem-out", str(sub),
+                     "--out", str(out)]) == cli.EXIT_BUDGET
+    assert capsys.readouterr() == ("", "budget exceeded: #L_20000 words exceeds the budget "
+                                       "of 20000000: #L_25 already does\n")
+    assert checks == [] and not out.exists() and not sub.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["pressure", "{diag}", "--q=0:0:1", "--n", "4", "--out", "{missing}/p.csv"],
     ["spectrum", "{diag}", "--auto-grid", "3", "--n", "4", "--out", "{missing}/s.csv"],

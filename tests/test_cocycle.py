@@ -24,6 +24,20 @@ def sweeps(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def advances(monkeypatch):
+    """The depth of every sweep step, in call order."""
+    depths = []
+    advance = cocycle._advance
+
+    def counted(c, front, par, sym, depth):
+        depths.append(depth)
+        return advance(c, front, par, sym, depth)
+
+    monkeypatch.setattr(cocycle, "_advance", counted)
+    return depths
+
+
 class TestConstruction:
     def test_rejects_singular_generator(self):
         with pytest.raises(ValueError):
@@ -214,13 +228,12 @@ class TestSweepEngine:
             log_wedge_norm_matrices(fresh, (6,))
 
     def test_pressure_keeps_each_length_once(self):
-        """The pressure command's sequence, a log-norm sweep of the
-        table's lengths (with its QM search) and then the table, retains
-        each length once: less than 1.5 times #L_m d floats over those
-        lengths."""
+        """A log-norm sweep of the lengths n - 2 and n of a pressure
+        table at n = 14, and then the table, retains each length once:
+        less than 1.5 times #L_m d floats over those lengths."""
         rng = np.random.default_rng(5)
         c = OneStepCocycle(Q=sft.full_shift(2), generators=list(rng.standard_normal((2, 3, 3))))
-        lengths = pressure.table_lengths(14)
+        lengths = (12, 14)
         cached = sum(sft.count_words(c.Q, m) for m in lengths) * c.d * 8
         grid = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, -1.0]])
         tracemalloc.start()
@@ -239,7 +252,7 @@ class TestSweepEngine:
         their bytes, with no full-size temporary per length."""
         rng = np.random.default_rng(5)
         c = OneStepCocycle(Q=sft.full_shift(2), generators=list(rng.standard_normal((2, 3, 3))))
-        lengths = pressure.table_lengths(14)
+        lengths = (12, 14)
         cached = sum(sft.count_words(c.Q, m) for m in lengths) * c.d * 8
         grid = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, -1.0]])
         cocycle.log_wedge_norm_matrices(c, lengths)
@@ -251,6 +264,50 @@ class TestSweepEngine:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * cached
+
+    @pytest.mark.parametrize("every", range(10, 15))
+    def test_resumed_sweep_crosses_a_rescale(self, golden_mean_Q, every, advances):
+        """A sweep resumed at length 4 and run on to 14, past a rescale
+        at ``every``, advances only the levels 5..14 and gives the bits
+        of a sweep from the empty word."""
+        gens = list(np.random.default_rng(every).standard_normal((2, 3, 3)))
+        cs = [OneStepCocycle(Q=golden_mean_Q, generators=gens) for _ in range(2)]
+        for c in cs:
+            c.rescale_every = every
+        whole = cocycle._sweep(cs[0], [14])[14]
+        cocycle._sweep(cs[1], [4])
+        advances.clear()
+        assert np.array_equal(cocycle._sweep(cs[1], [14])[14], whole)
+        assert advances == list(range(5, 15))
+
+    def test_request_at_or_below_the_kept_level_sweeps_from_the_empty_word(self, pos_cocycle,
+                                                                          advances):
+        """A kept level at 6 serves no request with a length up to 6:
+        (3, 8) and then 8 itself, at the level 8 then kept, sweep from
+        the empty word, with the bits of a fresh cocycle."""
+        c = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
+        cocycle._sweep(c, [6])
+        for lengths in ([3, 8], [8]):
+            advances.clear()
+            got = cocycle._sweep(c, lengths)
+            assert advances == list(range(1, 9))
+            fresh = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
+            assert all(np.array_equal(got[n], cocycle._sweep(fresh, [n])[n]) for n in lengths)
+
+    def test_level_past_one_block_keeps_nothing(self, pos_cocycle, monkeypatch, advances):
+        """With blocks of 8 rows the level 3 (8 words) is kept and the
+        level 4 (16 words, two blocks) is not, so a sweep to 4 resumes
+        at 3 and the next one starts from the empty word."""
+        monkeypatch.setattr(cocycle, "BLOCK_ROWS", 8)
+        c = OneStepCocycle(Q=pos_cocycle.Q, generators=pos_cocycle.generators)
+        cocycle._sweep(c, [3])
+        assert c._frontier[0] == 3
+        advances.clear()
+        cocycle._sweep(c, [4])
+        assert (advances, c._frontier) == ([4, 4], None)
+        advances.clear()
+        cocycle._sweep(c, [5])
+        assert advances[:3] == [1, 2, 3]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_sweep_runs_no_svd(self, d, monkeypatch):
@@ -325,15 +382,17 @@ class TestOneSweepPerRequest:
         assert (qm.k, qm.C) == (1, 1.0)
         assert sweeps == [list(range(1, 6))]
 
-    def test_failing_connector_length_sweeps_one_more_length(self, sweeps):
+    def test_failing_connector_length_sweeps_one_more_length(self, sweeps, advances):
         """Opposite hyperbolic generators: the pair I = (1, 1), J = (2, 2)
         gives C(k) about 1e-20, 1e-15 and 1e-10 at k = 0, 1, 2, so the
-        search extends its sweep by one length per failing k."""
+        search extends its sweep by one length per failing k, each
+        resumed from the last: 6 levels in all, not 4 + 5 + 6."""
         c = OneStepCocycle(Q=sft.full_shift(2),
                            generators=[np.diag([1e5, 1e-5]), np.diag([1e-5, 1e5])])
         qm = typicality.qm_search(c, 2, 4)
         assert qm.k == 2 and round(np.log10(qm.C)) == -10
         assert sweeps == [[1, 2, 3, 4], [5], [6]]
+        assert advances == [1, 2, 3, 4, 5, 6]
 
     def test_empty_qm_search_sweeps_nothing(self, pos_cocycle, sweeps):
         assert not typicality.qm_search(self._fresh(pos_cocycle), 0, 3).found
@@ -363,14 +422,17 @@ class TestOneSweepPerRequest:
         assert log_wedge_norm_matrices(self._fresh(diag_cocycle), ()) == {}
         assert sweeps == []
 
-    def test_pressure_sweeps_once_beyond_the_qm_search(self, pos_cocycle, tmp_path, sweeps):
+    def test_pressure_sweeps_once_beyond_the_qm_search(self, pos_cocycle, tmp_path, sweeps,
+                                                       advances):
         """pressure reads the QM search's lengths 1..4 (it stops at
-        k = 0) and the table's n, n - k and n - 2 from one sweep."""
+        k = 0), then the table's n - 2 and n from a sweep that resumes
+        at length 4: each level 1..10 is advanced once."""
         path = tmp_path / "pos.cocycle"
         cli.write_cocycle(str(path), pos_cocycle)
         assert cli.main(["pressure", str(path), "--q=-1:1:1", "--n", "10", "--qm-depth", "2",
                          "--qm-connect", "2", "--out", str(tmp_path / "p.csv")]) == 0
-        assert sweeps == [[1, 2, 3, 4, 8, 10]]
+        assert sweeps == [[1, 2, 3, 4], [8, 10]]
+        assert sorted(advances) == list(range(1, 11))
 
     def test_pressure_budget_message_names_n(self, diag_cocycle, tmp_path, capsys, sweeps):
         """A budget below #L_{n-2} names #L_n, as a sweep of n alone did."""
@@ -384,8 +446,8 @@ class TestOneSweepPerRequest:
         assert sweeps == []
 
     def test_qm_budget_message(self, diag_cocycle, tmp_path, capsys):
-        """The QM search at k = 0 reads the lengths 1..12, so the one
-        sweep of the search and the table names the longest of them."""
+        """The QM search at k = 0 reads the lengths 1..12, so its sweep,
+        the first of the run, names the longest of them."""
         path = tmp_path / "diag.cocycle"
         cli.write_cocycle(str(path), diag_cocycle)
         code = cli.main(["pressure", str(path), "--n", "3", "--qm-depth", "6",

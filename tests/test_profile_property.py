@@ -1,8 +1,8 @@
 """Property tests: the batched profile sweep against plain products,
-against the SVD finish it replaced, against one sweep per length and,
-past its first rescale, against a sweep normalised at every level, the
-scale-free spectral norm and which of its rows go to LAPACK, the
-exact top wedge degree, the table word ranks against a sort, the
+against the SVD finish it replaced, against one sweep per length (also
+resumed from an earlier sweep) and, past its first rescale, against a
+sweep normalised at every level, the scale-free spectral norm and
+which of its rows go to LAPACK, the exact top wedge degree, the table word ranks against a sort, the
 invariants of the Gibbs Hessian and the Legendre solver, and the
 one-pass solver against the three-pass loop it replaced."""
 
@@ -273,17 +273,31 @@ def test_top_degree_is_summed_log_det(c, n):
 @hypothesis.given(c=cocycles(), data=st.data())
 def test_multi_length_sweep_matches_single_lengths(c, data):
     """One sweep of a set of lengths gives, bit for bit, the arrays of
-    one sweep per length, also when the frontier is cut into blocks of
-    1 or 7 rows, so that a level spans many blocks."""
+    one sweep per length from the empty word of a fresh cocycle, also
+    when the frontier is cut into blocks of 1 or 7 rows, so that a
+    level spans many blocks, and also after a sweep of another drawn
+    length: the set is swept on from that sweep's deepest level when
+    it lies past that level and the level is one block, which is then
+    kept, and from the empty word otherwise."""
     top = 8 if c.d < 4 else 6
     lengths = data.draw(st.sets(st.integers(1, top), min_size=1))
-    singles = {n: cocycle._sweep(c, [n])[n] for n in lengths}
-    for rows in (1, 7):
+    first = data.draw(st.integers(1, top))
+
+    def fresh():
+        return OneStepCocycle(Q=c.Q, generators=c.generators)
+
+    singles = {n: cocycle._sweep(fresh(), [n])[n] for n in lengths}
+    for rows in (cocycle.BLOCK_ROWS, 7, 1):
         with mock.patch.object(cocycle, "BLOCK_ROWS", rows):
-            multi = cocycle._sweep(c, lengths)
-        assert multi.keys() == singles.keys()
-        for n in lengths:
-            assert np.array_equal(multi[n], singles[n])
+            multi = cocycle._sweep(fresh(), lengths)
+            resumed = fresh()
+            cocycle._sweep(resumed, [first])
+            assert (resumed._frontier is not None) == (sft.count_words(c.Q, first) <= rows)
+            after = cocycle._sweep(resumed, lengths)
+        for got in (multi, after):
+            assert got.keys() == singles.keys()
+            for n in lengths:
+                assert np.array_equal(got[n], singles[n])
 
 
 def _unique_ranks(rows: np.ndarray) -> np.ndarray:
