@@ -390,7 +390,15 @@ def profile_matrix(c: OneStepCocycle, n: int) -> np.ndarray:
 def eigen_exponents(c: OneStepCocycle, word: Word) -> np.ndarray:
     """Per-symbol log-moduli of the eigenvalues of A_I for a periodic
     word (Lyapunov exponents of the orbit with itinerary I^infinity),
-    sorted non-increasing.
+    non-increasing up to rounding.
+
+    The top t of them add up to log rho(A_I^{wedge t}).  For t < d that
+    is log rho of the product of ``c.unit_wedges[t]`` over the word,
+    divided by its largest |entry| at every step, plus those scales and
+    the word's ``c.log_norms``; at t = d it is the sum of log|det A_s|.
+    So the small eigenvalues of a long product keep their digits, where
+    the eigenvalues of A_I itself would lose them.  Words past
+    MAX_PRODUCT_LENGTH raise ValueError.
     """
     if not word:
         raise ValueError("need a nonempty word")
@@ -398,6 +406,16 @@ def eigen_exponents(c: OneStepCocycle, word: Word) -> np.ndarray:
         raise ValueError(f"word {word} is not admissible")
     if not c.Q.allows(word[-1], word[0]):
         raise ValueError(f"word {word} does not close up periodically")
-    M = product(c, word)
-    lam = np.linalg.eigvals(M)
-    return np.sort(np.log(np.abs(lam)))[::-1] / len(word)
+    if len(word) > MAX_PRODUCT_LENGTH:
+        raise ValueError(f"plain products are limited to length {MAX_PRODUCT_LENGTH}; use profiles")
+    sym = np.asarray(word) - 1
+    logs = c.log_norms[sym].sum(axis=0)
+    for t in range(1, c.d):
+        P = np.eye(c.unit_wedges[t].shape[1])
+        for s in sym:
+            P = c.unit_wedges[t][s] @ P
+            scale = np.abs(P).max()
+            P /= scale
+            logs[t - 1] += np.log(scale)
+        logs[t - 1] += np.log(np.abs(np.linalg.eigvals(P)).max())
+    return np.diff(logs, prepend=0.0) / len(word)

@@ -126,14 +126,19 @@ class MulticoneCertificate:
     """Projective balls of one radius whose union every generator maps
     into its interior.
 
-    ``kind`` is *certified* when every (ball, generator) pair passed the
-    S-lemma test of :func:`_pair_margins`: the image of each ball then
-    lies in the ball nearest to the image of its center, at least
-    ``margin`` (rad) inside its rim, up to rounding.  It is *empirical*
-    when some ball needed the union of balls: each such ball was checked
-    at ``samples_per_ball`` seeded directions (0 when no ball was), and
-    its margin is an estimate, not a proof.  ``margin`` is the least
-    over the certified pairs and the sampled balls."""
+    At D = 2 ``kind`` is always *certified*, with ``samples_per_ball``
+    0: every image arc lies at least ``margin`` (rad) inside the ball
+    nearest to the image of its center, or inside the union of balls
+    for a ball that needs the union, up to rounding
+    (:func:`_arc_margins`).  At D >= 3 it is *certified* when every
+    (ball, generator) pair passed the S-lemma test of
+    :func:`_pair_margins`: the image of each ball then lies in the ball
+    nearest to the image of its center, at least ``margin`` inside its
+    rim, up to rounding.  It is *empirical* when some ball needed the
+    union of balls: each such ball was checked at ``samples_per_ball``
+    seeded directions (0 when no ball was), and its margin is an
+    estimate, not a proof.  ``margin`` is the least over the certified
+    pairs and the balls checked against the union."""
 
     centers: np.ndarray = field(repr=False)
     radius: float
@@ -223,11 +228,10 @@ def _pair_margins(
     (:func:`_boundary_radius`, rho_est), so a bisection on rho over
     [rho_est - 1e-12, r - floor], which keeps the end that passed,
     finds rho* to RHO_TOL; each pair leaves it once its own bracket is
-    that narrow, so later stacked tests take fewer rows.  At D = 2 those
-    points are the whole boundary of the arc and rho_est is the image
-    radius itself: one test at rho_est + RHO_TOL/2 settles every pair it
-    passes.  A pair's rho is only ever one that passed, whatever rho_est
-    says.
+    that narrow, so later stacked tests take fewer rows.  A pair's rho
+    is only ever one that passed, whatever rho_est says.  The search
+    calls this at D >= 3 only; D = 2 has the closed form
+    :func:`_arc_margins`.
 
     Returns the margins r - rho*, shape (balls, generators), -inf where
     rho = r - floor fails, and the index of each pair's c'."""
@@ -257,11 +261,6 @@ def _pair_margins(
     ok = np.flatnonzero(passes(np.arange(len(g)), np.full(len(g), top)))
     est = _boundary_radius(g[ok], G[ok])
     lo, hi = np.clip(est - 1e-12, 0.0, top), np.full(len(ok), top)
-    if D == 2:
-        guess = np.minimum(est + RHO_TOL / 2, top)
-        p = passes(ok, guess)
-        margins[ok[p]] = radius - guess[p]
-        ok, lo, hi = ok[~p], guess[~p], hi[~p]
     while True:
         done = ~(hi - lo > RHO_TOL)  # a NaN bracket, which never narrows, leaves too
         margins[ok[done]] = radius - hi[done]
@@ -272,6 +271,54 @@ def _pair_margins(
         p = passes(ok, mid)
         lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
     return margins.reshape(nb, -1), nearest
+
+
+def _arc_margins(
+    reps: np.ndarray, centers: np.ndarray, radius: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact margins of every (ball j, generator B) pair at D = 2.
+
+    The ball around c is the arc of RP^1 between its ends e+- = cos r c
+    +- sin r c_perp, and B maps it onto the arc from B e- through B c to
+    B e+, which is shorter than pi.  Angles are lifted along that arc
+    from phi0 = angle(B c): cross(B c, B e+-) = +-det B sin r, so the
+    turn to B e+- is atan2(|cross|, dot) signed by +-sign(det B), exact
+    even near pi.  The pair margin is r minus the farthest distance of
+    the arc from c', the center nearest to B c (its angle lifted next
+    to phi0): that of the farther end, or pi/2 once the arc holds the
+    normal of c'.  The union margin is r minus the farthest distance of
+    the arc from its nearest center; that piecewise-linear distance
+    peaks only at the arc's ends and at the midpoints between
+    angularly adjacent centers (the last and the first one pi on).
+
+    Returns the pair margins and the union margins, each of shape
+    (balls, generators)."""
+    images = (reps[None] @ centers[:, None, :, None])[..., 0]
+    nearest = np.abs(images @ centers.T).argmax(axis=-1)
+    side = np.array([1.0, -1.0])
+    perp = centers[:, ::-1] * [-1.0, 1.0]
+    ends = np.cos(radius) * centers[:, None] + np.sin(radius) * side[:, None] * perp[:, None]
+    end_images = (reps[None, :, None] @ ends[:, None, :, :, None])[..., 0]
+    u, w = images[:, :, None, 0], images[:, :, None, 1]
+    cross = u * end_images[..., 1] - w * end_images[..., 0]
+    dot = u * end_images[..., 0] + w * end_images[..., 1]
+    phi0 = np.arctan2(w, u)
+    turn = np.sign(np.linalg.det(reps))[:, None] * side
+    phi = phi0 + turn * np.arctan2(np.abs(cross), dot)  # (balls, generators, ends)
+
+    theta = np.arctan2(centers[:, 1], centers[:, 0])
+    lag = phi0[..., 0] - theta[nearest]
+    psi = phi0 - (lag - np.pi * np.round(lag / np.pi))[..., None]
+    pair = radius - np.minimum(np.abs(phi - psi).max(axis=-1), np.pi / 2)
+
+    off = phi[..., None] - theta
+    end_dist = np.abs(off - np.pi * np.round(off / np.pi)).min(axis=-1).max(axis=-1)
+    th = np.sort(theta % np.pi)
+    gap = np.diff(th, append=th[0] + np.pi)
+    lo, hi = phi.min(axis=-1)[..., None], phi.max(axis=-1)[..., None]
+    inside = lo + (th + gap / 2 - lo) % np.pi < hi
+    peak = np.where(inside, gap / 2, 0.0).max(axis=-1)
+    return pair, radius - np.maximum(end_dist, peak)
 
 
 def _ball_samples(center: np.ndarray, radius: float, count: int, rng) -> np.ndarray:
@@ -315,13 +362,18 @@ def multicone_search(reps: np.ndarray, seed: int = 0) -> MulticoneCertificate | 
     their largest |entry| only every m steps, m the most that the
     largest condition number allows (:func:`matalg.rescale_period`).
     The visited directions are covered greedily with balls of angular
-    radius CONE_RADIUS.  Each (ball, generator) pair is then certified by
-    the S-lemma against the ball nearest to the image of its center
-    (:func:`_pair_margins`); a pair counts when its margin exceeds
-    CONE_MARGIN.  A ball with a pair that does not count needs the
-    union of balls, and is checked at up to 4096 seeded directions
-    instead, which makes the certificate *empirical*.  Returns None
-    when no certificate passes (inconclusive, not a disproof).
+    radius CONE_RADIUS.  Each (ball, generator) pair is then certified
+    against the ball nearest to the image of its center; a pair counts
+    when its margin exceeds CONE_MARGIN, and a ball with a pair that
+    does not count needs the union of balls.  At D = 2 both margins are
+    exact (:func:`_arc_margins`), so a certificate is *certified*: every
+    image arc lies at least ``margin`` inside its nearest ball, or
+    inside the union of balls for a ball that needs the union.  At
+    D >= 3 a pair is certified by the S-lemma (:func:`_pair_margins`),
+    and a ball that needs the union is checked at up to 4096 seeded
+    directions instead, which makes the certificate *empirical*.
+    Returns None when no certificate passes (inconclusive, not a
+    disproof).
     """
     reps = np.array(reps, dtype=float)
     D = reps.shape[1]
@@ -362,20 +414,26 @@ def multicone_search(reps: np.ndarray, seed: int = 0) -> MulticoneCertificate | 
     if not (_proj_dist(probes, centers) > CONE_RADIUS + CONE_MARGIN).any():
         return None
 
-    margins, _ = _pair_margins(reps, centers, CONE_RADIUS, CONE_MARGIN)
+    if D == 2:
+        margins, union = _arc_margins(reps, centers, CONE_RADIUS)
+    else:
+        margins, _ = _pair_margins(reps, centers, CONE_RADIUS, CONE_MARGIN)
     certified = margins > CONE_MARGIN
     margin = float(margins[certified].min(initial=np.inf))
-    sampled = np.flatnonzero(~certified.all(axis=1))
+    needs_union = np.flatnonzero(~certified.all(axis=1))
     samples = 0
-    if sampled.size:
+    if D == 2:
+        margin = min(margin, float(union[needs_union].min(initial=np.inf)))
+    elif needs_union.size:
         # sampling density from the projective Lipschitz constant
         lip = float(np.exp(log_cond))
         samples = min(max(32, int(np.ceil(8 * CONE_RADIUS * lip / CONE_MARGIN))), 4096)
-        margin = min(margin, _sampled_margin(reps, centers, CONE_RADIUS, samples, rng, sampled))
+        margin = min(margin, _sampled_margin(reps, centers, CONE_RADIUS, samples, rng,
+                                             needs_union))
     if margin <= CONE_MARGIN:
         return None
     return MulticoneCertificate(centers=centers, radius=CONE_RADIUS, margin=margin,
-                                kind="empirical" if sampled.size else "certified",
+                                kind="empirical" if samples else "certified",
                                 samples_per_ball=samples)
 
 

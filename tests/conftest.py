@@ -1,3 +1,7 @@
+import importlib.util
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,3 +65,17 @@ def rotation_cocycle():
     return OneStepCocycle(
         Q=sft.full_shift(2), generators=[rot(0.7), rot(1.9)],
     )
+
+
+@pytest.fixture(scope="session")
+def certify_jobs(tmp_path_factory):
+    """The jobs of the benchmark's certify workload at seed 1, by label,
+    with their cocycle files written: ``dominate:k3d2`` is a d = 2
+    family whose multicone has a ball that needs the union of balls."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("certify_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    jobs = workloads.materialize("certify", 1, str(tmp_path_factory.mktemp("certify")))
+    return {job.label: job for job in jobs}

@@ -394,6 +394,15 @@ class TestCommands:
         assert "multicone t=1: 1 balls of radius 0.2, margin 0.149366 (certified)" \
             in capsys.readouterr().out
 
+    def test_dominate_cone_certified_through_the_union(self, certify_jobs, capsys):
+        """The certify workload's k3d2 family (seed 1) has a ball with a
+        pair that does not count; its image arcs lie inside the union of
+        balls, so the certificate is a proof."""
+        job = certify_jobs["dominate:k3d2"]
+        assert cli.main(job.cli_argv()) == 0
+        assert "multicone t=1: 6 balls of radius 0.2, margin 0.0598302 (certified)" \
+            in capsys.readouterr().out
+
     def test_dominate_cone_rotations_inconclusive(self, tmp_path, capsys):
         rot = ("dim 2\nalphabet 2\ntransition full\n"
                "matrix 1\n0 -1\n1 0\nmatrix 2\n0.8 -0.6\n0.6 0.8\n")

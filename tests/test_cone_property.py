@@ -1,6 +1,7 @@
 """Property tests of multicone verification: the S-lemma pair margins
-against exact arc endpoints, dense sampling and rescaling, and the
-batched search and sampled fallback against per-vector references."""
+and the exact arc margins of D = 2 against arc endpoints and dense
+sampling, the S-lemma under rescaling, and the batched search and
+sampled fallback against per-vector references."""
 
 from unittest import mock
 
@@ -166,6 +167,97 @@ def test_pair_margins_match_arc_endpoints(reps, seed, radius):
                 assert exact <= TOL + domination.RHO_TOL + 1e-12
 
 
+def _rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+@st.composite
+def arc_reps(draw):
+    """Positive 2 x 2 families; in some the first generator has its rows
+    swapped (det < 0), and some gain a generator R(a) diag(1/lam,
+    +-lam), which spreads a ball's arc over nearly a half-turn: past the
+    normal of the center nearest to B c, or over a midpoint between
+    centers."""
+    reps = draw(positive_reps(dims=(2,)))
+    if draw(st.booleans()):
+        reps[0] = reps[0][::-1]
+    if draw(st.booleans()):
+        lam, sign = draw(st.floats(2.0, 50.0)), draw(st.sampled_from([1.0, -1.0]))
+        reps.append(_rotation(draw(st.floats(0.0, np.pi))) @ np.diag([1 / lam, sign * lam]))
+    return np.array(reps)
+
+
+def _nearest(reps, centers):
+    """Per (ball, generator) pair, the index of the center nearest to B c."""
+    return np.abs((reps[None] @ centers[:, None, :, None])[..., 0] @ centers.T).argmax(axis=-1)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(reps=arc_reps(), seed=st.integers(0, 50),
+                  radius=st.sampled_from([0.1, 0.2, 0.3]))
+@hypothesis.example(reps=np.array([_rotation(0.1) @ np.diag([0.1, -10.0])]), seed=0, radius=0.2)
+def test_arc_margins_match_arc_endpoints(reps, seed, radius):
+    """The pair margins of :func:`domination._arc_margins` are the exact
+    arc margins against the center nearest to B c, for either sign of
+    det B, and r - pi/2 for an arc that holds that center's normal.
+    The reference takes the arccos of a cosine near 1, which loses
+    about eps / sin(dist) of the farthest end's distance."""
+    centers = _centers(reps, seed)
+    pair, _ = domination._arc_margins(reps, centers, radius)
+    nearest = _nearest(reps, centers)
+    for j, c in enumerate(centers):
+        for i, B in enumerate(reps):
+            exact = _arc_margin(B, c, centers[nearest[j, i]], radius)
+            tol = 1e-12 + np.finfo(float).eps / np.sin(radius - exact)
+            assert abs(pair[j, i] - exact) <= tol
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_arc_past_the_normal_has_margin_r_minus_half_pi(sign):
+    """R(0.1) diag(0.1, +-10) maps the arc of radius 0.2 around e1 onto
+    the one from 0.1 - atan(100 tan 0.2) = -1.42 to 0.1 + 1.52 = 1.62,
+    which holds the normal of e1, the only center: the pair and union
+    margins are both r - pi/2, as is the reference's."""
+    reps, centers = np.array([_rotation(0.1) @ np.diag([0.1, sign * 10.0])]), np.eye(2)[:1]
+    pair, union = domination._arc_margins(reps, centers, 0.2)
+    assert _arc_margin(reps[0], centers[0], centers[0], 0.2) == 0.2 - np.pi / 2
+    assert pair[0, 0] == union[0, 0] == 0.2 - np.pi / 2
+
+
+def _proj_angle(u, v):
+    """Projective angle between unit rows, accurate near 0."""
+    cross = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    return np.arctan2(cross, np.abs((u * v).sum(axis=-1)))
+
+
+def _dense_union_margin(B, c, centers, radius, count=4000):
+    """r minus the farthest distance from its nearest center of the
+    images of ``count`` evenly spaced directions of the arc K(c, r), and
+    the largest angle between two consecutive images."""
+    t = np.linspace(-radius, radius, count)
+    images = (np.cos(t)[:, None] * c + np.sin(t)[:, None] * np.array([-c[1], c[0]])) @ B.T
+    images /= np.linalg.norm(images, axis=1)[:, None]
+    far = _proj_angle(images[:, None], centers[None]).min(axis=1).max()
+    return radius - far, _proj_angle(images[1:], images[:-1]).max()
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(reps=arc_reps(), seed=st.integers(0, 50),
+                  radius=st.sampled_from([0.1, 0.2, 0.3]))
+def test_arc_union_margins_match_dense_samples(reps, seed, radius):
+    """A union margin never exceeds the margin of 4,000 evenly spaced
+    directions of its ball against the union of balls, which are a
+    subset of the arc, and falls short of it by at most half the
+    largest angle between consecutive images, since the distance to the
+    nearest center moves no faster than the image."""
+    centers = _centers(reps, seed)
+    _, union = domination._arc_margins(reps, centers, radius)
+    for j, c in enumerate(centers):
+        for i, B in enumerate(reps):
+            sampled, spacing = _dense_union_margin(B, c, centers, radius)
+            assert sampled - spacing / 2 - 1e-12 <= union[j, i] <= sampled + 1e-12
+
+
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(k=st.integers(1, 3), seed=st.integers(0, 50),
                   family=st.sampled_from(["positive3", "wedge4"]))
@@ -269,8 +361,7 @@ def _counted_margins(margins_fn, reps, centers, radius):
 def test_seeded_bisection_matches_plain_bisection(k, seed, radius, family):
     """Bisecting from the boundary images' radius certifies the same
     pairs against the same centers as a bisection from 0, each margin
-    within the bisection resolution, and never makes more tests: at
-    most two at D = 2, where a bisection from 0 makes 22 or 23."""
+    within the bisection resolution, and never makes more tests."""
     reps = np.array(_wedge_family(k, seed) if family == "wedge4"
                     else _family(k, int(family[-1]), seed))
     centers = _centers(reps, seed)
@@ -280,7 +371,7 @@ def test_seeded_bisection_matches_plain_bisection(k, seed, radius, family):
     assert np.array_equal(np.isfinite(m), np.isfinite(ref))
     ok = np.isfinite(ref)
     assert np.abs(m[ok] - ref[ok]).max(initial=0.0) <= domination.RHO_TOL
-    assert calls <= (2 if reps.shape[1] == 2 else ref_calls)
+    assert calls <= ref_calls
 
 
 def _eigvals_rows(reps, centers, radius):

@@ -66,6 +66,12 @@ class TestWedgeReduction:
             domination.domination_test(diag_cocycle, 1).passed
 
 
+def _union_dist(images, centers):
+    """The farthest distance of the unit rows of images from their
+    nearest center."""
+    return np.arccos(np.abs(images @ centers.T).clip(-1.0, 1.0)).min(axis=1).max()
+
+
 class TestMulticone:
     def test_diagonal_certificate(self, diag_cocycle):
         cert = domination.multicone_search(diag_cocycle.generators, seed=0)
@@ -97,6 +103,44 @@ class TestMulticone:
                 images /= np.linalg.norm(images, axis=1)[:, None]
                 dist = np.arccos(np.abs(images @ chosen).clip(-1.0, 1.0)).max()
                 assert dist <= cert.radius - cert.margin + 1e-12
+                if len(center) == 2:
+                    assert _union_dist(images, cert.centers) <= cert.radius - cert.margin + 1e-12
+
+    def test_union_certificate_bounds_dense_samples(self, certify_jobs):
+        """At D = 2 a certificate is certified also when a ball needs
+        the union of balls (one does on the certify workload's k3d2
+        family): every generator maps 4,000 sampled directions of each
+        ball within radius - margin of some center."""
+        reps = certify_jobs["dominate:k3d2"].cocycle.generators
+        cert = domination.multicone_search(reps, seed=0)
+        assert cert is not None and cert.kind == "certified"
+        margins, _ = domination._arc_margins(np.array(reps), cert.centers, cert.radius)
+        assert (margins <= domination.CONE_MARGIN).any()
+        rng = np.random.default_rng(5)
+        for center in cert.centers:
+            pts = domination._ball_samples(center, cert.radius, 4000, rng)
+            for B in reps:
+                images = pts @ B.T
+                images /= np.linalg.norm(images, axis=1)[:, None]
+                assert _union_dist(images, cert.centers) <= cert.radius - cert.margin + 1e-12
+
+    @pytest.mark.parametrize("name", ["diag_cocycle", "pos_cocycle", "rotation_cocycle",
+                                      "golden_identity", "k3d2"])
+    def test_d2_search_takes_no_s_lemma_and_no_samples(self, name, request, certify_jobs,
+                                                        monkeypatch):
+        """At D = 2 the search certifies every ball from its exact image
+        arcs: neither the S-lemma nor the sampled fallback runs, and a
+        certificate is certified, with no samples."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("called at D = 2")
+
+        for fn in ("_pair_margins", "_sampled_margin", "_ball_samples"):
+            monkeypatch.setattr(domination, fn, refuse)
+        c = certify_jobs["dominate:k3d2"].cocycle if name == "k3d2" \
+            else request.getfixturevalue(name)
+        for seed in range(3):
+            cert = domination.multicone_search(c.generators, seed=seed)
+            assert cert is None or (cert.kind, cert.samples_per_ball) == ("certified", 0)
 
     def test_rotations_none(self, rotation_cocycle):
         assert domination.multicone_search(rotation_cocycle.generators,
