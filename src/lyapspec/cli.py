@@ -463,6 +463,7 @@ def cmd_subsystem(args) -> int:
     _check_writable(args.subsystem_out)
     # before the searches, so an over-budget --n is refused at once
     base = pressure.log_sums(c, grid, (args.n,))[args.n] / args.n
+    domination.check_budgets(c, args.base_n, args.block_depth)
     typ = _typicality(c, args)
     if typ is None or not typ.passed:
         raise CliError(EXIT_NO_FIXED, "error: typicality precondition not met")

@@ -360,20 +360,25 @@ def _check_grid(grid, d: int, name: str) -> np.ndarray:
     return grid
 
 
+def check_budget(Q: TransitionMatrix, n: int, budget: int) -> None:
+    """Refuse more than ``budget`` words at length n, naming #L_n where
+    :func:`sft.length_past` counts it, else the first length past it."""
+    if m := sft.length_past(Q, n, budget):
+        count = f" = {sft.count_words(Q, n)}" if m == n else ""
+        raise BudgetError(f"#L_{n}{count} words exceeds the budget of {budget}"
+                          + ("" if m == n else f": #L_{m} already does"))
+
+
 def log_wedge_norm_matrices(c: OneStepCocycle, lengths) -> dict[int, np.ndarray]:
     """log ||A_I^{wedge t}||, t = 1..d, of all admissible words of each
     length n in ``lengths``, in sweep order, as {n: (#L_n, d) array};
-    column d is the word-ordered sum of log|det A_s|.  The only word
-    budget check of a sweep: #L_n never decreases in n, so a longest
-    length of more than ``c.budget`` words raises BudgetError naming it,
-    with its count where :func:`sft.length_past` counts it, else with
-    the first length past the budget; the lengths the cache lacks then
-    come from one :func:`_sweep`.  A hit returns the cached array itself."""
+    column d is the word-ordered sum of log|det A_s|.  After the one word
+    budget check of a sweep, :func:`check_budget` at the longest length,
+    one :func:`_sweep` adds the lengths the cache lacks; a hit returns
+    the cached array itself."""
     lengths = sorted(set(lengths))
-    if lengths and (m := sft.length_past(c.Q, n := lengths[-1], c.budget)):
-        count = f" = {sft.count_words(c.Q, n)}" if m == n else ""
-        raise BudgetError(f"#L_{n}{count} words exceeds the budget of {c.budget}"
-                          + ("" if m == n else f": #L_{m} already does"))
+    if lengths:
+        check_budget(c.Q, lengths[-1], c.budget)
     missing = [n for n in lengths if n not in c._norm_cache]
     if missing:
         c._norm_cache.update(_sweep(c, missing))
@@ -387,35 +392,25 @@ def profile_matrix(c: OneStepCocycle, n: int) -> np.ndarray:
     return _profiles(log_wedge_norm_matrices(c, (n,))[n], n)
 
 
-def eigen_exponents(c: OneStepCocycle, word: Word) -> np.ndarray:
-    """Per-symbol log-moduli of the eigenvalues of A_I for a periodic
-    word (Lyapunov exponents of the orbit with itinerary I^infinity),
-    non-increasing up to rounding.
-
-    The top t of them add up to log rho(A_I^{wedge t}).  For t < d that
-    is log rho of the product of ``c.unit_wedges[t]`` over the word,
-    divided by its largest |entry| at every step, plus those scales and
-    the word's ``c.log_norms``; at t = d it is the sum of log|det A_s|.
-    So the small eigenvalues of a long product keep their digits, where
-    the eigenvalues of A_I itself would lose them.  Words past
-    MAX_PRODUCT_LENGTH raise ValueError.
-    """
-    if not word:
+def eigen_exponents(c: OneStepCocycle, words) -> np.ndarray:
+    """Per-symbol log-moduli of the eigenvalues of A_w, non-increasing up
+    to rounding, for each closed word w of an (N, m) word array, as
+    (N, d) rows; one word gives one (d,) row.  Their top-t sums, log
+    rho(A_w^{wedge t}), are the accumulators of :func:`_advance` steps
+    from :func:`_root` plus, for t < d, log rho of the unit-wedge
+    products, so no length loses the small eigenvalues' digits.  A
+    symbol outside 1..k, an empty or a non-closed word raise ValueError."""
+    W = np.atleast_2d(words)
+    if not W.shape[1]:
         raise ValueError("need a nonempty word")
-    if not sft.is_admissible(c.Q, word):
-        raise ValueError(f"word {word} is not admissible")
-    if not c.Q.allows(word[-1], word[0]):
-        raise ValueError(f"word {word} does not close up periodically")
-    if len(word) > MAX_PRODUCT_LENGTH:
-        raise ValueError(f"plain products are limited to length {MAX_PRODUCT_LENGTH}; use profiles")
-    sym = np.asarray(word) - 1
-    logs = c.log_norms[sym].sum(axis=0)
-    for t in range(1, c.d):
-        P = np.eye(c.unit_wedges[t].shape[1])
-        for s in sym:
-            P = c.unit_wedges[t][s] @ P
-            scale = np.abs(P).max()
-            P /= scale
-            logs[t - 1] += np.log(scale)
-        logs[t - 1] += np.log(np.abs(np.linalg.eigvals(P)).max())
-    return np.diff(logs, prepend=0.0) / len(word)
+    sft.check_symbols(c.Q, W)
+    if not (shut := sft.closed(c.Q, W)).all():
+        raise ValueError(f"word {tuple(W[np.argmin(shut)].tolist())} is not admissible as closed")
+    front, par = _root(c)[1], np.zeros(len(W), dtype=np.intp)
+    for depth, sym in enumerate(W.T, start=1):
+        front, par = _advance(c, front, par, sym, depth), np.arange(len(W))
+    mats, logs = front
+    for ti, V in enumerate(mats):
+        logs[:, ti] += np.log(np.abs(np.linalg.eigvals(V)).max(axis=1))
+    logs = np.diff(logs, axis=1, prepend=0.0) / W.shape[1]
+    return logs if np.ndim(words) == 2 else logs[0]

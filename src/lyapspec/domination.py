@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matalg, sft
-from .cocycle import (BudgetError, OneStepCocycle, _check_grid, log_wedge_norm_matrices,
-                      word_products)
+from .cocycle import (BudgetError, OneStepCocycle, _check_grid, check_budget,
+                      log_wedge_norm_matrices, word_products)
 from .pressure import log_sums
 from .sft import Word, full_shift
 
@@ -28,6 +28,7 @@ ORBIT_STARTS, ORBIT_BURN_IN, ORBIT_COLLECT = 24, 60, 40
 #: which needs the depths 1..3, so at most MAX_BASE_WORDS base words
 BLOCK_BUDGET = 300_000
 MAX_BASE_WORDS = 66  # 66**3 <= BLOCK_BUDGET < 67**3
+TUPLE_BUDGET = 30 * BLOCK_BUDGET  # a tuple cocycle's word budget
 
 #: most candidate paddings, and most (J1, J2) pairs, of one padding
 #: search: the default bound 8 makes at most 88 candidates (|w| = 1),
@@ -490,6 +491,22 @@ def _block_depths(n_symbols: int) -> list[int]:
     return [m for m in range(1, 7) if n_symbols**m <= BLOCK_BUDGET]
 
 
+def _base_words(c: OneStepCocycle, n: int) -> np.ndarray:
+    """``word_array(c.Q, n)``, refused past MAX_BASE_WORDS words before any is enumerated."""
+    if m := sft.length_past(c.Q, n, MAX_BASE_WORDS):
+        n_words, least = sft.count_words(c.Q, m), "" if m == n else "at least "
+        raise BudgetError(f"{least}{n_words} base words of length {n}: their {least}"
+                          f"{n_words**3} blocks of depth 3 exceed the budget of {BLOCK_BUDGET}")
+    return sft.word_array(c.Q, n)
+
+
+def check_budgets(c: OneStepCocycle, n: int, block_depth: int) -> None:
+    """The budget refusals of :func:`build_dominated_subsystem` at base
+    length n and of :func:`subsystem_pressure` at ``block_depth``, made
+    before any search: the tuple cocycle is the full shift on the base words."""
+    check_budget(full_shift(len(_base_words(c, n))), block_depth, TUPLE_BUDGET)
+
+
 def build_dominated_subsystem(
     c: OneStepCocycle,
     n: int,
@@ -506,16 +523,13 @@ def build_dominated_subsystem(
     uniform total length.  A symbol of (a, w) outside the alphabet
     raises ValueError, and so do products that overflow; base words
     whose blocks of depth 3 outnumber BLOCK_BUDGET raise BudgetError
-    before any is enumerated, and so does a search that would try more
-    than MAX_PADDINGS candidates or pairs.  The tuple cocycle's budget
-    is 30 * BLOCK_BUDGET words.
+    before any is enumerated (:func:`check_budgets` refuses them before
+    any search), and so does a search that would try more than
+    MAX_PADDINGS candidates or pairs.  The tuple cocycle's budget is
+    TUPLE_BUDGET words.
     """
     sft.check_symbols(c.Q, (a, *w))
-    if m := sft.length_past(c.Q, n, MAX_BASE_WORDS):
-        n_words, least = sft.count_words(c.Q, m), "" if m == n else "at least "
-        raise BudgetError(f"{least}{n_words} base words of length {n}: their {least}"
-                          f"{n_words**3} blocks of depth 3 exceed the budget of {BLOCK_BUDGET}")
-    base = sft.word_array(c.Q, n)
+    base = _base_words(c, n)
     candidates = _padding_candidates(a, tuple(w), pad_bound)
     depths = _block_depths(len(base))
 
@@ -526,12 +540,12 @@ def build_dominated_subsystem(
                               f"(bound {pad_bound}); reduce the pad bound")
         ext = np.tile(pad_left + (0,) * n + pad_right, (len(base), 1))
         ext[:, len(pad_left):len(pad_left) + n] = base
-        # every step, and the wrap that lets blocks concatenate, is allowed
-        if not c.Q.entries[ext - 1, np.roll(ext, -1, axis=1) - 1].all():
+        # closed words concatenate into blocks
+        if not sft.closed(c.Q, ext).all():
             continue
         words = ext
         c_ext = OneStepCocycle(Q=full_shift(len(base)), generators=list(word_products(c, ext)),
-                               budget=30 * BLOCK_BUDGET)
+                               budget=TUPLE_BUDGET)
         report = domination_report(c_ext, n_range=depths, monotone_from=depths[0])
         if report.passed:
             # observed 2-block almost-additivity constants: per degree t,

@@ -50,8 +50,8 @@ class TransitionMatrix:
 
 
 def full_shift(k: int) -> TransitionMatrix:
-    """The full shift on k symbols (all transitions allowed)."""
-    return validate(np.ones((k, k), dtype=np.int64))
+    """The full shift on k symbols: primitive at mixing rate 1, so not :func:`validate`d."""
+    return TransitionMatrix(k=k, entries=np.ones((k, k), dtype=np.int64), mixing_rate=1)
 
 
 def validate(entries) -> TransitionMatrix:
@@ -88,16 +88,22 @@ def validate(entries) -> TransitionMatrix:
     )
 
 
-def check_symbols(Q: TransitionMatrix, word: Sequence[int]) -> None:
-    for s in word:
-        if not 1 <= s <= Q.k:
-            raise ValueError(f"symbol {s} outside alphabet 1..{Q.k}")
+def check_symbols(Q: TransitionMatrix, words) -> None:
+    """Refuse the first symbol of a word or word array outside 1..k."""
+    words = np.asarray(words)
+    if (bad := words[(words < 1) | (words > Q.k)]).size:
+        raise ValueError(f"symbol {bad[0]} outside alphabet 1..{Q.k}")
 
 
 def is_admissible(Q: TransitionMatrix, word: Sequence[int]) -> bool:
     """Whether every consecutive transition of the word is allowed."""
     check_symbols(Q, word)
     return all(Q.allows(a, b) for a, b in zip(word, word[1:]))
+
+
+def closed(Q: TransitionMatrix, words: np.ndarray) -> np.ndarray:
+    """Whether each row of an (N, m) array of checked symbols, and its wrap, is admissible."""
+    return Q.entries[words - 1, np.roll(words, -1, axis=1) - 1].all(axis=1)
 
 
 def count_words(Q: TransitionMatrix, n: int) -> int:

@@ -630,6 +630,31 @@ def test_subsystem_n_past_the_budget_is_refused_before_the_search(gaussian, pos_
     assert checks == [] and not out.exists() and not sub.exists()
 
 
+@pytest.mark.parametrize("gaussian", [False, True], ids=["pos", "gaussian-d3"])
+def test_subsystem_block_depth_past_the_budget_is_refused_before_the_searches(
+        gaussian, pos_file, tmp_path, capsys, monkeypatch):
+    """The tuple cocycle is the full shift on the #L_{base_n} base
+    words, so an over-budget --block-depth exits 4, with the line of
+    the tuple's own budget check, before the typicality search and the
+    padding search; on the Gaussian d = 3 cocycle no pair passes, so a
+    refusal after the search would be exit 5."""
+    path = pos_file
+    if gaussian:
+        path = str(tmp_path / "gauss.cocycle")
+        gens = list(np.random.default_rng(2).standard_normal((2, 3, 3)))
+        cli.write_cocycle(path, OneStepCocycle(Q=sft.full_shift(2), generators=gens))
+    calls = []
+    for module, name in ((typicality, "search_typical_pair"), (typicality, "check_typical"),
+                         (domination, "_padding_candidates")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **kw: calls.append(name))
+    out, sub = tmp_path / "x.csv", tmp_path / "x.sub"
+    assert cli.main(["subsystem", path, "--block-depth", "20000", "--subsystem-out", str(sub),
+                     "--out", str(out)]) == cli.EXIT_BUDGET
+    assert capsys.readouterr() == ("", "budget exceeded: #L_20000 words exceeds the budget "
+                                       "of 9000000: #L_8 already does\n")
+    assert calls == [] and not out.exists() and not sub.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["pressure", "{diag}", "--q=0:0:1", "--n", "4", "--out", "{missing}/p.csv"],
     ["spectrum", "{diag}", "--auto-grid", "3", "--n", "4", "--out", "{missing}/s.csv"],

@@ -478,31 +478,70 @@ class TestEigenExponents:
         with pytest.raises(ValueError):
             eigen_exponents(golden_identity, (2, 1, 2))
 
-    def test_rejects_long_and_non_admissible_words(self, pos_cocycle, golden_identity):
-        with pytest.raises(ValueError, match="limited to length 30"):
-            eigen_exponents(pos_cocycle, (1,) * 31)
-        with pytest.raises(ValueError, match="not admissible"):
-            eigen_exponents(golden_identity, (1, 2, 2))
+    @pytest.mark.parametrize("bad, match", [
+        ((0, 1, 2), "symbol 0 outside alphabet 1..2"),
+        ((1, 3, 1), "symbol 3 outside alphabet 1..2"),
+        ((1, 2, 2), r"word \(1, 2, 2\) is not admissible"),
+        ((2, 1, 2), r"word \(2, 1, 2\) is not admissible"),
+    ], ids=["symbol-0", "symbol-k+1", "non-admissible", "non-closing"])
+    def test_rejects_a_bad_word(self, golden_identity, bad, match):
+        """A bad word alone, or as one row among closed words, refuses
+        the call; symbol 0 is named, not read as the last row of Q."""
+        for words in (bad, np.array([(1, 1, 1), (1, 2, 1), bad, (2, 1, 1)])):
+            with pytest.raises(ValueError, match=match):
+                eigen_exponents(golden_identity, words)
+
+    def test_stacked_call_is_bit_identical_to_one_word_calls(self):
+        """All 1,024 words of length 10 of a Gaussian d = 3 full shift in
+        one call, against one call per word."""
+        c = self._gaussian3()
+        words = sft.word_array(c.Q, 10)
+        stacked = eigen_exponents(c, words)
+        assert stacked.shape == (1024, 3)
+        assert np.array_equal(stacked, [eigen_exponents(c, tuple(w)) for w in words.tolist()])
+
+    @staticmethod
+    def _mpmath_exponents(c, word):
+        """Per-symbol log-moduli of the eigenvalues of the word product
+        in 150-digit mpmath, non-increasing."""
+        with mpmath.workdps(150):
+            M = mpmath.eye(c.d)
+            for s in word:
+                M = mpmath.matrix(c.generators[s - 1].tolist()) * M
+            logs = [float(mpmath.log(abs(e))) for e in mpmath.eig(M, left=False, right=False)]
+        return np.array(sorted(logs, reverse=True)) / len(word)
+
+    @staticmethod
+    def _gaussian3():
+        return OneStepCocycle(Q=sft.full_shift(2),
+                              generators=list(np.random.default_rng(3).standard_normal((2, 3, 3))))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_mpmath_on_long_words(self, pos_cocycle, d):
-        """Against the eigenvalues of the word product in 60-digit
-        mpmath, on 5 random words of each length 8, 16 and 30, of
-        ``pos_cocycle`` at d = 2 and a Gaussian pair at d = 3: within
-        1e-13, where log|eigvals| of the float product was off by 1e-2
-        (d = 2) and 0.9 (d = 3) at length 30."""
-        c = pos_cocycle if d == 2 else OneStepCocycle(
-            Q=sft.full_shift(2), generators=list(np.random.default_rng(3).standard_normal((2, 3, 3))))
+        """Against the eigenvalues of the word product in 150-digit
+        mpmath, on 5 random words of each length 8, 16, 30, 60 and 100,
+        of ``pos_cocycle`` at d = 2 and a Gaussian pair at d = 3, all
+        of one length in one call: within 1e-13, where log|eigvals| of
+        the float product was off by 1e-2 (d = 2) and 0.9 (d = 3) at
+        length 30."""
+        c = pos_cocycle if d == 2 else self._gaussian3()
         rng = np.random.default_rng(0)
-        for n in (8, 16, 30):
-            for word in map(tuple, rng.integers(1, 3, size=(5, n)).tolist()):
-                with mpmath.workdps(60):
-                    M = mpmath.eye(d)
-                    for s in word:
-                        M = mpmath.matrix(c.generators[s - 1].tolist()) * M
-                    ref = sorted((float(mpmath.log(abs(e)))
-                                  for e in mpmath.eig(M, left=False, right=False)), reverse=True)
-                assert np.abs(eigen_exponents(c, word) - np.array(ref) / n).max() <= 1e-13
+        for n in (8, 16, 30, 60, 100):
+            words = rng.integers(1, 3, size=(5, n))
+            ref = [self._mpmath_exponents(c, word) for word in words.tolist()]
+            assert np.abs(eigen_exponents(c, words) - ref).max() <= 1e-13
+
+    def test_plain_eigvals_fail_the_mpmath_bound(self):
+        """log|eigvals| of the float product fails the bound above at
+        length 16, d = 3, on the same words: the bound can fail."""
+        c = self._gaussian3()
+        rng = np.random.default_rng(0)
+        rng.integers(1, 3, size=(5, 8))  # the words of length 8 come first
+        words = rng.integers(1, 3, size=(5, 16))
+        plain = [np.sort(np.log(np.abs(np.linalg.eigvals(product(c, tuple(w))))))[::-1] / 16
+                 for w in words.tolist()]
+        ref = [self._mpmath_exponents(c, word) for word in words.tolist()]
+        assert np.abs(np.array(plain) - ref).max() > 1e-13
 
     def test_dominated_by_profile(self, pos_cocycle):
         """Eigenvalue moduli never exceed the singular values, degree
