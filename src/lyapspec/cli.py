@@ -9,7 +9,8 @@ exhausted pair search, 2 parse or usage error or an unreadable input
 or unwritable output path (refused before any work), 3 validation
 failure (also an alphabet above MAX_ALPHABET symbols, generators whose
 exterior powers overflow, and in `typical`/`subsystem` a word product
-past 1e300 or a dim above 6), 4 budget exceeded (also a
+past 1e300 or longer than cocycle.MAX_PRODUCT_LENGTH, or a dim above
+6), 4 budget exceeded (also a
 `typical`/`subsystem` pair search past typicality.MAX_TYPICAL_CHECKS
 checks), 5 missing typicality precondition, 6 domination inconclusive,
 7 subsystem search exhaustion.

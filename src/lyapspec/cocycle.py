@@ -16,7 +16,7 @@ import numpy as np
 from . import matalg, sft
 from .sft import TransitionMatrix, Word
 
-#: refuse plain products beyond this length; use profiles instead
+#: refuse plain products beyond this length
 MAX_PRODUCT_LENGTH = 30
 
 #: default word budget: most words at the longest length of a sweep
@@ -121,7 +121,8 @@ def word_products(c: OneStepCocycle, words: np.ndarray) -> np.ndarray:
     admissibility, as an (N, d, d) stack of one stacked matmul per column.
     Words past MAX_PRODUCT_LENGTH, or an entry past 1e300 or NaN, raise ValueError."""
     if words.shape[1] > MAX_PRODUCT_LENGTH:
-        raise ValueError(f"plain products are limited to length {MAX_PRODUCT_LENGTH}; use profiles")
+        raise ValueError(f"a word product of length {words.shape[1]} is past the limit of "
+                         f"{MAX_PRODUCT_LENGTH} on plain products")
     mats = np.repeat(np.eye(c.d)[None], len(words), axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for col in words.T:

@@ -195,22 +195,8 @@ def _ball_frames(centers: np.ndarray, radius: float) -> np.ndarray:
     return H * scale
 
 
-def _boundary_radius(g: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Per pair, the farthest distance from c' of the images of the
-    ball's 2(D - 1) axis points y = e_0 +- e_i of the frame of
-    :func:`_ball_frames`: the arccos of the least cos^2 =
-    (g_0 +- g_i)^2 / (G_00 + G_ii +- 2 G_0i), with g = c'^T B T and
-    G = (B T)^T B T.  Those points lie on the ball's boundary, so no
-    rho at or below this radius can pass."""
-    g0, gi = g[:, :1], g[:, 1:]
-    G00, Gii, G0i = G[:, :1, 0], np.diagonal(G, axis1=1, axis2=2)[:, 1:], G[:, 0, 1:]
-    cos2 = np.minimum((g0 + gi) ** 2 / (G00 + Gii + 2 * G0i),
-                      (g0 - gi) ** 2 / (G00 + Gii - 2 * G0i)).min(axis=1)
-    return np.arccos(np.sqrt(np.minimum(cos2, 1.0)))
-
-
 def _pair_margins(
-    reps: np.ndarray, centers: np.ndarray, radius: float, floor: float,
+    reps: np.ndarray, centers: np.ndarray, radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """S-lemma margins of every (ball j, generator B) pair, batched.
 
@@ -224,18 +210,15 @@ def _pair_margins(
     one is positive.  One stacked ``eigvals`` proposes the midpoint and
     one stacked ``eigvalsh`` decides.
 
-    A pair passes at rho = r - floor or gets no margin.  The images of
-    the ball's axis points bound its least passing rho* from below
-    (:func:`_boundary_radius`, rho_est), so a bisection on rho over
-    [rho_est - 1e-12, r - floor], which keeps the end that passed,
-    finds rho* to RHO_TOL; each pair leaves it once its own bracket is
-    that narrow, so later stacked tests take fewer rows.  A pair's rho
-    is only ever one that passed, whatever rho_est says.  The search
-    calls this at D >= 3 only; D = 2 has the closed form
+    A pair passes at rho = r - CONE_MARGIN or gets no margin.  Every
+    pair that passes then bisects on rho over [0, r - CONE_MARGIN] for
+    the rounds that narrow that bracket to RHO_TOL, in lockstep, and
+    keeps the end that passed, so its rho is only ever one that passed.
+    The search calls this at D >= 3 only; D = 2 has the closed form
     :func:`_arc_margins`.
 
     Returns the margins r - rho*, shape (balls, generators), -inf where
-    rho = r - floor fails, and the index of each pair's c'."""
+    rho = r - CONE_MARGIN fails, and the index of each pair's c'."""
     nb, D = centers.shape
     BT = reps[None] @ _ball_frames(centers, radius)[:, None]
     images = (reps[None] @ centers[:, None, :, None])[..., 0]
@@ -257,20 +240,15 @@ def _pair_margins(
         scale = g2[idx] + s * trG[idx] + np.abs(lam)
         return (mu[:, -1] > 0) & (least > DEFINITE_TOL * scale)
 
-    top = radius - floor
+    top = radius - CONE_MARGIN
     margins = np.full(len(g), -np.inf)
     ok = np.flatnonzero(passes(np.arange(len(g)), np.full(len(g), top)))
-    est = _boundary_radius(g[ok], G[ok])
-    lo, hi = np.clip(est - 1e-12, 0.0, top), np.full(len(ok), top)
-    while True:
-        done = ~(hi - lo > RHO_TOL)  # a NaN bracket, which never narrows, leaves too
-        margins[ok[done]] = radius - hi[done]
-        ok, lo, hi = ok[~done], lo[~done], hi[~done]
-        if not ok.size:
-            break
+    lo, hi = np.zeros(len(ok)), np.full(len(ok), top)
+    for _ in range(int(np.ceil(np.log2(top / RHO_TOL))) if ok.size else 0):
         mid = (lo + hi) / 2
         p = passes(ok, mid)
         lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
+    margins[ok] = radius - hi
     return margins.reshape(nb, -1), nearest
 
 
@@ -418,7 +396,7 @@ def multicone_search(reps: np.ndarray, seed: int = 0) -> MulticoneCertificate | 
     if D == 2:
         margins, union = _arc_margins(reps, centers, CONE_RADIUS)
     else:
-        margins, _ = _pair_margins(reps, centers, CONE_RADIUS, CONE_MARGIN)
+        margins, _ = _pair_margins(reps, centers, CONE_RADIUS)
     certified = margins > CONE_MARGIN
     margin = float(margins[certified].min(initial=np.inf))
     needs_union = np.flatnonzero(~certified.all(axis=1))

@@ -146,9 +146,9 @@ def search_typical_pair(c: OneStepCocycle, depth: int) -> TypicalityReport | Non
         if not min(_gap_margins(c, a), default=np.inf) > TOL_GAP:
             continue
         for n in range(1, depth + 1):
-            for w in sft.enumerate_words(c.Q, n):
-                if not (c.Q.allows(a, w[0]) and c.Q.allows(w[-1], a)):
-                    continue
+            words = sft.word_array(c.Q, n)
+            closed = sft.closed(c.Q, np.column_stack([np.full(len(words), a), words]))
+            for w in map(tuple, words[closed].tolist()):
                 if checks == MAX_TYPICAL_CHECKS:
                     raise BudgetError(
                         f"no typical pair among the first {checks} checked, at a = {a} "

@@ -107,6 +107,15 @@ def latin1_file(tmp_path):
 
 
 @pytest.fixture
+def shear_file(tmp_path):
+    """One symbol, [[2, 1], [0, 1]]: pinched, never twisted, so a typicality
+    search tries every length up to its depth."""
+    path = tmp_path / "shear.cocycle"
+    path.write_text("dim 2\nalphabet 1\ntransition full\nmatrix 1\n2 1\n0 1\n")
+    return str(path)
+
+
+@pytest.fixture
 def pos_file(tmp_path):
     path = tmp_path / "pos.cocycle"
     path.write_text(DIAG.replace("3 0\n0 0.33333333333333331",
@@ -484,6 +493,8 @@ class TestCommands:
                  marks=pytest.mark.slow),
     (["subsystem", "{pos110}"], cli.EXIT_VALIDATE),
     (["typical", "{pos110}", "--fixed-symbol", "1", "--homoclinic", "2,2"], cli.EXIT_VALIDATE),
+    # the loop of a core word of length 30 is a product of 31 matrices
+    (["typical", "{shear}", "--search-depth", "40"], cli.EXIT_VALIDATE),
     (["validate", "{pos160}"], cli.EXIT_VALIDATE),
     (["pressure", "{pos160}", "--q=0:0:1", "--n", "4"], cli.EXIT_VALIDATE),
     (["spectrum", "{pos160}", "--n", "4", "--auto-grid", "3"], cli.EXIT_VALIDATE),
@@ -500,12 +511,13 @@ class TestCommands:
         "subsystem-pad-bound", "pressure-grid-tiny-step", "pressure-grid-too-many-points",
         "pressure-qm-budget", "subsystem-block-depth", "subsystem-base-n",
         "typical-search-dim-7", "subsystem-search-dim-7", "typical-search-budget",
-        "subsystem-product-overflow", "typical-product-overflow", "validate-wedge-overflow",
+        "subsystem-product-overflow", "typical-product-overflow", "typical-product-length",
+        "validate-wedge-overflow",
         "pressure-wedge-overflow", "spectrum-wedge-overflow", "dominate-wedge-overflow",
         "pressure-budget-0", "spectrum-budget-negative", "spectrum-not-utf8"])
 def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_file,
                                       dim7_file, pos110_file, pos160_file, latin1_file,
-                                      tmp_path, capsys):
+                                      shear_file, tmp_path, capsys):
     """Bad values end in a documented exit code and a one-line
     message, never a traceback (exit 1 means a negative verdict), and
     leave no output behind: no stdout line and no subsystem file.  A
@@ -514,7 +526,8 @@ def test_user_input_error_is_one_line(argv, code, diag_file, pos_file, scalar_fi
     prefix = {"{pos160}": "validation error: ",
               "{latin1}": "parse error: "}.get(argv[1], "error: ")
     argv = [a.format(diag=diag_file, pos=pos_file, scalar=scalar_file, dim7=dim7_file,
-                     pos110=pos110_file, pos160=pos160_file, latin1=latin1_file)
+                     pos110=pos110_file, pos160=pos160_file, latin1=latin1_file,
+                     shear=shear_file)
             for a in argv]
     sub_out = tmp_path / "x.cocycle"
     argv += ["--subsystem-out", str(sub_out)] if argv[0] == "subsystem" else []

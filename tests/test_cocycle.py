@@ -114,7 +114,10 @@ class TestProduct:
             product(golden_identity, (2, 2))
 
     def test_rejects_overlong(self, pos_cocycle):
-        with pytest.raises(ValueError):
+        """The refusal names the product's length and the limit, and
+        gives no advice that only an API caller could follow."""
+        with pytest.raises(ValueError, match="^a word product of length 31 is past the "
+                                             "limit of 30 on plain products$"):
             product(pos_cocycle, (1,) * 31)
 
 

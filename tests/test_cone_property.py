@@ -1,7 +1,8 @@
 """Property tests of multicone verification: the S-lemma pair margins
 and the exact arc margins of D = 2 against arc endpoints and dense
-sampling, the S-lemma under rescaling, and the batched search and
-sampled fallback against per-vector references."""
+sampling, the S-lemma under rescaling and against a plain bisection,
+and the batched search and sampled fallback against per-vector
+references."""
 
 from unittest import mock
 
@@ -154,9 +155,9 @@ def _arc_margin(B, c, c_near, r):
 def test_pair_margins_match_arc_endpoints(reps, seed, radius):
     """At D = 2 a certified pair's margin is the exact arc-endpoint
     margin, rounded down by at most the bisection resolution; a pair
-    that fails has an exact margin of at most the floor."""
+    that fails has an exact margin of at most CONE_MARGIN."""
     centers = _centers(reps, seed)
-    margins, nearest = domination._pair_margins(np.array(reps), centers, radius, TOL)
+    margins, nearest = domination._pair_margins(np.array(reps), centers, radius)
     for j, c in enumerate(centers):
         for i, B in enumerate(reps):
             exact = _arc_margin(B, c, centers[nearest[j, i]], radius)
@@ -268,7 +269,7 @@ def test_pair_margins_sound_against_dense_samples(k, seed, family):
     reps = np.array(_family(k, 3, seed) if family == "positive3" else _wedge_family(k, seed))
     cert = domination.multicone_search(reps, seed=seed)
     hypothesis.assume(cert is not None)
-    margins, nearest = domination._pair_margins(reps, cert.centers, cert.radius, TOL)
+    margins, nearest = domination._pair_margins(reps, cert.centers, cert.radius)
     rng = np.random.default_rng(seed)
     for j, center in enumerate(cert.centers):
         pts = domination._ball_samples(center, cert.radius, 2000, rng)
@@ -288,8 +289,8 @@ def test_pair_margins_scale_free(reps, seed, scales):
     to and its margin unchanged, up to the bisection resolution."""
     centers = _centers(reps, seed)
     scaled = np.array([s * B for s, B in zip(scales, reps)])
-    m1, n1 = domination._pair_margins(np.array(reps), centers, 0.2, TOL)
-    m2, n2 = domination._pair_margins(scaled, centers, 0.2, TOL)
+    m1, n1 = domination._pair_margins(np.array(reps), centers, 0.2)
+    m2, n2 = domination._pair_margins(scaled, centers, 0.2)
     assert np.array_equal(n1, n2)
     assert np.array_equal(m1 > TOL, m2 > TOL)
     ok = m1 > TOL
@@ -297,8 +298,8 @@ def test_pair_margins_scale_free(reps, seed, scales):
 
 
 def _slemma(reps, centers, radius):
-    """The nearest centers, g and G of every (ball, generator) pair, and
-    the S-lemma test of :func:`domination._pair_margins`, written anew."""
+    """The nearest centers of every (ball, generator) pair, and the
+    S-lemma test of :func:`domination._pair_margins`, written anew."""
     D = centers.shape[1]
     BT = reps[None] @ domination._ball_frames(centers, radius)[:, None]
     images = (reps[None] @ centers[:, None, :, None])[..., 0]
@@ -316,41 +317,32 @@ def _slemma(reps, centers, radius):
         scale = (g[idx] ** 2).sum(axis=1) + s * np.trace(G[idx], axis1=1, axis2=2) + abs(lam)
         return (mu[:, -1] > 0) & (least > domination.DEFINITE_TOL * scale)
 
-    return nearest, g, G, passes
+    return nearest, passes
 
 
-def _lockstep_bisection(passes, ok, lo, hi, radius):
-    """Bisect every pair for as many rounds as the widest bracket needs;
-    the margins r - hi, and per pair every margin r - rho of a rho that
-    passed."""
-    passed = [{radius - h} for h in hi]
+def _plain_pair_margins(reps, centers, radius):
+    """The S-lemma margins by a plain bisection over [0, r - CONE_MARGIN]
+    that keeps the end that passed, every pair that passes at its top
+    for as many rounds as the widest bracket needs: the tests of
+    :func:`domination._pair_margins`, written anew."""
+    nearest, passes = _slemma(reps, centers, radius)
+    top = radius - TOL
+    ok = np.flatnonzero(passes(np.arange(nearest.size), np.full(nearest.size, top)))
+    lo, hi = np.zeros(len(ok)), np.full(len(ok), top)
     for _ in range(int(np.ceil(np.log2(max((hi - lo).max(initial=0.0), domination.RHO_TOL)
                                        / domination.RHO_TOL)))):
         mid = (lo + hi) / 2
         p = passes(ok, mid)
-        for j in np.flatnonzero(p):
-            passed[j].add(radius - mid[j])
         lo, hi = np.where(p, lo, mid), np.where(p, mid, hi)
-    return radius - hi, passed
-
-
-def _plain_pair_margins(reps, centers, radius, floor):
-    """The S-lemma margins by a plain bisection over [0, r - floor]: the
-    same tests as :func:`domination._pair_margins`, with no floor from
-    the boundary images and no first guess."""
-    nearest, g, G, passes = _slemma(reps, centers, radius)
-    top = radius - floor
-    ok = np.flatnonzero(passes(np.arange(len(g)), np.full(len(g), top)))
-    margins = np.full(len(g), -np.inf)
-    margins[ok], _ = _lockstep_bisection(passes, ok, np.zeros(len(ok)), np.full(len(ok), top),
-                                         radius)
-    return margins.reshape(len(centers), -1), nearest
+    margins = np.full(nearest.size, -np.inf)
+    margins[ok] = radius - hi
+    return margins.reshape(nearest.shape), nearest
 
 
 def _counted_margins(margins_fn, reps, centers, radius):
     """The margins, and how many stacked eigen-tests they took."""
     with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
-        margins, nearest = margins_fn(reps, centers, radius, TOL)
+        margins, nearest = margins_fn(reps, centers, radius)
     return margins, nearest, eigvals.call_count
 
 
@@ -358,82 +350,18 @@ def _counted_margins(margins_fn, reps, centers, radius):
 @hypothesis.given(k=st.integers(1, 3), seed=st.integers(0, 50),
                   radius=st.sampled_from([0.1, 0.2, 0.3]),
                   family=st.sampled_from(["positive2", "positive3", "wedge4"]))
-def test_seeded_bisection_matches_plain_bisection(k, seed, radius, family):
-    """Bisecting from the boundary images' radius certifies the same
-    pairs against the same centers as a bisection from 0, each margin
-    within the bisection resolution, and never makes more tests."""
+def test_pair_margins_match_plain_bisection(k, seed, radius, family):
+    """The batched margins and nearest centers are bit-identical to
+    those of the plain reference bisection, from as many stacked
+    eigen-tests."""
     reps = np.array(_wedge_family(k, seed) if family == "wedge4"
                     else _family(k, int(family[-1]), seed))
     centers = _centers(reps, seed)
     m, nearest, calls = _counted_margins(domination._pair_margins, reps, centers, radius)
     ref, ref_nearest, ref_calls = _counted_margins(_plain_pair_margins, reps, centers, radius)
     assert np.array_equal(nearest, ref_nearest)
-    assert np.array_equal(np.isfinite(m), np.isfinite(ref))
-    ok = np.isfinite(ref)
-    assert np.abs(m[ok] - ref[ok]).max(initial=0.0) <= domination.RHO_TOL
-    assert calls <= ref_calls
-
-
-def _eigvals_rows(reps, centers, radius):
-    """The margins of :func:`domination._pair_margins`, and the rows of
-    each of its stacked eigen-tests."""
-    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
-        margins, _ = domination._pair_margins(reps, centers, radius, TOL)
-    return margins.ravel(), [len(call.args[0]) for call in eigvals.call_args_list]
-
-
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(k=st.integers(1, 3), seed=st.integers(0, 50),
-                  radius=st.sampled_from([0.1, 0.2, 0.3]),
-                  family=st.sampled_from(["positive3", "wedge4"]))
-def test_pairs_leave_bisection_at_their_own_resolution(k, seed, radius, family):
-    """At D >= 3 a pair leaves the bisection once its own bracket is
-    within RHO_TOL: the rows per stacked test never grow and add up to
-    at most those of a lockstep bisection, which runs every pair as many
-    rounds as the widest bracket needs; every margin is one that the
-    lockstep bisection passed, within RHO_TOL of its final margin."""
-    reps = np.array(_family(k, 3, seed) if family == "positive3" else _wedge_family(k, seed))
-    centers = _centers(reps, seed)
-    margins, rows = _eigvals_rows(reps, centers, radius)
-    _, g, G, passes = _slemma(reps, centers, radius)
-    top = radius - TOL
-    ok = np.flatnonzero(passes(np.arange(len(g)), np.full(len(g), top)))
-    lo = np.clip(domination._boundary_radius(g[ok], G[ok]) - 1e-12, 0.0, top)
-    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
-        ref, passed = _lockstep_bisection(passes, ok, lo, np.full(len(ok), top), radius)
-    assert rows[0] == len(g) and rows[1:] == sorted(rows[1:], reverse=True)
-    assert sum(rows[1:]) <= len(ok) * eigvals.call_count
-    assert np.array_equal(np.flatnonzero(np.isfinite(margins)), ok)
-    assert all(m in p for m, p in zip(margins[ok], passed))
-    assert np.abs(margins[ok] - ref).max(initial=0.0) <= domination.RHO_TOL
-
-
-def test_bisection_rows_shrink_at_d3():
-    """On three positive 3 x 3 generators the brackets start at
-    different widths, so the later stacked tests take fewer rows than
-    the first bisection round."""
-    reps = np.array(_family(3, 3, 0))
-    _, rows = _eigvals_rows(reps, _centers(reps, 0), 0.2)
-    assert rows[-1] < rows[1]
-
-
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(reps=positive_reps(dims=(2,)), seed=st.integers(0, 50),
-                  radius=st.sampled_from([0.1, 0.2, 0.3]), tamper=st.sampled_from(["0", "top"]))
-def test_wrong_boundary_radius_never_certifies_more(reps, seed, radius, tamper):
-    """A floor of 0 or of r - floor in place of the boundary images'
-    radius may cost tests, but every margin stays at most the exact
-    arc-endpoint margin: a pair's rho is always one that passed."""
-    centers = _centers(reps, seed)
-
-    def wrong(g, G):
-        return np.full(len(g), 0.0 if tamper == "0" else radius - TOL)
-
-    with mock.patch.object(domination, "_boundary_radius", wrong):
-        margins, nearest = domination._pair_margins(np.array(reps), centers, radius, TOL)
-    for j, c in enumerate(centers):
-        for i, B in enumerate(reps):
-            assert margins[j, i] <= _arc_margin(B, c, centers[nearest[j, i]], radius) + 1e-12
+    assert np.array_equal(m, ref)
+    assert calls == ref_calls
 
 
 @pytest.mark.parametrize("name", ["diag_cocycle", "pos_cocycle", "twisted4_cocycle",

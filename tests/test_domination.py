@@ -164,8 +164,7 @@ class TestMulticone:
         S-lemma margin is below it by at most the bisection resolution."""
         r = 0.2
         margins, nearest = domination._pair_margins(
-            np.array([np.diag([lam, 1 / lam])]), np.array([[1.0, 0.0]]), r,
-            domination.CONE_MARGIN)
+            np.array([np.diag([lam, 1 / lam])]), np.array([[1.0, 0.0]]), r)
         exact = r - np.arctan(np.tan(r) / lam**2)
         assert exact - domination.RHO_TOL - 1e-12 <= margins[0, 0] <= exact + 1e-12
         assert nearest[0, 0] == 0
@@ -176,8 +175,7 @@ class TestMulticone:
         some lam < 0 makes B^T M' B - lam M definite, which certifies
         nothing; only lam >= 0 counts."""
         margins, _ = domination._pair_margins(np.array([[[0.0, -a], [1.0, 0.0]]]),
-                                              np.array([[1.0, 0.0]]), 0.2,
-                                              domination.CONE_MARGIN)
+                                              np.array([[1.0, 0.0]]), 0.2)
         assert margins[0, 0] == -np.inf
 
     @pytest.mark.parametrize("theta", [0.1, 0.5, 1.2])
